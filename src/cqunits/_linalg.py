@@ -8,8 +8,9 @@ intermediate value is exactly representable ((p-1)^2 * inner < 2^24 or
 2^53); above that the inner dimension is chunked.  Extension fields take
 the generic per-pivot path (they only occur at small dimensions here).
 
-Reduced row echelon form is canonical: pivot search is leftmost column,
-lowest row index first, and the result is independent of row batching.
+rref pivots on the leftmost column, lowest row index first, independent of
+row batching.  Subspace bases and `right_kernel` use its mirror image, with
+pivots taken from the right (see `algebra.Subspace`).
 """
 
 from __future__ import annotations
@@ -141,21 +142,17 @@ def rank(ctx, M) -> int:
 
 
 def right_kernel(ctx, M) -> np.ndarray:
-    """Canonical basis (rref rows) of {x : M @ x = 0}."""
-    M = np.ascontiguousarray(M, dtype=np.int64)
-    n = M.shape[1]
-    R, piv = rref(ctx, M)
-    if not piv:
-        return np.eye(n, dtype=np.int64)
-    free = [c for c in range(n) if c not in set(piv)]
-    if not free:
-        return np.zeros((0, n), dtype=np.int64)
-    K = np.zeros((len(free), n), dtype=np.int64)
-    for i, fc in enumerate(free):
-        K[i, fc] = 1
-        K[i, piv] = ctx.vneg(R[:, fc])
-    KR, _ = rref(ctx, K)
-    return KR
+    """Basis of {x : M @ x = 0}, canonical with pivots taken from the right.
+
+    Row i is 1 at free column fc_i of rref(M) and nonzero elsewhere only at
+    pivots of rref(M) left of fc_i: already reduced, rows in descending fc_i.
+    """
+    R, piv = rref(ctx, M)  # R keeps all n columns, even with no rows
+    free = np.setdiff1d(np.arange(R.shape[1]), piv)[::-1]
+    K = np.zeros((free.size, R.shape[1]), dtype=np.int64)
+    K[np.arange(free.size), free] = 1
+    K[:, piv] = ctx.vneg(R[:, free].T)
+    return K
 
 
 def reduce_against(ctx, V, R, pivots) -> np.ndarray:

@@ -4,6 +4,8 @@ AlgElem holds one length-|G| array of field codes indexed by the group
 element index.  Products run through exact integer scatter-adds: small
 groups use the full multiplication table, larger ones convolve the q
 A-slices through the A-addition table so no |G| x |G| table is needed.
+Both accumulate in float64 through one scatter-convolution helper, whose
+exactness bound is checked once when the algebra is built.
 
 The ideal generated by {a - 1 : a in A} is called gamma throughout; it
 is the kernel of the projection rho onto FB and is nilpotent, which is
@@ -15,22 +17,31 @@ from __future__ import annotations
 import numpy as np
 
 from . import _linalg
-from .errors import CtxMismatch, MathDomainError, NotAUnit
+from .errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
 from .field import FieldCtx
 from .group import GroupElem, GroupSpec
 
 
 class Subspace:
-    """A row space over GF(p^f), stored as a canonical reduced echelon basis."""
+    """A row space over GF(p^f), stored as its canonical reduced echelon basis.
 
-    def __init__(self, field: FieldCtx, rows, reduced: bool = False, pivots=None):
+    Pivots are taken from the right: the basis is rref(rows[:, ::-1]) read
+    back in ambient column order, each row 1 at its rightmost nonzero column,
+    rows in descending pivot order.  `reduced=True` passes such a basis as is.
+    """
+
+    def __init__(self, field: FieldCtx, rows, reduced: bool = False):
         self.field = field
         rows = np.ascontiguousarray(rows, dtype=np.int64)
+        n = rows.shape[1]
         if reduced:
-            self.basis, self.pivots = rows, list(pivots)
+            self.basis = rows
+            self.pivots = (n - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)).tolist()
         else:
-            self.basis, self.pivots = _linalg.rref(field, rows)
-        self.ambient = self.basis.shape[1]
+            R, piv = _linalg.rref(field, rows[:, ::-1])
+            self.basis = np.ascontiguousarray(R[:, ::-1])
+            self.pivots = [n - 1 - c for c in piv]
+        self.ambient = n
 
     @property
     def dim(self) -> int:
@@ -41,9 +52,6 @@ class Subspace:
 
     def contains_rows(self, rows) -> bool:
         return _linalg.in_rowspace(self.field, rows, self.basis, self.pivots)
-
-    def reduce_rows(self, rows) -> np.ndarray:
-        return _linalg.reduce_against(self.field, rows, self.basis, self.pivots)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -217,6 +225,11 @@ class GroupAlgebra:
         self.order = group.order
         self.q = group.q
         self.inv2 = field.from_code(field.inv(2))
+        # the largest float64 sum in _scatter_conv: |G| products of digits < p,
+        # each spread over the field tensor's entries (a single 1 when f = 1)
+        bound = (field.p - 1) ** 2 * self.order * int(field._tensor.sum(axis=(0, 1)).max())
+        if bound >= _linalg._F64_LIMIT:
+            raise BudgetExceeded(f"FG products would sum up to {bound}, past exact float64")
         self._mul_flat = (group.mul_table.ravel()
                           if group.mul_table is not None and group.order <= self._TABLE_MUL_LIMIT
                           else None)
@@ -263,59 +276,43 @@ class GroupAlgebra:
             return self._mul_table_path(x, y)
         return self._mul_slice_path(x, y)
 
-    def _mul_table_path(self, x, y):
-        n, f = self.order, self.field.f
+    def _scatter_conv(self, index, size, x, y) -> np.ndarray:
+        """Float64 sums of x[g] y[h] at index[g * len(y) + h], unreduced: shape
+        (size,) for f = 1, else (size, f) digits; __init__ bounds them exactly."""
+        f = self.field.f
         if f == 1:
-            w = np.outer(x, y).ravel().astype(np.float64)
-            z = np.bincount(self._mul_flat, weights=w, minlength=n)
-            return np.rint(z).astype(np.int64) % self.field.p
-        Xd, Yd = self.field.decode(x), self.field.decode(y)
-        O = np.einsum("gi,hj,ijk->ghk", Xd, Yd, self.field._tensor)
-        digits = np.empty((n, f), dtype=np.int64)
-        for k in range(f):
-            z = np.bincount(self._mul_flat, weights=O[:, :, k].ravel().astype(np.float64),
-                            minlength=n)
-            digits[:, k] = np.rint(z).astype(np.int64) % self.field.p
-        return self.field.encode(digits)
+            return np.bincount(index, weights=np.outer(x, y).ravel().astype(np.float64),
+                               minlength=size)
+        O = np.einsum("gi,hj,ijk->ghk", self.field.decode(x), self.field.decode(y),
+                      self.field._tensor)
+        return np.stack([np.bincount(index, weights=O[:, :, k].ravel().astype(np.float64),
+                                     minlength=size) for k in range(f)], axis=1)
+
+    def _reduce(self, sums: np.ndarray) -> np.ndarray:
+        """Field codes of exact float64 sums from `_scatter_conv`."""
+        digits = np.rint(sums).astype(np.int64) % self.field.p
+        return digits if self.field.f == 1 else self.field.encode(digits)
+
+    def _mul_table_path(self, x, y):
+        return self._reduce(self._scatter_conv(self._mul_flat, self.order, x, y))
 
     def _mul_slice_path(self, x, y):
-        q, na, f = self.q, self.group.abelian.order, self.field.f
+        q, na = self.q, self.group.abelian.order
         xs = x.reshape(na, q)
         ys = y.reshape(na, q)
         sig = self.group.sigma_pows
-        acc = np.zeros((q, na, f), dtype=np.float64)
-        Yd = self.field.decode(ys.T) if f > 1 else None  # (q, na, f)
+        acc = np.zeros((q, na) + ((self.field.f,) if self.field.f > 1 else ()))
         for i in range(q):
             xi = xs[:, i]
             if not xi.any():
                 continue
-            perm = sig[(q - i) % q]
-            if f == 1:
-                Yp = np.empty_like(ys)
-                Yp[perm] = ys
-                for j in range(q):
-                    yj = Yp[:, j]
-                    if not yj.any():
-                        continue
-                    w = np.outer(xi, yj).ravel().astype(np.float64)
-                    acc[(i + j) % q, :, 0] += np.bincount(
-                        self._a_add_flat, weights=w, minlength=na)
-            else:
-                Xd = self.field.decode(xi)  # (na, f)
-                for j in range(q):
-                    yj = np.empty_like(Yd[j])
-                    yj[perm] = Yd[j]
-                    if not yj.any():
-                        continue
-                    O = np.einsum("gi,hj,ijk->ghk", Xd, yj, self.field._tensor)
-                    for k in range(f):
-                        acc[(i + j) % q, :, k] += np.bincount(
-                            self._a_add_flat, weights=O[:, :, k].ravel().astype(np.float64),
-                            minlength=na)
-        digits = np.rint(acc).astype(np.int64) % self.field.p  # (q, na, f)
-        if f == 1:
-            return digits[:, :, 0].T.reshape(self.order).copy()
-        return self.field.encode(digits).T.reshape(self.order).copy()
+            Yp = np.empty_like(ys)
+            Yp[sig[(q - i) % q]] = ys
+            for j in range(q):
+                yj = Yp[:, j]
+                if yj.any():
+                    acc[(i + j) % q] += self._scatter_conv(self._a_add_flat, na, xi, yj)
+        return self._reduce(acc).T.reshape(self.order)
 
     # --- inversion --------------------------------------------------------------
 
@@ -351,18 +348,14 @@ class GroupAlgebra:
         else:
             raise NotAUnit("geometric series did not terminate")
         result = W * inv_u
-        assert (x * result) == self.one()
+        if (x * result) != self.one():
+            raise MathDomainError("computed inverse fails x * x^-1 = 1")
         return result
 
     # --- gamma machinery -----------------------------------------------------------
 
     def gamma_dim(self) -> int:
         return self.order - self.q
-
-    @property
-    def gamma_cols(self) -> np.ndarray:
-        """FG indices of a*b^j with a != e, in ascending index order."""
-        return np.arange(self.q, self.order, dtype=np.int64)
 
     def gamma_expand(self, K: np.ndarray) -> np.ndarray:
         """Rows of gamma-coordinates -> ambient FG rows (rho of each row is 0)."""
@@ -374,46 +367,52 @@ class GroupAlgebra:
         amb[:, : self.q] = self.field.vneg(sums)
         return amb
 
-    def gamma_restrict(self, rows: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(rows, dtype=np.int64))[:, self.q:]
-
     def gamma_star_perm(self) -> np.ndarray:
         """The involution as a permutation of the gamma basis (a-1)b^j."""
         g = self.group
-        cols = self.gamma_cols
+        cols = np.arange(self.q, self.order)  # FG indices of a*b^j, a != e
         a, j = cols // self.q, cols % self.q
         tgt = g.sigma_pows[j, g.a_inv[a]] * self.q + (self.q - j) % self.q
         return tgt - self.q  # back to gamma-coordinate indexing
 
     def gamma_basis(self) -> Subspace:
-        """gamma as a canonical Subspace.
+        """gamma as a canonical Subspace: gamma_expand of the identity, rows (a-1)b^j.
 
-        The canonical reduced basis of ker(rho) pivots on every column but
-        the last q: row for column c = (a, j) is e_(a,j) - e_(a_last,j),
-        so it can be written down directly instead of being row reduced.
+        gamma_expand keeps a canonical gamma-coordinate basis canonical: the
+        a = e slice 0..q-1 that it fills in lies left of every pivot.  The
+        rows are written straight into one |G|-wide array.
         """
         if self._gamma is None:
             dim = self.gamma_dim()
+            rows, c = np.arange(dim), np.arange(dim)[::-1]  # pivots descending
             basis = np.zeros((dim, self.order), dtype=np.int64)
-            idx = np.arange(dim)
-            basis[idx, idx] = 1
-            basis[idx, self.order - self.q + idx % self.q] = self.field.neg(1)
-            self._gamma = Subspace(self.field, basis, reduced=True,
-                                   pivots=list(range(dim)))
+            basis[rows, self.q + c] = 1
+            basis[rows, c % self.q] = self.field.neg(1)
+            self._gamma = Subspace(self.field, basis, reduced=True)
         return self._gamma
 
     def sym_skew_subspaces(self) -> tuple[Subspace, Subspace]:
-        """Row-reduced symmetric and skew-symmetric slices of gamma."""
+        """The symmetric and skew slices S1, S2 of gamma, written down.
+
+        The involution pairs the gamma basis without fixed points, so over the
+        pairs lo < hi of gamma_star_perm() S1 and S2 have the canonical bases
+        e_hi + e_lo and e_hi - e_lo, rows in descending hi.
+        """
         if self._sym_skew is None:
-            dim = self.gamma_dim()
             pi = self.gamma_star_perm()
-            eye = np.eye(dim, dtype=np.int64)
-            starred = eye[pi]  # row k is e_{pi[k]}, the star of basis vector k
-            sym = self.field.vmul(self.field.vadd(eye, starred), np.int64(self.inv2.code))
-            skew = self.field.vmul(self.field.vsub(eye, starred), np.int64(self.inv2.code))
-            s1 = Subspace(self.field, self.gamma_expand(sym))
-            s2 = Subspace(self.field, self.gamma_expand(skew))
-            self._sym_skew = (s1, s2)
+            k = np.arange(pi.size)
+            if not np.array_equal(pi[pi], k) or np.any(pi == k):
+                raise MathDomainError("the involution does not pair the gamma basis")
+            hi = k[pi < k][::-1]
+            rows = np.arange(hi.size)
+
+            def slice_basis(sign):
+                K = np.zeros((hi.size, pi.size), dtype=np.int64)
+                K[rows, hi] = 1
+                K[rows, pi[hi]] = sign
+                return Subspace(self.field, self.gamma_expand(K), reduced=True)
+
+            self._sym_skew = (slice_basis(1), slice_basis(self.field.neg(1)))
         return self._sym_skew
 
     def nilpotency_index(self) -> int:
@@ -440,19 +439,8 @@ class GroupAlgebra:
         return self._nilpotency
 
     def _conv_a(self, u, v):
-        na, f = self.group.abelian.order, self.field.f
-        if f == 1:
-            w = np.outer(u, v).ravel().astype(np.float64)
-            z = np.bincount(self._a_add_flat, weights=w, minlength=na)
-            return np.rint(z).astype(np.int64) % self.field.p
-        O = np.einsum("gi,hj,ijk->ghk", self.field.decode(u), self.field.decode(v),
-                      self.field._tensor)
-        digits = np.empty((na, f), dtype=np.int64)
-        for k in range(f):
-            z = np.bincount(self._a_add_flat, weights=O[:, :, k].ravel().astype(np.float64),
-                            minlength=na)
-            digits[:, k] = np.rint(z).astype(np.int64) % self.field.p
-        return self.field.encode(digits)
+        return self._reduce(self._scatter_conv(self._a_add_flat, self.group.abelian.order,
+                                               u, v))
 
     def one_plus_gamma_exponent(self) -> int:
         """Smallest power p^k that annihilates 1 + gamma elementwise.

@@ -11,7 +11,7 @@ follow
 with '^' binding tighter than '*' tighter than '+'/'-'; integer literals
 are reduced mod p and bracketed lists are z-polynomial coefficients for
 f > 1.  Exit codes: 0 ok, 1 hypothesis violation, 2 parse error, 3
-math/domain error, 4 budget exceeded.
+math/domain error, 4 budget exceeded, 5 internal error.
 """
 
 from __future__ import annotations
@@ -19,12 +19,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 import numpy as np
 
 from . import cqstruct, unitgroup, verifier
 from .algebra import AlgElem
-from .errors import MathDomainError, ParseError, ToolkitError
+from .errors import (INTERNAL_ERROR_EXIT, INTERNAL_ERROR_SLUG, MathDomainError,
+                     ParseError, ToolkitError)
 from .group import GroupElem
 
 REQUIRED_KEYS = ("p", "f", "q", "A", "action")
@@ -344,12 +346,12 @@ def _cmd_class_length(args, inst):
     cl = unitgroup.class_length(inst.algebra, x, report=rep)
     result = {"centralizer_dim": rep.dim,
               "sym_dim": rep.sym_dim, "skew_dim": rep.skew_dim,
-              "class_length": {"p": cl.p, "exp": cl.exponent, "dec": str(cl.value)}}
+              "class_length": {"p": cl.p, "exp": cl.exponent, "dec": verifier.to_decimal(cl.value)}}
     lines = [f"dim C_gamma(x) = {rep.dim}", f"{cl!r}"]
     if args.unitary:
         cls = unitgroup.class_length(inst.algebra, x, starred=True, report=rep)
         result["starred_class_length"] = {"p": cls.p, "exp": cls.exponent,
-                                          "dec": str(cls.value)}
+                                          "dec": verifier.to_decimal(cls.value)}
         lines.append(f"{cls!r}")
     _emit(args, inst, "class-length", result, lines)
     return 0
@@ -564,13 +566,16 @@ def main(argv=None) -> int:
             inst.seed = args.seed
         return args.fn(args, inst)
     except ToolkitError as e:
-        if args.json:
-            print(json.dumps({"error": {"code": e.slug, "exit": e.exit_code,
-                                        "message": e.message}}, sort_keys=True),
-                  file=sys.stderr)
-        else:
-            print(f"error[{e.slug}]: {e.message}", file=sys.stderr)
-        return e.exit_code
+        slug, code, message = e.slug, e.exit_code, e.message
+    except Exception as e:
+        traceback.print_exc()
+        slug, code, message = INTERNAL_ERROR_SLUG, INTERNAL_ERROR_EXIT, f"{type(e).__name__}: {e}"
+    if args.json:
+        print(json.dumps({"error": {"code": slug, "exit": code, "message": message}},
+                         sort_keys=True), file=sys.stderr)
+    else:
+        print(f"error[{slug}]: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -505,7 +505,8 @@ def distinct_projection_unit(n: ProjVec, qd: QDecomp) -> ProjVec:
     if n.order() != q:
         raise MathDomainError(f"n must have order exactly q = {q}, got {n.order()}")
     pivot = next((i for i in range(1, q) if int(n.values[i]) != 1), None)
-    assert pivot is not None  # order q forces a non-trivial projection
+    if pivot is None:  # order q forces a non-trivial projection
+        raise MathDomainError("n of order q has no non-trivial projection")
 
     eta = qd.eta.code
     canonical = np.ones(q, dtype=np.int64)
@@ -517,7 +518,8 @@ def distinct_projection_unit(n: ProjVec, qd: QDecomp) -> ProjVec:
     for t in range(q):
         v[(pivot * t) % q] = canonical[t]
     w = ProjVec(ctx, fld.vmul(v, n.values))
-    assert w.is_unitary() and w.has_distinct_projections()
+    if not (w.is_unitary() and w.has_distinct_projections()):
+        raise MathDomainError("constructed w is not unitary with distinct projections")
     return w
 
 
@@ -582,7 +584,8 @@ def subgroups_of_order(N: int, k: int, order: int,
         ts = np.stack([g.ravel() for g in grids], axis=1)
         elems = (ts @ H.T) % N
         elems_set = frozenset(map(tuple, elems.tolist()))
-        assert len(elems_set) == order
+        if len(elems_set) != order:
+            raise MathDomainError(f"HNF subgroup has {len(elems_set)} elements, not {order}")
         out.append({"hnf": H, "elements": elems_set})
     return out
 

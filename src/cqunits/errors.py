@@ -2,10 +2,14 @@
 
 Every error carries a short machine-readable slug and the process exit
 status used by the CLI: 1 hypothesis violation, 2 parse error,
-3 math/domain error, 4 enumeration budget exceeded.
+3 math/domain error, 4 size or enumeration budget exceeded.  Any other
+exception is a bug, reported as "internal-error" with exit status 5.
 """
 
 from __future__ import annotations
+
+INTERNAL_ERROR_SLUG = "internal-error"
+INTERNAL_ERROR_EXIT = 5
 
 
 class ToolkitError(Exception):

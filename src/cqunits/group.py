@@ -13,7 +13,7 @@ from functools import cached_property
 import numpy as np
 import sympy
 
-from .errors import (ActionOrderWrong, CtxMismatch, NotAutomorphism,
+from .errors import (ActionOrderWrong, CtxMismatch, MathDomainError, NotAutomorphism,
                      NotFixedPointFree, NotPrime)
 from .field import FieldCtx
 
@@ -272,7 +272,6 @@ def orbits(spec: GroupSpec) -> OrbitTable:
             seen[cur] = True
             cur = int(sigma[cur])
         table.append((start, tuple(members)))
-    for rep, members in table[1:]:
-        assert len(members) == spec.q, "non-trivial orbit of unexpected size"
-    assert table[0] == (0, (0,))
+    if table[0] != (0, (0,)) or any(len(m) != spec.q for _, m in table[1:]):
+        raise MathDomainError("sigma-orbits are not {e} plus orbits of size q")
     return OrbitTable(table, spec.q)

@@ -16,8 +16,8 @@ import numpy as np
 from . import _linalg
 from .algebra import AlgElem, GroupAlgebra, Subspace
 from .cqstruct import FBCtx, ProjVec, from_projections
-from .errors import (BadCentralizerElement, NotInGamma, NotInOnePlusGamma,
-                     NotSkew, NotUnitary)
+from .errors import (BadCentralizerElement, MathDomainError, NotInGamma,
+                     NotInOnePlusGamma, NotSkew, NotUnitary)
 from .group import orbits
 
 
@@ -75,45 +75,32 @@ class CentralizerReport:
     kernel: Subspace
     dim: int
     star_closed: bool
-    sym_dim: int | None
-    skew_dim: int | None
-
-    def centralizer_order_exponent(self, f: int) -> int:
-        """|C_(1+gamma)(x)| = p^(f * dim)."""
-        return f * self.dim
+    sym_dim: int
+    skew_dim: int
 
 
 def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
     """Solutions of x g = g x inside gamma, as an exact kernel.
 
     1 + g commutes with x iff g does, so this also describes
-    C_(1+gamma)(x).  For unitary (or symmetric) x the kernel is closed
-    under the involution and splits into symmetric and skew slices.
+    C_(1+gamma)(x).  The kernel basis K from `right_kernel` is canonical in
+    gamma coordinates, which the involution permutes by pi, so the slices
+    C ^ S1 and C ^ S2 have dimensions dim - rank(K[:, pi] - K) and
+    dim - rank(K[:, pi] + K).  They sum to dim iff C is star-closed, which
+    is cross-checked directly.
     """
     xinv = alg.invert(x)  # raises NotAUnit for non-units
     M = _conjugation_matrix_gamma(alg, x, xinv)
     K = _linalg.right_kernel(alg.field, M)
-    kernel_amb = alg.gamma_expand(K)
-    kernel = Subspace(alg.field, kernel_amb)
+    kernel = Subspace(alg.field, alg.gamma_expand(K), reduced=True)
     dim = kernel.dim
-    perm = alg.group.inv_perm
-    star_closed = kernel.contains_rows(kernel.basis[:, perm]) if dim else True
-    sym_dim = skew_dim = None
-    if star_closed:
-        if dim:
-            half = np.int64(alg.inv2.code)
-            starred = kernel.basis[:, perm]
-            skew_rows = alg.field.vmul(alg.field.vsub(kernel.basis, starred), half)
-            sym_rows = alg.field.vmul(alg.field.vadd(kernel.basis, starred), half)
-            skew_dim = _linalg.rank(alg.field, skew_rows)
-            sym_dim = _linalg.rank(alg.field, sym_rows)
-        else:
-            sym_dim = skew_dim = 0
-        assert sym_dim + skew_dim == dim
-    elif dim <= 1200:
-        s1, s2 = alg.sym_skew_subspaces()
-        sym_dim = kernel.intersect(s1).dim
-        skew_dim = kernel.intersect(s2).dim
+    starred = K[:, alg.gamma_star_perm()]
+    sym_dim = dim - _linalg.rank(alg.field, alg.field.vsub(starred, K))
+    skew_dim = dim - _linalg.rank(alg.field, alg.field.vadd(starred, K))
+    star_closed = kernel.contains_rows(kernel.basis[:, alg.group.inv_perm])
+    if star_closed != (sym_dim + skew_dim == dim):
+        raise MathDomainError(f"star closure {star_closed} contradicts slice "
+                              f"dims {sym_dim} + {skew_dim} of {dim}")
     return CentralizerReport(x=x, kernel=kernel, dim=dim, star_closed=star_closed,
                              sym_dim=sym_dim, skew_dim=skew_dim)
 
@@ -175,7 +162,6 @@ def class_length(alg: GroupAlgebra, x: AlgElem, starred: bool = False,
     if (x * x.star()) != alg.one():
         raise NotUnitary("starred class length requires a unitary unit")
     s2_dim = alg.sym_skew_subspaces()[1].dim
-    assert report.skew_dim is not None
     return ClassLength(alg.field.p, f * (s2_dim - report.skew_dim), True)
 
 
@@ -190,7 +176,7 @@ def sqrt_relation_check(alg: GroupAlgebra, x: AlgElem,
         raise NotUnitary("the square-root law applies to unitary units")
     if report is None:
         report = centralizer_in_gamma(alg, x)
-    return report.skew_dim is not None and report.dim == 2 * report.skew_dim
+    return report.dim == 2 * report.skew_dim
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +191,8 @@ def cayley(l: AlgElem) -> AlgElem:
     if not l.in_gamma():
         raise NotInGamma("cayley requires l in gamma")
     u = (alg.one() - l) * alg.invert(alg.one() + l)
-    assert (u * u.star()) == alg.one()
+    if (u * u.star()) != alg.one():
+        raise MathDomainError("cayley produced a non-unitary u")
     return u
 
 
@@ -217,7 +204,8 @@ def cayley_inv(u: AlgElem) -> AlgElem:
     if not (u - alg.one()).in_gamma():
         raise NotInOnePlusGamma("cayley_inv requires u in 1 + gamma")
     l = alg.invert(alg.one() + u) * (alg.one() - u)
-    assert l.star() == -l and l.in_gamma()
+    if l.star() != -l or not l.in_gamma():
+        raise MathDomainError("cayley_inv produced an l that is not skew in gamma")
     return l
 
 

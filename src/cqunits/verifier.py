@@ -14,6 +14,7 @@ dimensions computed by the unitgroup layer, not formula shortcuts.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -118,6 +119,19 @@ def analyze(inst: Instance) -> Analysis:
                     s=qd.s, m=qd.m, conditions=conds, branch=branch, note=note)
 
 
+def to_decimal(n: int) -> str:
+    """str(n) with Python's int_max_str_digits cap (4300 digits by default)
+    lifted for this one conversion and restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return str(n)
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 class FactoredInt:
     """cofactor * p^exp carried exactly, with a log-free recomputation path."""
 
@@ -134,7 +148,7 @@ class FactoredInt:
         return acc
 
     def as_dict(self) -> dict:
-        return {"dec": str(self.value), "p": self.p, "exp": self.exp,
+        return {"dec": to_decimal(self.value), "p": self.p, "exp": self.exp,
                 "cofactor": self.cofactor}
 
     def __repr__(self):
@@ -185,7 +199,7 @@ class Certificate:
                                      "exp": self.starred_class_length_exponent},
             "L": self.L.as_dict(), "R": self.R.as_dict(),
             "A_order": self.a_order,
-            "intermediate_bound": str(self.intermediate_bound),
+            "intermediate_bound": to_decimal(self.intermediate_bound),
             "intermediate_ok": self.intermediate_ok,
             "counting_ok": self.counting_ok,
             "checks": dict(self.checks),
@@ -215,7 +229,7 @@ def counting_certificate(inst: Instance) -> Certificate:
         "s2_dim_formula": 2 * s2_dim == gamma_dim,
         "centralizer_dim_formula": rep.dim == p ** n - 1,
         "b_kernel_star_closed": rep.star_closed,
-        "sqrt_law_for_b": rep.skew_dim is not None and rep.dim == 2 * rep.skew_dim,
+        "sqrt_law_for_b": rep.dim == 2 * rep.skew_dim,
     }
     cl_exp = f * (gamma_dim - rep.dim)
     cl_star_exp = f * (s2_dim - rep.skew_dim)

@@ -3,7 +3,7 @@ import pytest
 
 from cqunits import GroupAlgebra, Subspace, kernel_of, make_field, make_group
 from cqunits import _linalg as L
-from cqunits.errors import CtxMismatch, NotAUnit
+from cqunits.errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
 
 
 def random_elem(alg, rng):
@@ -289,3 +289,22 @@ def test_format_roundtrip(alg21, alg49, rng):
         for _ in range(100):
             x = random_elem(alg, rng)
             assert parse_element(x.format(), inst) == x
+
+
+def test_scatter_exactness_bound(f7, f49, monkeypatch):
+    # |G| = 21 products of digits up to (p-1)^2 = 36; over GF(49) (modulus
+    # x^2 + 1) each product also spreads over tensor entries summing to 7
+    for field, largest in ((f7, 36 * 21), (f49, 36 * 21 * 7)):
+        group = make_group(field, 3, [7], [[2]])
+        monkeypatch.setattr(L, "_F64_LIMIT", largest)
+        with pytest.raises(BudgetExceeded):
+            GroupAlgebra(field, group)
+        monkeypatch.setattr(L, "_F64_LIMIT", largest + 1)
+        GroupAlgebra(field, group)
+
+
+def test_sym_skew_requires_fixed_point_free_involution(f7, g21):
+    alg = GroupAlgebra(f7, g21)
+    alg.gamma_star_perm = lambda: np.arange(alg.gamma_dim())
+    with pytest.raises(MathDomainError):
+        alg.sym_skew_subspaces()

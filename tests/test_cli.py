@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from cqunits import cli
 from cqunits.cli import main, parse_config, parse_element
 from cqunits.errors import ParseError
 
@@ -232,3 +233,19 @@ def test_exit_codes_partition(capsys, c7_path, tmp_path):
     # missing config file -> 2
     assert main(["orbits", "--config", str(tmp_path / "nope.cfg")]) == 2
     capsys.readouterr()
+
+
+def test_internal_error_exit(capsys, monkeypatch, c7_path):
+    # a crash that is not a ToolkitError gets its own exit code, not 1
+    def broken(args, inst):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "_cmd_orbits", broken)
+    assert main(["orbits", "--config", c7_path, "--json"]) == 5
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+    body = json.loads(err.strip().splitlines()[-1])
+    assert body == {"error": {"code": "internal-error", "exit": 5,
+                              "message": "RuntimeError: boom"}}
+    assert main(["orbits", "--config", c7_path]) == 5
+    assert "error[internal-error]: RuntimeError: boom" in capsys.readouterr().err

@@ -60,6 +60,34 @@ def test_right_kernel(rng):
     assert L.right_kernel(fld, np.eye(18, dtype=np.int64)).shape[0] == 0
 
 
+def reversed_rref(fld, rows):
+    """Reference canonical form: rref with pivots taken from the right."""
+    R, piv = L.rref(fld, rows[:, ::-1])
+    n = rows.shape[1]
+    return R[:, ::-1], [n - 1 - c for c in piv]
+
+
+@pytest.mark.parametrize("p,f", [(7, 1), (31, 1), (7, 2)])
+def test_right_kernel_is_canonical(p, f, rng):
+    fld = make_field(p, f)
+    n = 24
+    random = [rng.integers(0, fld.size, (m, n)).astype(np.int64) for m in (5, 17, 30)]
+    low_rank = L.matmul_mod(fld, rng.integers(0, fld.size, (20, 3)),
+                            rng.integers(0, fld.size, (3, n)))
+    cases = random + [low_rank, np.zeros((6, n), dtype=np.int64),
+                      np.eye(n, dtype=np.int64)]
+    for M in cases:
+        K = L.right_kernel(fld, M)
+        assert K.shape == (n - L.rank(fld, M), n)
+        assert not L.matmul_mod(fld, M, K.T).any()
+        R, piv = reversed_rref(fld, K)
+        assert np.array_equal(K, R)
+        assert piv == sorted(piv, reverse=True)
+    # the zero map: the whole space, pivots descending
+    assert np.array_equal(L.right_kernel(fld, np.zeros((6, n), dtype=np.int64)),
+                          np.eye(n, dtype=np.int64)[::-1])
+
+
 def test_rank_nullity(rng):
     fld = make_field(7)
     for _ in range(20):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from cqunits import GroupAlgebra, make_field, make_group
+from cqunits import GroupAlgebra, _linalg, make_field, make_group
 from cqunits.cqstruct import FBCtx, ProjVec, from_projections
-from cqunits.errors import (BadCentralizerElement, NotAUnit, NotInGamma,
+from cqunits.errors import (BadCentralizerElement, MathDomainError, NotAUnit, NotInGamma,
                             NotInOnePlusGamma, NotSkew, NotUnitary)
 from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma,
                                centralizer_of_b_orbit_form, class_length,
@@ -249,3 +249,10 @@ def test_extension_field_centralizer():
     assert rep.sym_dim == 3 and rep.skew_dim == 3
     cl = class_length(alg, alg.basis(alg.group.b()), report=rep)
     assert (cl.p, cl.exponent) == (7, 2 * 12)
+
+
+def test_star_closure_cross_check_raises(alg21, b21, monkeypatch):
+    # slice dimensions that contradict the membership test are an error
+    monkeypatch.setattr(_linalg, "rank", lambda ctx, M: 0)
+    with pytest.raises(MathDomainError):
+        centralizer_in_gamma(alg21, b21)

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from cqunits.errors import (BranchMismatch, NotFixedPointFree, QDoesNotDivide)
 from cqunits.verifier import (FactoredInt, analyze, counting_certificate,
-                              m_gt_1_no_complement, make_instance)
+                              m_gt_1_no_complement, make_instance, to_decimal)
 
 
 def test_analyze_counting_branch(inst7):
@@ -109,3 +114,50 @@ def test_consistency_union_bound(inst7):
     cl_star = p ** cert.starred_class_length_exponent
     one_plus_gamma_star = p ** (f * cert.s2_dim)
     assert (q - 1) * c_star * cl_star == (q - 1) * one_plus_gamma_star
+
+
+def test_to_decimal_lifts_and_restores_limit():
+    before = sys.get_int_max_str_digits()
+    big = 31 ** 3840  # 5727 digits, above the default cap of 4300
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError):
+            str(big)
+        dec = to_decimal(big)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert len(dec) == 5727 and dec[-6:] == str(big % 10 ** 6).zfill(6)
+
+
+def test_factored_int_beyond_decimal_limit():
+    d = FactoredInt(31, 3840, 1).as_dict()
+    assert (d["p"], d["exp"], d["cofactor"]) == (31, 3840, 1)
+    assert d["dec"] == to_decimal(31 ** 3840) and len(d["dec"]) == 5727
+
+
+def test_guards_raise_under_python_O():
+    # result guards are raised errors, so `python -O` cannot skip them:
+    # a wrong inverse makes cayley's unitarity check fail
+    code = """
+import numpy as np
+from cqunits import GroupAlgebra, make_field, make_group
+from cqunits.errors import MathDomainError
+from cqunits.unitgroup import cayley, random_skew
+assert False, "asserts are live"
+f = make_field(7)
+alg = GroupAlgebra(f, make_group(f, 3, [7], [[2]]))
+l = random_skew(alg, np.random.default_rng(0))
+alg.invert = lambda x: alg.one()
+try:
+    cayley(l)
+except MathDomainError as e:
+    print("raised", e.slug)
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised domain-error"
