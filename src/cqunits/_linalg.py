@@ -1,12 +1,14 @@
 """Dense exact linear algebra over GF(p^f) on integer code arrays.
 
-Matrices are int64 arrays of field codes.  For prime fields the row
-reduction is batched: blocks of rows are reduced against the established
-echelon rows with one BLAS matmul each, which keeps the n^3 work inside
-matmuls.  Products are computed in float32/float64 only when every
-intermediate value is exactly representable ((p-1)^2 * inner < 2^24 or
-2^53); above that the inner dimension is chunked.  Extension fields take
-the generic per-pivot path (they only occur at small dimensions here).
+Matrices are int64 arrays of field codes.  There is one per-pivot
+elimination, written in field ops.  For prime fields the row reduction is
+batched: each block of rows is reduced against the established echelon
+rows with one BLAS matmul and then eliminated per pivot, which keeps the
+n^3 work inside matmuls.  Products are computed in float32/float64 only
+when every intermediate value is exactly representable ((p-1)^2 * inner
+< 2^24 or 2^53); above that the inner dimension is chunked.  Extension
+fields run the per-pivot elimination on the whole matrix (they only occur
+at small dimensions here).
 
 rref pivots on the leftmost column, lowest row index first, independent of
 row batching.  Subspace bases and `right_kernel` use its mirror image, with
@@ -52,31 +54,8 @@ def matmul_mod(ctx, A, B) -> np.ndarray:
     return out
 
 
-def _rref_inplace_prime(p: int, U: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Classical reduced row echelon form of a small int64 block, mod p."""
-    m, n = U.shape
-    piv: list[int] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        nz = np.nonzero(U[r:, c])[0]
-        if nz.size == 0:
-            continue
-        k = r + int(nz[0])
-        if k != r:
-            U[[r, k]] = U[[k, r]]
-        U[r] = (U[r] * pow(int(U[r, c]), -1, p)) % p
-        rows = np.nonzero(U[:, c])[0]
-        rows = rows[rows != r]
-        if rows.size:
-            U[rows] = (U[rows] - np.outer(U[rows, c], U[r])) % p
-        piv.append(c)
-        r += 1
-    return U[:r], piv
-
-
-def _rref_prime(p: int, M: np.ndarray, batch: int = 160) -> tuple[np.ndarray, list[int]]:
+def _rref_prime(ctx, M: np.ndarray, batch: int = 160) -> tuple[np.ndarray, list[int]]:
+    p = ctx.p
     m, n = M.shape
     R = np.zeros((0, n), dtype=np.int64)
     pivots: list[int] = []
@@ -84,7 +63,7 @@ def _rref_prime(p: int, M: np.ndarray, batch: int = 160) -> tuple[np.ndarray, li
         U = M[lo:lo + batch] % p
         if pivots:
             U = (U - _mm_prime(p, U[:, pivots], R)) % p
-        Ur, Upiv = _rref_inplace_prime(p, np.ascontiguousarray(U))
+        Ur, Upiv = _rref_generic(ctx, np.ascontiguousarray(U))
         if not Upiv:
             continue
         if pivots:
@@ -97,8 +76,8 @@ def _rref_prime(p: int, M: np.ndarray, batch: int = 160) -> tuple[np.ndarray, li
     return R, pivots
 
 
-def _rref_generic(ctx, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    U = M.copy()
+def _rref_generic(ctx, U: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Per-pivot reduced row echelon form of U, in place, in field ops."""
     m, n = U.shape
     piv: list[int] = []
     r = 0
@@ -133,8 +112,8 @@ def rref(ctx, M) -> tuple[np.ndarray, list[int]]:
     if M.shape[0] == 0:
         return M.copy(), []
     if ctx.f == 1:
-        return _rref_prime(ctx.p, M)
-    return _rref_generic(ctx, M)
+        return _rref_prime(ctx, M)
+    return _rref_generic(ctx, M.copy())
 
 
 def rank(ctx, M) -> int:

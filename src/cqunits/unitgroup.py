@@ -4,11 +4,18 @@ the Cayley correspondence, and sampling evidence for class disjointness.
 Centralizers inside 1 + gamma are computed as exact kernels of the
 conjugation operator on gamma; class lengths come out as prime powers
 p^(f * (dim gamma - dim C)), which is the only feasible exact route
-(|1 + gamma| is astronomically large).  All sampling is seeded.
+(|1 + gamma| is astronomically large).  For x in FB the operator is
+block-diagonal over the sigma-orbits of A, so it is built and solved one
+q^2 x q^2 block at a time, and its symmetric/skew slices are counted over
+each pair of blocks that the involution swaps.  Any other x takes the
+dense |G|^2 operator, which is refused up front when it would not fit in
+physical memory.  All sampling is seeded.
 """
 
 from __future__ import annotations
 
+import os
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +23,7 @@ import numpy as np
 from . import _linalg
 from .algebra import AlgElem, GroupAlgebra, Subspace
 from .cqstruct import FBCtx, ProjVec, from_projections
-from .errors import (BadCentralizerElement, MathDomainError, NotInGamma,
+from .errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotInGamma,
                      NotInOnePlusGamma, NotSkew, NotUnitary)
 from .group import orbits
 
@@ -34,37 +41,157 @@ def fb_ctx(alg: GroupAlgebra) -> FBCtx:
 # conjugation operators and centralizers
 
 
+# gamma x gamma int64 arrays the dense path holds at once besides the |G|^2
+# digits: M, the copy made when reducing digits to codes, and the rref's
+# echelon rows with the matmul and modulo temporaries that update them
+_DENSE_GAMMA_COPIES = 4
+
+
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _dense_operator_bytes(alg: GroupAlgebra) -> int:
+    """Bytes the dense path holds at its peak: the |G|^2 conjugation digits
+    (f per entry) and _DENSE_GAMMA_COPIES gamma x gamma arrays, all int64."""
+    n, dim = alg.order, alg.gamma_dim()
+    return 8 * (alg.field.f * n * n + _DENSE_GAMMA_COPIES * dim * dim)
+
+
 def _conjugation_matrix_gamma(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem) -> np.ndarray:
-    """Matrix of g -> x g x^-1 - g on gamma, in the (a-1)b^j coordinate system."""
-    G = alg.group
-    n, q, f = alg.order, alg.q, alg.field.f
-    sup_x = np.nonzero(x.coeffs)[0]
+    """Matrix of g -> x g x^-1 - g on gamma, in the (a-1)b^j coordinate system.
+
+    Refuses up front with BudgetExceeded when the dense path would not fit
+    in physical memory.
+    """
+    need, have = _dense_operator_bytes(alg), _physical_memory_bytes()
+    if need > have:
+        raise BudgetExceeded(f"the dense conjugation operator needs about {need} bytes, "
+                             f"more than the {have} bytes of physical memory")
+    G, fld = alg.group, alg.field
+    n, q = alg.order, alg.q
     sup_y = np.nonzero(xinv.coeffs)[0]
     g = np.arange(n, dtype=np.int64)
-    # tgt[i, k, :] = sup_x[i] * g * sup_y[k] as group indices
-    left = G._mul_idx_arrays(sup_x[:, None, None], g[None, None, :])
-    tgt = G._mul_idx_arrays(left, sup_y[None, :, None])
-    if f == 1:
-        C = np.zeros((n, n), dtype=np.int64)
-        for i in range(len(sup_x)):
-            for k in range(len(sup_y)):
-                wgt = alg.field.mul(int(x.coeffs[sup_x[i]]), int(xinv.coeffs[sup_y[k]]))
-                C[tgt[i, k], g] += wgt
-        C %= alg.field.p
-    else:
-        digits = np.zeros((n, n, f), dtype=np.int64)
-        for i in range(len(sup_x)):
-            for k in range(len(sup_y)):
-                wgt = alg.field.mul(int(x.coeffs[sup_x[i]]), int(xinv.coeffs[sup_y[k]]))
-                digits[tgt[i, k], g] += alg.field.decode(wgt)
-        C = alg.field.encode(digits)
+    # D[:, h] holds the digits of x h x^-1; one |supp x^-1| x |G| block of
+    # targets at a time, tgt[k] = x_i * g * y_k as group indices
+    D = np.zeros((n, n, fld.f), dtype=np.int64)
+    for i in np.nonzero(x.coeffs)[0]:
+        tgt = G._mul_idx_arrays(G._mul_idx_arrays(i, g)[None, :], sup_y[:, None])
+        for k, yk in enumerate(sup_y):
+            D[tgt[k], g] += fld.decode(fld.mul(int(x.coeffs[i]), int(xinv.coeffs[yk])))
     # restrict to gamma: column for basis (a-1)b^j is conj column of a b^j
     # minus the conj column of b^j; rows with a = e are determined and dropped
-    dim = n - q
-    cols = np.arange(dim, dtype=np.int64)
-    M = alg.field.vsub(C[q:, q:], C[q:, : q][:, cols % q])
-    M = alg.field.vsub(M, np.eye(dim, dtype=np.int64))
-    return np.ascontiguousarray(M)
+    M = D[q:, q:]
+    for j in range(q):
+        M[:, j::q] -= D[q:, j][:, None]
+    diag = np.arange(n - q)
+    M[diag, diag, 0] -= 1
+    return np.ascontiguousarray(fld.encode(M))
+
+
+def _orbit_blocks(alg: GroupAlgebra) -> np.ndarray:
+    """Gamma indices of the (a-1)b^j with a in each nontrivial sigma-orbit,
+    ascending per orbit: shape (l, q^2), row t = block t's local coordinates."""
+    q = alg.q
+    members = np.array([m for _, m in orbits(alg.group).nontrivial], dtype=np.int64)
+    coords = ((members - 1)[:, :, None] * q + np.arange(q)).reshape(len(members), q * q)
+    return np.sort(coords, axis=1)
+
+
+def _conjugation_blocks(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem, coords: np.ndarray,
+                        block_of: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """The q^2 x q^2 diagonal blocks of the gamma operator of x in FB.
+
+    b^i (a-1) b^j b^k = (sigma^-i(a) - 1) b^(i+j+k), so every term x_i y_k
+    permutes each block's coordinates and no fancy-indexed add collides.
+    """
+    fld, q = alg.field, alg.q
+    l, m = coords.shape
+    a, j = coords // q + 1, coords % q
+    rows, src = np.arange(l)[:, None], np.arange(m)
+    blocks = np.zeros((l, m, m), dtype=np.int64)
+    for i in np.nonzero(x.coeffs[:q])[0]:
+        moved = (alg.group.sigma_pows[(q - i) % q][a] - 1) * q
+        for k in np.nonzero(xinv.coeffs[:q])[0]:
+            tgt = moved + (i + j + k) % q
+            if np.any(block_of[tgt] != rows):
+                raise MathDomainError("a conjugation term leaves its orbit block")
+            w = fld.mul(int(x.coeffs[i]), int(xinv.coeffs[k]))
+            tl = local[tgt]
+            blocks[rows, tl, src] = fld.vadd(blocks[rows, tl, src], w)
+    blocks[:, src, src] = fld.vsub(blocks[:, src, src], 1)
+    return blocks
+
+
+def _star_slices(field, K: np.ndarray, perm: np.ndarray) -> tuple[int, int, bool]:
+    """(dim of the symmetric slice, dim of the skew slice, star-closed) of the
+    row space of the canonical basis K, whose coordinates the involution
+    permutes by perm: dim - rank(K[:, perm] -/+ K), cross-checked against
+    the direct star-closure test."""
+    dim = K.shape[0]
+    pivots = (K.shape[1] - 1 - np.argmax(K[:, ::-1] != 0, axis=1)).tolist()
+    starred = K[:, perm]
+    sym_dim = dim - _linalg.rank(field, field.vsub(starred, K))
+    skew_dim = dim - _linalg.rank(field, field.vadd(starred, K))
+    star_closed = _linalg.in_rowspace(field, starred, K, pivots)
+    if star_closed != (sym_dim + skew_dim == dim):
+        raise MathDomainError(f"star closure {star_closed} contradicts slice "
+                              f"dims {sym_dim} + {skew_dim} of {dim}")
+    return sym_dim, skew_dim, star_closed
+
+
+def _block_centralizer(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem):
+    """Kernel, slice dims and star closure for x in FB, one orbit block at a time.
+
+    Each distinct block is solved once.  The blocks have disjoint
+    coordinates, so their kernel rows, placed at those coordinates and
+    sorted by pivot descending, are the canonical basis.  The involution
+    swaps the blocks in pairs (O and O^-1, never O itself for odd p and q),
+    so the slices are counted over each pair.
+    """
+    fld, dim = alg.field, alg.gamma_dim()
+    coords = _orbit_blocks(alg)
+    l, m = coords.shape
+    block_of = np.empty(dim, dtype=np.int64)
+    block_of[coords] = np.arange(l)[:, None]
+    local = np.empty(dim, dtype=np.int64)
+    local[coords] = np.arange(m)
+    blocks = _conjugation_blocks(alg, x, xinv, coords, block_of, local)
+    distinct, which = np.unique(blocks.reshape(l, m * m), axis=0, return_inverse=True)
+    which = which.reshape(l)
+    kernels = [_linalg.right_kernel(fld, blk.reshape(m, m)) for blk in distinct]
+    pivots = [m - 1 - np.argmax(k[:, ::-1] != 0, axis=1) for k in kernels]
+
+    piv = np.concatenate([coords[t][pivots[u]] for t, u in enumerate(which)])
+    dest = np.empty(piv.size, dtype=np.int64)
+    dest[np.argsort(-piv)] = np.arange(piv.size)
+    K = np.zeros((piv.size, dim), dtype=np.int64)
+    r = 0
+    for t, u in enumerate(which):
+        d = kernels[u].shape[0]
+        K[np.ix_(dest[r:r + d], coords[t])] = kernels[u]
+        r += d
+
+    pi = alg.gamma_star_perm()
+    partner = block_of[pi[coords[:, 0]]]
+    if np.any(block_of[pi[coords]] != partner[:, None]) or np.any(partner == np.arange(l)):
+        raise MathDomainError("the involution does not swap the orbit blocks in pairs")
+    slices, count = {}, Counter()  # pairs with equal kernels and pi are solved once
+    for t in np.nonzero(partner > np.arange(l))[0]:
+        pair = [t, partner[t]]
+        cols = pi[coords[pair].ravel()]
+        perm = np.where(block_of[cols] == t, 0, m) + local[cols]
+        key = (tuple(which[pair]), perm.tobytes())
+        count[key] += 1
+        if key not in slices:
+            k0, k1 = (kernels[u] for u in key[0])
+            Kc = np.zeros((len(k0) + len(k1), 2 * m), dtype=np.int64)
+            Kc[:len(k0), :m], Kc[len(k0):, m:] = k0, k1
+            slices[key] = _star_slices(fld, Kc, perm)
+    sym_dim = sum(count[key] * sym for key, (sym, _, _) in slices.items())
+    skew_dim = sum(count[key] * skew for key, (_, skew, _) in slices.items())
+    star_closed = all(closed for _, _, closed in slices.values())
+    return K, sym_dim, skew_dim, star_closed
 
 
 @dataclass
@@ -83,25 +210,27 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
     """Solutions of x g = g x inside gamma, as an exact kernel.
 
     1 + g commutes with x iff g does, so this also describes
-    C_(1+gamma)(x).  The kernel basis K from `right_kernel` is canonical in
-    gamma coordinates, which the involution permutes by pi, so the slices
-    C ^ S1 and C ^ S2 have dimensions dim - rank(K[:, pi] - K) and
-    dim - rank(K[:, pi] + K).  They sum to dim iff C is star-closed, which
-    is cross-checked directly.
+    C_(1+gamma)(x).  For x in FB (supported on B) the operator is
+    block-diagonal over the sigma-orbits of A: it is built and solved as
+    (|A|-1)/q blocks of size q^2, with no |G|^2 array.  Any other x takes
+    the dense operator, refused up front if it would not fit in memory.
+    Either way the kernel basis K is canonical in gamma coordinates, which
+    the involution permutes by pi, so the slices C ^ S1 and C ^ S2 have
+    dimensions dim - rank(K[:, pi] - K) and dim - rank(K[:, pi] + K).  They
+    sum to dim iff C is star-closed, which is cross-checked directly.  The
+    block path counts both over each pair of blocks that pi swaps.
     """
     xinv = alg.invert(x)  # raises NotAUnit for non-units
-    M = _conjugation_matrix_gamma(alg, x, xinv)
-    K = _linalg.right_kernel(alg.field, M)
+    q = alg.q
+    if not x.coeffs[q:].any():
+        if xinv.coeffs[q:].any():
+            raise MathDomainError("the inverse of an element of FB leaves FB")
+        K, sym_dim, skew_dim, star_closed = _block_centralizer(alg, x, xinv)
+    else:
+        K = _linalg.right_kernel(alg.field, _conjugation_matrix_gamma(alg, x, xinv))
+        sym_dim, skew_dim, star_closed = _star_slices(alg.field, K, alg.gamma_star_perm())
     kernel = Subspace(alg.field, alg.gamma_expand(K), reduced=True)
-    dim = kernel.dim
-    starred = K[:, alg.gamma_star_perm()]
-    sym_dim = dim - _linalg.rank(alg.field, alg.field.vsub(starred, K))
-    skew_dim = dim - _linalg.rank(alg.field, alg.field.vadd(starred, K))
-    star_closed = kernel.contains_rows(kernel.basis[:, alg.group.inv_perm])
-    if star_closed != (sym_dim + skew_dim == dim):
-        raise MathDomainError(f"star closure {star_closed} contradicts slice "
-                              f"dims {sym_dim} + {skew_dim} of {dim}")
-    return CentralizerReport(x=x, kernel=kernel, dim=dim, star_closed=star_closed,
+    return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,
                              sym_dim=sym_dim, skew_dim=skew_dim)
 
 

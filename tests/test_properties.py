@@ -2,8 +2,10 @@
 
 gamma, S1, S2 and the centralizer kernels are built in canonical form
 without row reduction; the reference is `Subspace(field, rows)`, which
-row reduces whatever rows it is given.  Instances are drawn with
-p <= 13, q | p - 1, A = C_p or C_p^2 and action diag(w^e1, w^e2).
+row reduces whatever rows it is given.  Kernels of units in FB come from
+the orbit blocks; they are also compared with the kernel of the dense
+operator.  Instances are drawn with p <= 13, q | p - 1, A = C_p or C_p^2
+and action diag(w^e1, w^e2).
 """
 
 from pathlib import Path
@@ -12,10 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqunits import cli
+from cqunits import _linalg, cli
 from cqunits.algebra import Subspace
 from cqunits.group import orbits
-from cqunits.unitgroup import (centralizer_in_gamma, random_fb_unit_coeffs,
+from cqunits.unitgroup import (_conjugation_matrix_gamma, centralizer_in_gamma,
+                               random_fb_unit_coeffs,
                                random_unit_vfg, random_unitary_vfg,
                                sqrt_relation_check)
 from cqunits.verifier import make_instance
@@ -48,9 +51,17 @@ def check_gamma_slices(alg):
     return s1, s2
 
 
+def dense_kernel(alg, x) -> Subspace:
+    """The centralizer kernel from the dense |G|^2 operator, for any unit x."""
+    K = _linalg.right_kernel(alg.field, _conjugation_matrix_gamma(alg, x, alg.invert(x)))
+    return Subspace(alg.field, alg.gamma_expand(K), reduced=True)
+
+
 def check_kernel(alg, x, s1, s2):
     rep = centralizer_in_gamma(alg, x)
     assert_reference(rep.kernel)
+    if not x.coeffs[alg.q:].any():  # the orbit-block path against the dense one
+        assert rep.kernel == dense_kernel(alg, x)  # basis and pivots
     assert rep.sym_dim == rep.kernel.intersect(s1).dim
     assert rep.skew_dim == rep.kernel.intersect(s2).dim
     return rep
@@ -73,9 +84,10 @@ def instances(draw):
 
 
 def sample_units(alg, rng):
-    """b, a random and a random unitary unit: lifted from FB, and on small
-    instances also with full support in V(FG) and V*(FG)."""
-    units = {"b": alg.basis(alg.group.b()),
+    """1, b, b^2, a random and a random unitary unit: lifted from FB, and on
+    small instances also with full support in V(FG) and V*(FG)."""
+    units = {"one": alg.one(), "b": alg.basis(alg.group.b()),
+             "b2": alg.basis(alg.group.b(2)),
              "fb": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng)),
              "fb_unitary": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng, unitary=True))}
     if alg.order * alg.field.f <= FULL_SUPPORT_MAX_COST:
@@ -107,3 +119,24 @@ def test_written_down_bases_match_reference(case):
 def test_config_bases_match_reference(name):
     text = GF49_CFG if name == "gf49" else (CONFIGS / f"{name}.cfg").read_text()
     check_all(cli.parse_config(text).algebra, seed=7)
+
+
+def test_gf49_block_weights_leave_the_prime_field():
+    # the gf49 case above must exercise block weights x_i y_k outside GF(7)
+    alg = cli.parse_config(GF49_CFG).algebra
+    fld = alg.field
+    units = sample_units(alg, np.random.default_rng(7))
+    weights = {fld.mul(int(xi), int(yk))
+               for name in ("fb", "fb_unitary")
+               for xi in units[name].coeffs[:alg.q]
+               for yk in alg.invert(units[name]).coeffs[:alg.q]}
+    assert any(w >= fld.p for w in weights)
+
+
+def test_inst31_block_kernel_of_b_matches_dense(inst31):
+    # the 192 orbit blocks of b against the one 4800 x 4800 dense operator
+    alg = inst31.algebra
+    b = alg.basis(alg.group.b())
+    rep = inst31.b_centralizer
+    assert rep.kernel == dense_kernel(alg, b)
+    assert (rep.dim, rep.sym_dim, rep.skew_dim) == (960, 480, 480)

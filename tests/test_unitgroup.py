@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from cqunits import GroupAlgebra, _linalg, make_field, make_group
+from cqunits import GroupAlgebra, _linalg, make_field, make_group, unitgroup
 from cqunits.cqstruct import FBCtx, ProjVec, from_projections
-from cqunits.errors import (BadCentralizerElement, MathDomainError, NotAUnit, NotInGamma,
-                            NotInOnePlusGamma, NotSkew, NotUnitary)
+from cqunits.errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotAUnit,
+                            NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
 from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma,
                                centralizer_of_b_orbit_form, class_length,
                                fb_ctx, random_gamma, random_skew,
@@ -255,4 +255,36 @@ def test_star_closure_cross_check_raises(alg21, b21, monkeypatch):
     # slice dimensions that contradict the membership test are an error
     monkeypatch.setattr(_linalg, "rank", lambda ctx, M: 0)
     with pytest.raises(MathDomainError):
+        centralizer_in_gamma(alg21, b21)
+
+
+def test_fb_units_skip_the_dense_operator(alg21, b21, rep_b, monkeypatch):
+    # x in FB is solved over the orbit blocks; any other x builds the dense operator
+    def dense(*args):
+        raise AssertionError("dense operator built")
+
+    monkeypatch.setattr(unitgroup, "_conjugation_matrix_gamma", dense)
+    assert centralizer_in_gamma(alg21, b21).kernel == rep_b.kernel
+    z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
+    with pytest.raises(AssertionError, match="dense operator built"):
+        centralizer_in_gamma(alg21, b21 * z)
+
+
+def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, monkeypatch):
+    need = unitgroup._dense_operator_bytes(alg21)
+    monkeypatch.setattr(unitgroup, "_physical_memory_bytes", lambda: need - 1)
+    z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
+    with pytest.raises(BudgetExceeded, match=f"about {need} bytes") as err:
+        centralizer_in_gamma(alg21, b21 * z)
+    assert err.value.exit_code == 4
+    assert centralizer_in_gamma(alg21, b21).dim == 6  # the block path needs no budget
+    monkeypatch.setattr(unitgroup, "_physical_memory_bytes", lambda: need)
+    assert centralizer_in_gamma(alg21, b21 * z).dim <= 6
+
+
+def test_block_leak_is_an_error(alg21, b21, monkeypatch):
+    # a term that leaves its orbit block means the block structure is wrong
+    monkeypatch.setattr(unitgroup, "_orbit_blocks",
+                        lambda alg: np.arange(alg.gamma_dim()).reshape(-1, alg.q ** 2))
+    with pytest.raises(MathDomainError, match="leaves its orbit block"):
         centralizer_in_gamma(alg21, b21)
