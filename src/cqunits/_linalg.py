@@ -134,6 +134,11 @@ def right_kernel(ctx, M) -> np.ndarray:
     return K
 
 
+def right_pivots(K: np.ndarray) -> np.ndarray:
+    """Column of the rightmost nonzero entry of each row of K."""
+    return K.shape[1] - 1 - np.argmax(K[:, ::-1] != 0, axis=1)
+
+
 def reduce_against(ctx, V, R, pivots) -> np.ndarray:
     """Residue of the rows of V after reduction against rref rows R."""
     V = np.ascontiguousarray(V, dtype=np.int64)

@@ -36,7 +36,7 @@ class Subspace:
         n = rows.shape[1]
         if reduced:
             self.basis = rows
-            self.pivots = (n - 1 - np.argmax(rows[:, ::-1] != 0, axis=1)).tolist()
+            self.pivots = _linalg.right_pivots(rows).tolist()
         else:
             R, piv = _linalg.rref(field, rows[:, ::-1])
             self.basis = np.ascontiguousarray(R[:, ::-1])
@@ -235,6 +235,7 @@ class GroupAlgebra:
                           else None)
         self._a_add_flat = group.a_add.ravel()
         self._gamma = None
+        self._star_pairs = None
         self._sym_skew = None
         self._nilpotency = None
 
@@ -368,12 +369,21 @@ class GroupAlgebra:
         return amb
 
     def gamma_star_perm(self) -> np.ndarray:
-        """The involution as a permutation of the gamma basis (a-1)b^j."""
-        g = self.group
-        cols = np.arange(self.q, self.order)  # FG indices of a*b^j, a != e
-        a, j = cols // self.q, cols % self.q
-        tgt = g.sigma_pows[j, g.a_inv[a]] * self.q + (self.q - j) % self.q
-        return tgt - self.q  # back to gamma-coordinate indexing
+        """The involution as a permutation of the gamma basis (a-1)b^j: the
+        group's inversion on the indices a b^j with a != e, shifted by q."""
+        return self.group.inv_perm[self.q:] - self.q
+
+    def gamma_star_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """(pi, hi): pi = gamma_star_perm(), checked to be a fixed-point-free
+        involution (else MathDomainError), and the larger ends hi of its
+        2-cycles (hi, pi[hi]), descending.  Every reader of pi goes through here."""
+        if self._star_pairs is None:
+            pi = self.gamma_star_perm()
+            k = np.arange(self.gamma_dim())
+            if not np.array_equal(pi[pi], k) or np.any(pi == k):
+                raise MathDomainError("the involution does not pair the gamma basis")
+            self._star_pairs = (pi, k[pi < k][::-1])
+        return self._star_pairs
 
     def gamma_basis(self) -> Subspace:
         """gamma as a canonical Subspace: gamma_expand of the identity, rows (a-1)b^j.
@@ -394,16 +404,12 @@ class GroupAlgebra:
     def sym_skew_subspaces(self) -> tuple[Subspace, Subspace]:
         """The symmetric and skew slices S1, S2 of gamma, written down.
 
-        The involution pairs the gamma basis without fixed points, so over the
-        pairs lo < hi of gamma_star_perm() S1 and S2 have the canonical bases
-        e_hi + e_lo and e_hi - e_lo, rows in descending hi.
+        Over the pairs (hi, pi[hi]) of gamma_star_pairs() S1 and S2 have the
+        canonical bases e_hi + e_pi[hi] and e_hi - e_pi[hi], rows in descending
+        hi; so dim S2 is the number of pairs, and reading it needs no basis.
         """
         if self._sym_skew is None:
-            pi = self.gamma_star_perm()
-            k = np.arange(pi.size)
-            if not np.array_equal(pi[pi], k) or np.any(pi == k):
-                raise MathDomainError("the involution does not pair the gamma basis")
-            hi = k[pi < k][::-1]
+            pi, hi = self.gamma_star_pairs()
             rows = np.arange(hi.size)
 
             def slice_basis(sign):

@@ -396,10 +396,7 @@ class VFBEnumeration:
     exps: np.ndarray  # (order, q-1) int64
 
     def proj_values(self, i: int) -> np.ndarray:
-        N = self.ctx.field.order
-        vals = [1] + [self.ctx.field.pow(self.ctx.field.zeta.code, int(e) % N)
-                      for e in self.exps[i]]
-        return np.array(vals, dtype=np.int64)
+        return zeta_powers(self.ctx.field, self.exps[i])
 
     def unit(self, i: int) -> FBElem:
         return from_projections(ProjVec(self.ctx, self.proj_values(i)))
@@ -408,14 +405,18 @@ class VFBEnumeration:
         return (self.unit(i) for i in range(self.order))
 
 
-def _mirror_exps(free: np.ndarray, q: int, N: int, sign: int) -> np.ndarray:
-    """Expand free exponents e_1..e_h to (e_1, ..., e_{q-1}) with
-    e_{q-i} = sign * e_i (sign +1 symmetric, -1 unitary)."""
-    h = (q - 1) // 2
-    full = np.zeros((free.shape[0], q - 1), dtype=np.int64)
-    full[:, :h] = free
-    full[:, h:] = (sign * free[:, ::-1]) % N
-    return full
+def mirror_exps(free, N: int, sign: int) -> np.ndarray:
+    """Expand free exponents e_1..e_h (last axis) to (e_1, ..., e_{2h}) with
+    e_{2h+1-i} = sign * e_i mod N (sign +1 symmetric, -1 unitary)."""
+    free = np.asarray(free, dtype=np.int64)
+    return np.concatenate([free, (sign * free[..., ::-1]) % N], axis=-1)
+
+
+def zeta_powers(field: FieldCtx, exps) -> np.ndarray:
+    """Projection values (1, zeta^e_1, ..., zeta^e_{q-1}) of a normalized unit
+    of FB from its exponents."""
+    return np.array([1] + [field.pow(field.zeta.code, int(e) % field.order) for e in exps],
+                    dtype=np.int64)
 
 
 def enumerate_VFB(fb: FBCtx, which: str = "V", budget: int = DEFAULT_BUDGET) -> VFBEnumeration:
@@ -438,7 +439,7 @@ def enumerate_VFB(fb: FBCtx, which: str = "V", budget: int = DEFAULT_BUDGET) -> 
             raise BudgetExceeded(f"|{which}| = {size} exceeds budget {budget}")
         grids = np.meshgrid(*([np.arange(N)] * h), indexing="ij")
         free = np.stack([g.ravel() for g in grids], axis=1).astype(np.int64)
-        exps = _mirror_exps(free, q, N, +1 if which == "V+" else -1)
+        exps = mirror_exps(free, N, +1 if which == "V+" else -1)
     else:
         raise MathDomainError(f"unknown unit family {which!r}; expected V, V+ or V*")
     return VFBEnumeration(fb, which, exps.shape[0], exps)
@@ -615,18 +616,6 @@ def b_exponent_coords(fb: FBCtx) -> tuple[int, ...]:
     return tuple((i * (N // q)) % N for i in range(1, (q - 1) // 2 + 1))
 
 
-def _exps_to_proj_values(fb: FBCtx, exps) -> np.ndarray:
-    """Free V* exponent tuple -> full projection value vector (codes)."""
-    N = fb.field.order
-    q = fb.q
-    h = (q - 1) // 2
-    vals = np.ones(q, dtype=np.int64)
-    for i, e in enumerate(exps, start=1):
-        vals[i] = fb.field.pow(fb.field.zeta.code, int(e) % N)
-        vals[q - i] = fb.field.pow(fb.field.zeta.code, (-int(e)) % N)
-    return vals
-
-
 def complement_search_B_in_VstarFB(fb: FBCtx,
                                    budget: int = DEFAULT_BUDGET) -> ComplementSearch:
     """Exhaustively find all N <= V*(FB) with N . B = V*(FB) and N ^ B = 1.
@@ -648,7 +637,7 @@ def complement_search_B_in_VstarFB(fb: FBCtx,
             continue  # meets B non-trivially, so not a complement
         witness = None
         for elem in sorted(sub["elements"]):
-            vals = _exps_to_proj_values(fb, elem)
+            vals = zeta_powers(fb.field, mirror_exps(elem, N, -1))
             if len(set(vals.tolist())) == q:
                 witness = elem
                 break

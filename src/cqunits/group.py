@@ -187,12 +187,12 @@ class GroupSpec:
         if fixed != 1:
             raise NotFixedPointFree(f"sigma fixes {fixed} elements of A, expected only e")
         self.sigma_pows = np.stack(pows)  # sigma_pows[t] = permutation of sigma^t
-        self.a_inv = encode(-self.a_exps)
 
         # (a b^j)^-1 = sigma^j(a^-1) b^-j
+        a_inv = encode(-self.a_exps)
         g = np.arange(self.order, dtype=np.int64)
         ga, gj = g // q, g % q
-        self.inv_perm = self.sigma_pows[gj, self.a_inv[ga]] * q + (q - gj) % q
+        self.inv_perm = self.sigma_pows[gj, a_inv[ga]] * q + (q - gj) % q
 
     @cached_property
     def a_add(self) -> np.ndarray:

@@ -4,7 +4,8 @@ the Cayley correspondence, and sampling evidence for class disjointness.
 Centralizers inside 1 + gamma are computed as exact kernels of the
 conjugation operator on gamma; class lengths come out as prime powers
 p^(f * (dim gamma - dim C)), which is the only feasible exact route
-(|1 + gamma| is astronomically large).  For x in FB the operator is
+(|1 + gamma| is astronomically large); starred ones use dim S2, the number
+of pairs of the checked involution on gamma.  For x in FB the operator is
 block-diagonal over the sigma-orbits of A, so it is built and solved one
 q^2 x q^2 block at a time, and its symmetric/skew slices are counted over
 each pair of blocks that the involution swaps.  Any other x takes the
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import _linalg
 from .algebra import AlgElem, GroupAlgebra, Subspace
-from .cqstruct import FBCtx, ProjVec, from_projections
+from .cqstruct import FBCtx, ProjVec, from_projections, mirror_exps, zeta_powers
 from .errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotInGamma,
                      NotInOnePlusGamma, NotSkew, NotUnitary)
 from .group import orbits
@@ -73,12 +74,13 @@ def _conjugation_matrix_gamma(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem) -> n
     sup_y = np.nonzero(xinv.coeffs)[0]
     g = np.arange(n, dtype=np.int64)
     # D[:, h] holds the digits of x h x^-1; one |supp x^-1| x |G| block of
-    # targets at a time, tgt[k] = x_i * g * y_k as group indices
+    # targets tgt[k] = x_i * g * y_k (group indices), weights w[k] = x_i y_k
     D = np.zeros((n, n, fld.f), dtype=np.int64)
     for i in np.nonzero(x.coeffs)[0]:
         tgt = G._mul_idx_arrays(G._mul_idx_arrays(i, g)[None, :], sup_y[:, None])
-        for k, yk in enumerate(sup_y):
-            D[tgt[k], g] += fld.decode(fld.mul(int(x.coeffs[i]), int(xinv.coeffs[yk])))
+        w = fld.decode(fld.vmul(x.coeffs[i], xinv.coeffs[sup_y]))
+        for k in range(sup_y.size):
+            D[tgt[k], g] += w[k]
     # restrict to gamma: column for basis (a-1)b^j is conj column of a b^j
     # minus the conj column of b^j; rows with a = e are determined and dropped
     M = D[q:, q:]
@@ -129,7 +131,7 @@ def _star_slices(field, K: np.ndarray, perm: np.ndarray) -> tuple[int, int, bool
     permutes by perm: dim - rank(K[:, perm] -/+ K), cross-checked against
     the direct star-closure test."""
     dim = K.shape[0]
-    pivots = (K.shape[1] - 1 - np.argmax(K[:, ::-1] != 0, axis=1)).tolist()
+    pivots = _linalg.right_pivots(K).tolist()
     starred = K[:, perm]
     sym_dim = dim - _linalg.rank(field, field.vsub(starred, K))
     skew_dim = dim - _linalg.rank(field, field.vadd(starred, K))
@@ -160,7 +162,7 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem):
     distinct, which = np.unique(blocks.reshape(l, m * m), axis=0, return_inverse=True)
     which = which.reshape(l)
     kernels = [_linalg.right_kernel(fld, blk.reshape(m, m)) for blk in distinct]
-    pivots = [m - 1 - np.argmax(k[:, ::-1] != 0, axis=1) for k in kernels]
+    pivots = [_linalg.right_pivots(k) for k in kernels]
 
     piv = np.concatenate([coords[t][pivots[u]] for t, u in enumerate(which)])
     dest = np.empty(piv.size, dtype=np.int64)
@@ -172,7 +174,7 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem):
         K[np.ix_(dest[r:r + d], coords[t])] = kernels[u]
         r += d
 
-    pi = alg.gamma_star_perm()
+    pi = alg.gamma_star_pairs()[0]
     partner = block_of[pi[coords[:, 0]]]
     if np.any(block_of[pi[coords]] != partner[:, None]) or np.any(partner == np.arange(l)):
         raise MathDomainError("the involution does not swap the orbit blocks in pairs")
@@ -228,7 +230,7 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
         K, sym_dim, skew_dim, star_closed = _block_centralizer(alg, x, xinv)
     else:
         K = _linalg.right_kernel(alg.field, _conjugation_matrix_gamma(alg, x, xinv))
-        sym_dim, skew_dim, star_closed = _star_slices(alg.field, K, alg.gamma_star_perm())
+        sym_dim, skew_dim, star_closed = _star_slices(alg.field, K, alg.gamma_star_pairs()[0])
     kernel = Subspace(alg.field, alg.gamma_expand(K), reduced=True)
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,
                              sym_dim=sym_dim, skew_dim=skew_dim)
@@ -281,7 +283,8 @@ def class_length(alg: GroupAlgebra, x: AlgElem, starred: bool = False,
     """|Cl_x| = |1+gamma| / |C_(1+gamma)(x)| as an exact prime power.
 
     The starred variant is the class inside the unitary subgroup:
-    |Cl*_x| = |S2| / |C ^ S2| at the dimension level; it requires x unitary.
+    |Cl*_x| = |S2| / |C ^ S2| at the dimension level, with dim S2 the number
+    of pairs of the checked involution (`gamma_star_pairs`); x must be unitary.
     """
     if report is None:
         report = centralizer_in_gamma(alg, x)
@@ -290,7 +293,7 @@ def class_length(alg: GroupAlgebra, x: AlgElem, starred: bool = False,
         return ClassLength(alg.field.p, f * (alg.gamma_dim() - report.dim), False)
     if (x * x.star()) != alg.one():
         raise NotUnitary("starred class length requires a unitary unit")
-    s2_dim = alg.sym_skew_subspaces()[1].dim
+    s2_dim = alg.gamma_star_pairs()[1].size
     return ClassLength(alg.field.p, f * (s2_dim - report.skew_dim), True)
 
 
@@ -360,21 +363,12 @@ def random_fb_unit_coeffs(alg: GroupAlgebra, rng: np.random.Generator,
     Projections are zeta^e for random exponents, mirrored with negated
     exponents in the unitary case; u_0 = 1 keeps the augmentation 1.
     """
-    fb = fb_ctx(alg)
-    fld = alg.field
-    q = alg.q
-    N = fld.order
-    vals = np.ones(q, dtype=np.int64)
+    N = alg.field.order
     if unitary:
-        exps = rng.integers(0, N, (q - 1) // 2)
-        for i, e in enumerate(exps, start=1):
-            vals[i] = fld.pow(fld.zeta.code, int(e))
-            vals[q - i] = fld.pow(fld.zeta.code, -int(e) % N)
+        exps = mirror_exps(rng.integers(0, N, (alg.q - 1) // 2), N, -1)
     else:
-        exps = rng.integers(0, N, q - 1)
-        for i, e in enumerate(exps, start=1):
-            vals[i] = fld.pow(fld.zeta.code, int(e))
-    return from_projections(ProjVec(fb, vals)).coeffs
+        exps = rng.integers(0, N, alg.q - 1)
+    return from_projections(ProjVec(fb_ctx(alg), zeta_powers(alg.field, exps))).coeffs
 
 
 def random_unit_vfg(alg: GroupAlgebra, rng: np.random.Generator) -> AlgElem:

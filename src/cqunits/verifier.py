@@ -8,8 +8,9 @@ and m = 1 with s + 1 >= q and 2n >= f(q-1) by the counting inequality
 
 whose two sides are carried both as factored prime powers and as full
 arbitrary-precision integers (recomputed by a log-free product chain as a
-cross-check).  Dimensions entering the certificate are the exact kernel
-dimensions computed by the unitgroup layer, not formula shortcuts.
+cross-check).  Dimensions entering the certificate are exact, not formula
+shortcuts: kernel dimensions from the unitgroup layer, and dim S2 as the
+number of pairs of the checked involution on gamma.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class Instance:
 
     @cached_property
     def s2_dim(self) -> int:
-        return self.algebra.sym_skew_subspaces()[1].dim
+        return self.algebra.gamma_star_pairs()[1].size
 
     @cached_property
     def b_centralizer(self) -> CentralizerReport:

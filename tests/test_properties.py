@@ -1,7 +1,8 @@
 """Written-down bases against the general Subspace path, on random instances.
 
 gamma, S1, S2 and the centralizer kernels are built in canonical form
-without row reduction; the reference is `Subspace(field, rows)`, which
+without row reduction, and the involution on gamma is checked against
+`AlgElem.star`; the reference is `Subspace(field, rows)`, which
 row reduces whatever rows it is given.  Kernels of units in FB come from
 the orbit blocks; they are also compared with the kernel of the dense
 operator.  Instances are drawn with p <= 13, q | p - 1, A = C_p or C_p^2
@@ -44,10 +45,16 @@ def check_gamma_slices(alg):
     assert_reference(gamma)
     # S1, S2 against the symmetric/skew parts of gamma under the ambient star
     rows = gamma.basis
-    starred = rows[:, alg.group.inv_perm]
+    starred = np.stack([alg.elem(row).star().coeffs for row in rows])
     assert_reference(s1, alg.field.vadd(rows, starred))
     assert_reference(s2, alg.field.vsub(rows, starred))
     assert s1.dim == s2.dim == alg.gamma_dim() // 2
+    assert alg.gamma_star_pairs()[1].size == s2.dim
+    # gamma_star_perm() is the permutation AlgElem.star induces on gamma's rows
+    coords = np.array(gamma.pivots) - alg.q  # row t is (a-1)b^j at coordinate coords[t]
+    row_of = np.empty_like(coords)
+    row_of[coords] = np.arange(coords.size)
+    assert np.array_equal(starred, rows[row_of[alg.gamma_star_perm()[coords]]])
     return s1, s2
 
 

@@ -10,6 +10,7 @@ from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma,
                                fb_ctx, random_gamma, random_skew,
                                random_unit_vfg, random_unitary_vfg,
                                sample_disjoint_classes, sqrt_relation_check)
+from cqunits.verifier import Instance
 
 
 @pytest.fixture(scope="module")
@@ -288,3 +289,18 @@ def test_block_leak_is_an_error(alg21, b21, monkeypatch):
                         lambda alg: np.arange(alg.gamma_dim()).reshape(-1, alg.q ** 2))
     with pytest.raises(MathDomainError, match="leaves its orbit block"):
         centralizer_in_gamma(alg21, b21)
+
+
+def test_every_reader_checks_the_involution(f7, g21, rep_b):
+    # an identity "involution" on c7 has fixed points; before the one check
+    # the dense path read it unchecked and reported sym_dim 8, skew_dim 0
+    inst = Instance(f7, 3, g21)
+    alg = inst.algebra
+    alg.gamma_star_perm = lambda: np.arange(alg.gamma_dim())
+    with pytest.raises(MathDomainError, match="does not pair"):
+        centralizer_in_gamma(alg, alg.basis(alg.group.generator(1)))
+    with pytest.raises(MathDomainError, match="does not pair"):
+        inst.s2_dim
+    # rep_b (same group, unpatched algebra) isolates the read of dim S2
+    with pytest.raises(MathDomainError, match="does not pair"):
+        class_length(alg, alg.basis(alg.group.b()), starred=True, report=rep_b)
