@@ -9,8 +9,8 @@ and m = 1 with s + 1 >= q and 2n >= f(q-1) by the counting inequality
 whose two sides are carried both as factored prime powers and as full
 arbitrary-precision integers (recomputed by a log-free product chain as a
 cross-check).  Dimensions entering the certificate are exact, not formula
-shortcuts: kernel dimensions from the unitgroup layer, and dim S2 as the
-number of pairs of the checked involution on gamma.
+shortcuts: kernel dimensions from the unitgroup layer, and dim S2 from S2
+written down over the pairs of the checked involution on gamma.
 """
 
 from __future__ import annotations
@@ -52,7 +52,10 @@ class Instance:
 
     @cached_property
     def s2_dim(self) -> int:
-        return self.algebra.gamma_star_pairs()[1].size
+        # dim S2 is also the pair count gamma_star_pairs()[1].size; S2 stays
+        # written down here because perfbench's traced smoke checks reach
+        # sym_skew_subspaces only through this read (ROADMAP item 1)
+        return self.algebra.sym_skew_subspaces()[1].dim
 
     @cached_property
     def b_centralizer(self) -> CentralizerReport:

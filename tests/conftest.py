@@ -1,8 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cqunits import GroupAlgebra, make_field, make_group
+from cqunits import GroupAlgebra, cli, make_field, make_group
 from cqunits.verifier import Instance, make_instance
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# GF(7^2), q = 3, A = C_7 x C_7, action diag(2, 4): the f > 1 case, no config file
+GF49_CFG = "p=7\nf=2\nq=3\nA=7,7\naction=2,0;0,4\n"
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +70,15 @@ def inst19() -> Instance:
 @pytest.fixture(scope="session")
 def inst11() -> Instance:
     return make_instance(11, 1, 5, [11], [[3]])
+
+
+@pytest.fixture(scope="session")
+def config_instance():
+    """Builds a fresh Instance from configs/<name>.cfg, or from GF49_CFG for "gf49"."""
+    def build(name: str) -> Instance:
+        return cli.parse_config(GF49_CFG if name == "gf49"
+                                else (CONFIGS / f"{name}.cfg").read_text())
+    return build
 
 
 @pytest.fixture(scope="session")

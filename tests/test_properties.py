@@ -9,13 +9,12 @@ operator.  Instances are drawn with p <= 13, q | p - 1, A = C_p or C_p^2
 and action diag(w^e1, w^e2).
 """
 
-from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqunits import _linalg, cli
+from cqunits import _linalg
 from cqunits.algebra import Subspace
 from cqunits.group import orbits
 from cqunits.unitgroup import (_conjugation_matrix_gamma, centralizer_in_gamma,
@@ -27,9 +26,6 @@ from cqunits.verifier import make_instance
 # full-support units make the conjugation operator cost |G|^3 (times f);
 # they are only drawn on the small instances
 FULL_SUPPORT_MAX_COST = 150
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-GF49_CFG = "p=7\nf=2\nq=3\nA=7,7\naction=2,0;0,4\n"
 
 
 def assert_reference(sub: Subspace, rows=None):
@@ -123,14 +119,13 @@ def test_written_down_bases_match_reference(case):
 
 
 @pytest.mark.parametrize("name", ["c7", "f11c5", "c19", "gf49"])
-def test_config_bases_match_reference(name):
-    text = GF49_CFG if name == "gf49" else (CONFIGS / f"{name}.cfg").read_text()
-    check_all(cli.parse_config(text).algebra, seed=7)
+def test_config_bases_match_reference(name, config_instance):
+    check_all(config_instance(name).algebra, seed=7)
 
 
-def test_gf49_block_weights_leave_the_prime_field():
+def test_gf49_block_weights_leave_the_prime_field(config_instance):
     # the gf49 case above must exercise block weights x_i y_k outside GF(7)
-    alg = cli.parse_config(GF49_CFG).algebra
+    alg = config_instance("gf49").algebra
     fld = alg.field
     units = sample_units(alg, np.random.default_rng(7))
     weights = {fld.mul(int(xi), int(yk))

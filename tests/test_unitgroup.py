@@ -304,3 +304,19 @@ def test_every_reader_checks_the_involution(f7, g21, rep_b):
     # rep_b (same group, unpatched algebra) isolates the read of dim S2
     with pytest.raises(MathDomainError, match="does not pair"):
         class_length(alg, alg.basis(alg.group.b()), starred=True, report=rep_b)
+
+
+@pytest.mark.parametrize("name", ["c7", "gf49"])
+def test_starred_class_length_counts_pairs(name, config_instance, monkeypatch):
+    # the reference reads dim S2 off the written-down S2
+    ref = config_instance(name).algebra
+    b = ref.basis(ref.group.b())
+    expect = ref.field.f * (ref.sym_skew_subspaces()[1].dim
+                            - centralizer_in_gamma(ref, b).skew_dim)
+
+    def refuse(self):
+        raise AssertionError("S1/S2 written down")
+
+    monkeypatch.setattr(GroupAlgebra, "sym_skew_subspaces", refuse)
+    alg = config_instance(name).algebra
+    assert class_length(alg, alg.basis(alg.group.b()), starred=True).exponent == expect

@@ -5,14 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from cqunits import GroupAlgebra, cli
 from cqunits.errors import (BranchMismatch, NotFixedPointFree, QDoesNotDivide)
-from cqunits.unitgroup import centralizer_in_gamma, class_length
 from cqunits.verifier import (FactoredInt, analyze, counting_certificate,
                               m_gt_1_no_complement, make_instance, to_decimal)
-
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-GF49_CFG = "p=7\nf=2\nq=3\nA=7,7\naction=2,0;0,4\n"
 
 
 def test_analyze_counting_branch(inst7):
@@ -56,26 +51,6 @@ def test_certificate_c7(inst7):
     assert cert.intermediate_ok and cert.counting_ok
     assert all(cert.checks.values())
     assert cert.verdict == "NoNormalComplement"
-
-
-@pytest.mark.parametrize("name", ["c7", "gf49"])
-def test_s2_reads_do_not_write_down_the_slices(name, monkeypatch):
-    text = GF49_CFG if name == "gf49" else (CONFIGS / f"{name}.cfg").read_text()
-    ref = cli.parse_config(text).algebra  # reference dims with S2 written down
-    s2_dim = ref.sym_skew_subspaces()[1].dim
-    skew_dim = centralizer_in_gamma(ref, ref.basis(ref.group.b())).skew_dim
-    starred_exp = ref.field.f * (s2_dim - skew_dim)
-
-    def refuse(self):
-        raise AssertionError("S1/S2 written down")
-
-    monkeypatch.setattr(GroupAlgebra, "sym_skew_subspaces", refuse)
-    inst = cli.parse_config(text)
-    cert = counting_certificate(inst)
-    assert (cert.s2_dim, cert.centralizer_skew_dim) == (s2_dim, skew_dim)
-    assert cert.starred_class_length_exponent == starred_exp
-    alg = inst.algebra
-    assert class_length(alg, alg.basis(alg.group.b()), starred=True).exponent == starred_exp
 
 
 def test_certificate_branch_mismatch(inst19):
