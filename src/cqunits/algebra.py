@@ -217,8 +217,6 @@ class AlgElem:
 class GroupAlgebra:
     """Pairing of a FieldCtx with a GroupSpec, with cached mult machinery."""
 
-    _TABLE_MUL_LIMIT = 1500
-
     def __init__(self, field: FieldCtx, group: GroupSpec):
         self.field = field
         self.group = group
@@ -230,9 +228,7 @@ class GroupAlgebra:
         bound = (field.p - 1) ** 2 * self.order * int(field._tensor.sum(axis=(0, 1)).max())
         if bound >= _linalg._F64_LIMIT:
             raise BudgetExceeded(f"FG products would sum up to {bound}, past exact float64")
-        self._mul_flat = (group.mul_table.ravel()
-                          if group.mul_table is not None and group.order <= self._TABLE_MUL_LIMIT
-                          else None)
+        self._mul_flat = group.mul_table.ravel() if group.mul_table is not None else None
         self._a_add_flat = group.a_add.ravel()
         self._gamma = None
         self._star_pairs = None

@@ -398,7 +398,8 @@ def make_field(p: int, f: int = 1, modulus=None) -> FieldCtx:
                 if _is_irreducible(cand, p):
                     modulus = cand
                     break
-            assert modulus is not None
+            if modulus is None:
+                raise MathDomainError(f"no monic irreducible of degree {f} over Z_{p} was found")
     return FieldCtx(p, f, tuple(modulus))
 
 

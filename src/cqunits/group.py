@@ -151,7 +151,7 @@ class GroupSpec:
     multiplication tables are plain arrays shared by every element.
     """
 
-    _FULL_TABLE_LIMIT = 3000
+    _FULL_TABLE_LIMIT = 1500
 
     def __init__(self, abelian: AbelianSpec, q: int, action: ActionSpec):
         self.abelian = abelian

@@ -2,15 +2,16 @@
 the Cayley correspondence, and sampling evidence for class disjointness.
 
 Centralizers inside 1 + gamma are computed as exact kernels of the
-conjugation operator on gamma; class lengths come out as prime powers
-p^(f * (dim gamma - dim C)), which is the only feasible exact route
-(|1 + gamma| is astronomically large); starred ones use dim S2, the number
-of pairs of the checked involution on gamma.  For x in FB the operator is
-block-diagonal over the sigma-orbits of A, so it is built and solved one
-q^2 x q^2 block at a time, and its symmetric/skew slices are counted over
-each pair of blocks that the involution swaps.  Any other x takes the
-dense |G|^2 operator, which is refused up front when it would not fit in
-physical memory.  All sampling is seeded.
+commutator g -> x g - g x on gamma; for a unit x it vanishes exactly where
+x g x^-1 = g, so no inverse of x is formed.  Class lengths come out as
+prime powers p^(f * (dim gamma - dim C)), which is the only feasible exact
+route (|1 + gamma| is astronomically large); starred ones use dim S2, the
+number of pairs of the checked involution on gamma.  For x in FB the
+operator is block-diagonal over the sigma-orbits of A, so it is built and
+solved one q^2 x q^2 block at a time, and its symmetric/skew slices are
+counted over each pair of blocks that the involution swaps.  Any other x
+takes the dense |G|^2 operator, which is refused up front when it would
+not fit in physical memory.  All sampling is seeded.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 from . import _linalg
 from .algebra import AlgElem, GroupAlgebra, Subspace
 from .cqstruct import FBCtx, ProjVec, from_projections, mirror_exps, zeta_powers
-from .errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotInGamma,
-                     NotInOnePlusGamma, NotSkew, NotUnitary)
+from .errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotAUnit,
+                     NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
 from .group import orbits
 
 
@@ -39,12 +40,13 @@ def fb_ctx(alg: GroupAlgebra) -> FBCtx:
 
 
 # ---------------------------------------------------------------------------
-# conjugation operators and centralizers
+# commutator operators and centralizers
 
 
 # gamma x gamma int64 arrays the dense path holds at once besides the |G|^2
-# digits: M, the copy made when reducing digits to codes, and the rref's
-# echelon rows with the matmul and modulo temporaries that update them
+# codes of the commutator g -> x g - g x (no inverse of x is formed): M, and
+# the rref's echelon rows, their vstack copy and the matmul and modulo
+# temporaries that update them
 _DENSE_GAMMA_COPIES = 4
 
 
@@ -53,42 +55,38 @@ def _physical_memory_bytes() -> int:
 
 
 def _dense_operator_bytes(alg: GroupAlgebra) -> int:
-    """Bytes the dense path holds at its peak: the |G|^2 conjugation digits
-    (f per entry) and _DENSE_GAMMA_COPIES gamma x gamma arrays, all int64."""
+    """Bytes the dense path holds at its peak: the |G|^2 commutator codes and
+    _DENSE_GAMMA_COPIES gamma x gamma arrays, all int64."""
     n, dim = alg.order, alg.gamma_dim()
-    return 8 * (alg.field.f * n * n + _DENSE_GAMMA_COPIES * dim * dim)
+    return 8 * (n * n + _DENSE_GAMMA_COPIES * dim * dim)
 
 
-def _conjugation_matrix_gamma(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem) -> np.ndarray:
-    """Matrix of g -> x g x^-1 - g on gamma, in the (a-1)b^j coordinate system.
+def _commutator_matrix_gamma(alg: GroupAlgebra, x: AlgElem) -> np.ndarray:
+    """Matrix of g -> x g - g x on gamma, in the (a-1)b^j coordinate system.
 
     Refuses up front with BudgetExceeded when the dense path would not fit
     in physical memory.
     """
     need, have = _dense_operator_bytes(alg), _physical_memory_bytes()
     if need > have:
-        raise BudgetExceeded(f"the dense conjugation operator needs about {need} bytes, "
+        raise BudgetExceeded(f"the dense commutator operator needs about {need} bytes, "
                              f"more than the {have} bytes of physical memory")
     G, fld = alg.group, alg.field
     n, q = alg.order, alg.q
-    sup_y = np.nonzero(xinv.coeffs)[0]
-    g = np.arange(n, dtype=np.int64)
-    # D[:, h] holds the digits of x h x^-1; one |supp x^-1| x |G| block of
-    # targets tgt[k] = x_i * g * y_k (group indices), weights w[k] = x_i y_k
-    D = np.zeros((n, n, fld.f), dtype=np.int64)
-    for i in np.nonzero(x.coeffs)[0]:
-        tgt = G._mul_idx_arrays(G._mul_idx_arrays(i, g)[None, :], sup_y[:, None])
-        w = fld.decode(fld.vmul(x.coeffs[i], xinv.coeffs[sup_y]))
-        for k in range(sup_y.size):
-            D[tgt[k], g] += w[k]
-    # restrict to gamma: column for basis (a-1)b^j is conj column of a b^j
-    # minus the conj column of b^j; rows with a = e are determined and dropped
-    M = D[q:, q:]
+    h = np.arange(n, dtype=np.int64)
+    # C[:, h] holds the codes of x h - h x; for each g in supp x the targets
+    # g h and h g are permutations of h, so neither update hits a column twice
+    C = np.zeros((n, n), dtype=np.int64)
+    for g in np.nonzero(x.coeffs)[0]:
+        left, right = G._mul_idx_arrays(g, h), G._mul_idx_arrays(h, g)
+        C[left, h] = fld.vadd(C[left, h], x.coeffs[g])
+        C[right, h] = fld.vsub(C[right, h], x.coeffs[g])
+    # restrict to gamma: column for basis (a-1)b^j is the column of a b^j
+    # minus the column of b^j; rows with a = e are determined and dropped
+    M = C[q:, q:]
     for j in range(q):
-        M[:, j::q] -= D[q:, j][:, None]
-    diag = np.arange(n - q)
-    M[diag, diag, 0] -= 1
-    return np.ascontiguousarray(fld.encode(M))
+        M[:, j::q] = fld.vsub(M[:, j::q], C[q:, j][:, None])
+    return np.ascontiguousarray(M)
 
 
 def _orbit_blocks(alg: GroupAlgebra) -> np.ndarray:
@@ -100,12 +98,13 @@ def _orbit_blocks(alg: GroupAlgebra) -> np.ndarray:
     return np.sort(coords, axis=1)
 
 
-def _conjugation_blocks(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem, coords: np.ndarray,
-                        block_of: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """The q^2 x q^2 diagonal blocks of the gamma operator of x in FB.
+def _commutator_blocks(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray,
+                       block_of: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """The q^2 x q^2 diagonal blocks of g -> x g - g x on gamma, for x in FB.
 
-    b^i (a-1) b^j b^k = (sigma^-i(a) - 1) b^(i+j+k), so every term x_i y_k
-    permutes each block's coordinates and no fancy-indexed add collides.
+    b^i (a-1) b^j = (sigma^-i(a) - 1) b^(i+j) and (a-1) b^j b^i = (a-1) b^(i+j),
+    so each x_i permutes every block's coordinates once on each side and no
+    fancy-indexed update collides.
     """
     fld, q = alg.field, alg.q
     l, m = coords.shape
@@ -113,15 +112,13 @@ def _conjugation_blocks(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem, coords: np
     rows, src = np.arange(l)[:, None], np.arange(m)
     blocks = np.zeros((l, m, m), dtype=np.int64)
     for i in np.nonzero(x.coeffs[:q])[0]:
-        moved = (alg.group.sigma_pows[(q - i) % q][a] - 1) * q
-        for k in np.nonzero(xinv.coeffs[:q])[0]:
-            tgt = moved + (i + j + k) % q
+        left = (alg.group.sigma_pows[(q - i) % q][a] - 1) * q
+        for moved, op in ((left, fld.vadd), ((a - 1) * q, fld.vsub)):
+            tgt = moved + (i + j) % q
             if np.any(block_of[tgt] != rows):
-                raise MathDomainError("a conjugation term leaves its orbit block")
-            w = fld.mul(int(x.coeffs[i]), int(xinv.coeffs[k]))
+                raise MathDomainError("a commutator term leaves its orbit block")
             tl = local[tgt]
-            blocks[rows, tl, src] = fld.vadd(blocks[rows, tl, src], w)
-    blocks[:, src, src] = fld.vsub(blocks[:, src, src], 1)
+            blocks[rows, tl, src] = op(blocks[rows, tl, src], x.coeffs[i])
     return blocks
 
 
@@ -142,7 +139,7 @@ def _star_slices(field, K: np.ndarray, perm: np.ndarray) -> tuple[int, int, bool
     return sym_dim, skew_dim, star_closed
 
 
-def _block_centralizer(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem):
+def _block_centralizer(alg: GroupAlgebra, x: AlgElem):
     """Kernel, slice dims and star closure for x in FB, one orbit block at a time.
 
     Each distinct block is solved once.  The blocks have disjoint
@@ -158,7 +155,7 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem):
     block_of[coords] = np.arange(l)[:, None]
     local = np.empty(dim, dtype=np.int64)
     local[coords] = np.arange(m)
-    blocks = _conjugation_blocks(alg, x, xinv, coords, block_of, local)
+    blocks = _commutator_blocks(alg, x, coords, block_of, local)
     distinct, which = np.unique(blocks.reshape(l, m * m), axis=0, return_inverse=True)
     which = which.reshape(l)
     kernels = [_linalg.right_kernel(fld, blk.reshape(m, m)) for blk in distinct]
@@ -198,7 +195,7 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, xinv: AlgElem):
 
 @dataclass
 class CentralizerReport:
-    """Exact kernel of the conjugation operator on gamma, with star slices."""
+    """Exact kernel of the commutator g -> x g - g x on gamma, with star slices."""
 
     x: AlgElem
     kernel: Subspace
@@ -209,27 +206,27 @@ class CentralizerReport:
 
 
 def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
-    """Solutions of x g = g x inside gamma, as an exact kernel.
+    """Solutions of x g = g x inside gamma: the kernel of g -> x g - g x.
 
     1 + g commutes with x iff g does, so this also describes
-    C_(1+gamma)(x).  For x in FB (supported on B) the operator is
-    block-diagonal over the sigma-orbits of A: it is built and solved as
-    (|A|-1)/q blocks of size q^2, with no |G|^2 array.  Any other x takes
-    the dense operator, refused up front if it would not fit in memory.
-    Either way the kernel basis K is canonical in gamma coordinates, which
-    the involution permutes by pi, so the slices C ^ S1 and C ^ S2 have
-    dimensions dim - rank(K[:, pi] - K) and dim - rank(K[:, pi] + K).  They
-    sum to dim iff C is star-closed, which is cross-checked directly.  The
-    block path counts both over each pair of blocks that pi swaps.
+    C_(1+gamma)(x).  The operator is linear in x and needs no inverse; x
+    must still be a unit (NotAUnit otherwise).  For x in FB (supported on
+    B) it is block-diagonal over the sigma-orbits of A: it is built and
+    solved as (|A|-1)/q blocks of size q^2, with no |G|^2 array.  Any
+    other x takes the dense operator, refused up front if it would not fit
+    in memory.  Either way the kernel basis K is canonical in gamma
+    coordinates, which the involution permutes by pi, so the slices C ^ S1
+    and C ^ S2 have dimensions dim - rank(K[:, pi] - K) and
+    dim - rank(K[:, pi] + K).  They sum to dim iff C is star-closed, which
+    is cross-checked directly.  The block path counts both over each pair
+    of blocks that pi swaps.
     """
-    xinv = alg.invert(x)  # raises NotAUnit for non-units
-    q = alg.q
-    if not x.coeffs[q:].any():
-        if xinv.coeffs[q:].any():
-            raise MathDomainError("the inverse of an element of FB leaves FB")
-        K, sym_dim, skew_dim, star_closed = _block_centralizer(alg, x, xinv)
+    if not x.is_unit():
+        raise NotAUnit("rho(x) is not invertible in FB")
+    if not x.coeffs[alg.q:].any():
+        K, sym_dim, skew_dim, star_closed = _block_centralizer(alg, x)
     else:
-        K = _linalg.right_kernel(alg.field, _conjugation_matrix_gamma(alg, x, xinv))
+        K = _linalg.right_kernel(alg.field, _commutator_matrix_gamma(alg, x))
         sym_dim, skew_dim, star_closed = _star_slices(alg.field, K, alg.gamma_star_pairs()[0])
     kernel = Subspace(alg.field, alg.gamma_expand(K), reduced=True)
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,

@@ -138,3 +138,10 @@ def test_irreducibility_high_degree():
     f = make_field(3, 5)
     assert f.size == 243
     assert f.zeta.order() == 242
+
+
+def test_no_irreducible_modulus_is_an_error(monkeypatch):
+    # the search for a default modulus raises rather than asserts
+    monkeypatch.setattr("cqunits.field._is_irreducible", lambda poly, p: False)
+    with pytest.raises(MathDomainError, match="no monic irreducible of degree 2"):
+        make_field(7, 2)

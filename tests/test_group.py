@@ -6,6 +6,7 @@ import pytest
 from cqunits import make_field, make_group, orbits
 from cqunits.errors import (ActionOrderWrong, CtxMismatch, NotAutomorphism,
                             NotFixedPointFree, NotPrime)
+from cqunits.verifier import make_instance
 
 
 def test_make_group_c7_c3(f7, g21):
@@ -154,3 +155,13 @@ def test_mixed_factor_group(f7):
     G = make_group(f7, 3, [7, 7], [[2, 0], [0, 4]])
     assert G.order == 147
     assert orbits(G).l == 48 // 3
+
+
+def test_algebra_above_table_limit_builds_no_table():
+    # |G| = 2883: the group and the algebra share one table limit, so no
+    # |G|^2 table is built that products would not use
+    inst = make_instance(31, 1, 3, [31, 31], [[5, 0], [0, 25]])
+    alg, G = inst.algebra, inst.group
+    assert G.mul_table is None and alg._mul_flat is None
+    b, a = G.b(), G.generator(1)
+    assert alg.basis(b) * alg.basis(a) == alg.basis(G.mul_idx(b.idx, a.idx))

@@ -5,8 +5,9 @@ without row reduction, and the involution on gamma is checked against
 `AlgElem.star`; the reference is `Subspace(field, rows)`, which
 row reduces whatever rows it is given.  Kernels of units in FB come from
 the orbit blocks; they are also compared with the kernel of the dense
-operator.  Instances are drawn with p <= 13, q | p - 1, A = C_p or C_p^2
-and action diag(w^e1, w^e2).
+operator, and each block entrywise with the dense operator.  Instances
+are drawn with p <= 13, q | p - 1, A = C_p or C_p^2 and action
+diag(w^e1, w^e2).
 """
 
 
@@ -17,14 +18,15 @@ from hypothesis import given, settings, strategies as st
 from cqunits import _linalg
 from cqunits.algebra import Subspace
 from cqunits.group import orbits
-from cqunits.unitgroup import (_conjugation_matrix_gamma, centralizer_in_gamma,
-                               random_fb_unit_coeffs,
+from cqunits.unitgroup import (_commutator_blocks, _commutator_matrix_gamma,
+                               _orbit_blocks, centralizer_in_gamma, random_fb_unit_coeffs,
                                random_unit_vfg, random_unitary_vfg,
                                sqrt_relation_check)
 from cqunits.verifier import make_instance
 
-# full-support units make the conjugation operator cost |G|^3 (times f);
-# they are only drawn on the small instances
+# full-support units take the dense path: its commutator g -> x g - g x
+# (no inverse) costs |G|^2, but its rref costs |G|^3 (with per-pivot field
+# einsums when f > 1); they are only drawn on the small instances
 FULL_SUPPORT_MAX_COST = 150
 
 
@@ -56,14 +58,31 @@ def check_gamma_slices(alg):
 
 def dense_kernel(alg, x) -> Subspace:
     """The centralizer kernel from the dense |G|^2 operator, for any unit x."""
-    K = _linalg.right_kernel(alg.field, _conjugation_matrix_gamma(alg, x, alg.invert(x)))
+    K = _linalg.right_kernel(alg.field, _commutator_matrix_gamma(alg, x))
     return Subspace(alg.field, alg.gamma_expand(K), reduced=True)
+
+
+def assert_blocks_match_dense(alg, x):
+    """The orbit blocks of x in FB, placed at their coordinates, are the
+    dense operator entry for entry, with nothing off the blocks."""
+    coords = _orbit_blocks(alg)
+    l, m = coords.shape
+    block_of = np.empty(alg.gamma_dim(), dtype=np.int64)
+    block_of[coords] = np.arange(l)[:, None]
+    local = np.empty(alg.gamma_dim(), dtype=np.int64)
+    local[coords] = np.arange(m)
+    blocks = _commutator_blocks(alg, x, coords, block_of, local)
+    placed = np.zeros((alg.gamma_dim(), alg.gamma_dim()), dtype=np.int64)
+    for t in range(l):
+        placed[np.ix_(coords[t], coords[t])] = blocks[t]
+    assert np.array_equal(placed, _commutator_matrix_gamma(alg, x))
 
 
 def check_kernel(alg, x, s1, s2):
     rep = centralizer_in_gamma(alg, x)
     assert_reference(rep.kernel)
     if not x.coeffs[alg.q:].any():  # the orbit-block path against the dense one
+        assert_blocks_match_dense(alg, x)
         assert rep.kernel == dense_kernel(alg, x)  # basis and pivots
     assert rep.sym_dim == rep.kernel.intersect(s1).dim
     assert rep.skew_dim == rep.kernel.intersect(s2).dim
@@ -124,15 +143,31 @@ def test_config_bases_match_reference(name, config_instance):
 
 
 def test_gf49_block_weights_leave_the_prime_field(config_instance):
-    # the gf49 case above must exercise block weights x_i y_k outside GF(7)
+    # the gf49 case above must exercise block weights x_i outside GF(7)
     alg = config_instance("gf49").algebra
-    fld = alg.field
     units = sample_units(alg, np.random.default_rng(7))
-    weights = {fld.mul(int(xi), int(yk))
-               for name in ("fb", "fb_unitary")
-               for xi in units[name].coeffs[:alg.q]
-               for yk in alg.invert(units[name]).coeffs[:alg.q]}
-    assert any(w >= fld.p for w in weights)
+    weights = {int(xi) for name in ("fb", "fb_unitary") for xi in units[name].coeffs[:alg.q]}
+    assert any(w >= alg.field.p for w in weights)
+
+
+@pytest.mark.parametrize("name", ["c7", "gf49"])
+def test_dense_operator_matches_products(name, config_instance):
+    # column t of the dense operator is x e - e x for the gamma basis row e
+    # at coordinate t, read off its a != e coefficients
+    alg = config_instance(name).algebra
+    rng = np.random.default_rng(7)
+    b = alg.basis(alg.group.b())
+    z = alg.one() + alg.elem(centralizer_in_gamma(alg, b).kernel.basis[0])
+    units = {"vfg": random_unit_vfg(alg, rng), "vfg_unitary": random_unitary_vfg(alg, rng),
+             "bz": b * z}
+    gamma = alg.gamma_basis()
+    coords = np.array(gamma.pivots) - alg.q
+    for tag, x in units.items():
+        expect = np.zeros((alg.gamma_dim(), alg.gamma_dim()), dtype=np.int64)
+        for t, row in zip(coords, gamma.basis):
+            e = alg.elem(row)
+            expect[:, t] = (x * e - e * x).coeffs[alg.q:]
+        assert np.array_equal(_commutator_matrix_gamma(alg, x), expect), tag
 
 
 def test_inst31_block_kernel_of_b_matches_dense(inst31):

@@ -264,11 +264,24 @@ def test_fb_units_skip_the_dense_operator(alg21, b21, rep_b, monkeypatch):
     def dense(*args):
         raise AssertionError("dense operator built")
 
-    monkeypatch.setattr(unitgroup, "_conjugation_matrix_gamma", dense)
+    monkeypatch.setattr(unitgroup, "_commutator_matrix_gamma", dense)
     assert centralizer_in_gamma(alg21, b21).kernel == rep_b.kernel
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
     with pytest.raises(AssertionError, match="dense operator built"):
         centralizer_in_gamma(alg21, b21 * z)
+
+
+def test_centralizers_never_invert(alg21, b21, rep_b, monkeypatch):
+    # both paths solve x g - g x = 0, so neither needs x^-1
+    z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
+    dense = centralizer_in_gamma(alg21, b21 * z)
+
+    def refuse(self, x):
+        raise AssertionError("inverse computed")
+
+    monkeypatch.setattr(GroupAlgebra, "invert", refuse)
+    assert centralizer_in_gamma(alg21, b21).kernel == rep_b.kernel
+    assert centralizer_in_gamma(alg21, b21 * z).kernel == dense.kernel
 
 
 def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, monkeypatch):
