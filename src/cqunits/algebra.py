@@ -8,8 +8,9 @@ Both accumulate in float64 through one scatter-convolution helper, whose
 exactness bound is checked once when the algebra is built.
 
 The ideal generated by {a - 1 : a in A} is called gamma throughout; it
-is the kernel of the projection rho onto FB and is nilpotent, which is
-what makes geometric-series inversion and the Cayley transform work.
+is the kernel of the projection rho onto FB and is nilpotent, with an
+index read off the invariant factors of A.  That is what makes inversion
+by repeated squaring and the Cayley transform work.
 """
 
 from __future__ import annotations
@@ -233,7 +234,6 @@ class GroupAlgebra:
         self._gamma = None
         self._star_pairs = None
         self._sym_skew = None
-        self._nilpotency = None
 
     # --- element constructors ------------------------------------------------
 
@@ -324,26 +324,26 @@ class GroupAlgebra:
         return _linalg.solve_right(self.field, M, e0)
 
     def invert(self, x: AlgElem) -> AlgElem:
-        """Exact inverse: FB-inverse of rho(x), then a geometric series in gamma.
+        """Exact inverse: W = rho(x)^-1 in FB, then (x W)^-1 = (1 - g)^-1 by squaring.
 
         x is a unit of FG iff rho(x) is a unit of FB, because 1 + gamma
-        consists of units (gamma is nilpotent).
+        consists of units.  g = 1 - x W lies in gamma, so g^(2^k) = 0 once
+        2^k >= nilpotency_index(), and (1 - g)^-1 = prod_k (1 + g^(2^k)):
+        about 2 log2(N) products instead of N.
         """
         winv = self.fb_inverse_coeffs(x.rho_coeffs())
         if winv is None:
             raise NotAUnit("rho(x) is not invertible in FB")
         W = self.from_b_coeffs(winv)
-        u = x * W  # in 1 + gamma
-        neg_g = self.one() - u
+        g = self.one() - x * W
         inv_u = self.one()
-        term = self.one()
-        for _ in range(self.gamma_dim() + 2):
-            term = term * neg_g
-            if term.is_zero():
+        for _ in range(self.nilpotency_index().bit_length()):
+            if g.is_zero():
                 break
-            inv_u = inv_u + term
-        else:
-            raise NotAUnit("geometric series did not terminate")
+            inv_u = inv_u + inv_u * g
+            g = g * g
+        if not g.is_zero():
+            raise MathDomainError("1 - x rho(x)^-1 is not nilpotent within the index of gamma")
         result = W * inv_u
         if (x * result) != self.one():
             raise MathDomainError("computed inverse fails x * x^-1 = 1")
@@ -418,31 +418,14 @@ class GroupAlgebra:
         return self._sym_skew
 
     def nilpotency_index(self) -> int:
-        """Smallest N with gamma^N = 0, via radical powers inside FA."""
-        if self._nilpotency is None:
-            na = self.group.abelian.order
-            gens = []
-            for k in range(len(self.group.abelian.factors)):
-                v = np.zeros(na, dtype=np.int64)
-                v[self.group.elem([1 if i == k else 0
-                                   for i in range(len(self.group.abelian.factors))]).a_index] = 1
-                v[0] = self.field.neg(1)
-                gens.append(v)
-            basis = np.zeros((na - 1, na), dtype=np.int64)
-            basis[:, 1:] = np.eye(na - 1, dtype=np.int64)
-            basis[:, 0] = self.field.neg(1)
-            N = 1
-            R, piv = _linalg.rref(self.field, basis)
-            while R.shape[0]:
-                prods = [self._conv_a(R[i], g) for i in range(R.shape[0]) for g in gens]
-                R, piv = _linalg.rref(self.field, np.stack(prods))
-                N += 1
-            self._nilpotency = N
-        return self._nilpotency
+        """Smallest N with gamma^N = 0: 1 + sum_i (p^e_i - 1) over A = prod C_(p^e_i).
 
-    def _conv_a(self, u, v):
-        return self._reduce(self._scatter_conv(self._a_add_flat, self.group.abelian.order,
-                                               u, v))
+        A is normal, so omega(A) FG = FG omega(A) and gamma^N = omega(A)^N FG,
+        which vanishes exactly when omega(A)^N does in FA.  There
+        FA = F[x_1..x_r]/(x_i^(p^e_i)) with x_i = a_i - 1, whose top monomial
+        prod x_i^(p^e_i - 1) has degree sum_i (p^e_i - 1) (Jennings).
+        """
+        return 1 + sum(m - 1 for m in self.group.abelian.factors)
 
     def one_plus_gamma_exponent(self) -> int:
         """Smallest power p^k that annihilates 1 + gamma elementwise.

@@ -4,128 +4,31 @@ A field element c_0 + c_1 z + ... + c_{f-1} z^{f-1} is stored as the
 integer code sum(c_j * p**j) in [0, p^f).  Scalar work goes through
 FieldElem; bulk work uses the vectorized code-array helpers on FieldCtx
 (vadd/vsub/vmul/vneg), which the linear-algebra layer builds on.
-Inversion is by extended Euclid on polynomials, never by table lookup.
+Inversion is by extended Euclid on polynomials (sympy's galoistools, which
+also reduces the structure tensor and tests moduli for irreducibility),
+never by table lookup.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import sympy
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcdex, gf_irreducible_p, gf_rem, gf_strip
 
 from .errors import (CtxMismatch, MathDomainError, NotPrime, QDoesNotDivide,
                      ReducibleModulus, ZeroInverse)
 
 
-# ---------------------------------------------------------------------------
-# polynomial helpers over Z_p (coefficient lists, index = degree)
-
-def _ptrim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _ptrim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                   for i in range(n)])
-
-
-def _pscale(a, c, p):
-    return _ptrim([(x * c) % p for x in a])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] = (out[i + j] + x * y) % p
-    return _ptrim(out)
-
-
-def _pdivmod(a, b, p):
-    a = list(a)
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    inv_lead = pow(b[-1], -1, p)
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while len(a) >= len(b) and _ptrim(a):
-        d = len(a) - len(b)
-        c = (a[-1] * inv_lead) % p
-        q[d] = c
-        for i, y in enumerate(b):
-            a[i + d] = (a[i + d] - c * y) % p
-        _ptrim(a)
-    return _ptrim(q), _ptrim(a)
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _ppowmod(a, e, mod, p):
-    result = [1]
-    base = _pmod(a, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _pgcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        a = _pscale(a, pow(a[-1], -1, p), p)  # monic
-    return a
-
-
-def _pinvmod(a, mod, p):
-    """Inverse of a modulo mod via the extended Euclidean algorithm."""
-    r0, r1 = list(mod), _pmod(a, mod, p)
-    s0, s1 = [], [1]
-    while r1:
-        q, r = _pdivmod(r0, r1, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pscale(_pmul(q, s1, p), p - 1, p), p)
-    if len(r0) != 1:
-        raise ZeroInverse("element is not invertible")
-    c = pow(r0[0], -1, p)
-    return _pscale(s0, c, p)
+def _hi_lo(poly):
+    """Low-to-high coefficients -> the high-to-low, trimmed list galoistools takes."""
+    return gf_strip([int(c) for c in reversed(poly)])
 
 
 def _is_irreducible(poly, p):
-    """Irreducibility over Z_p: root search for degree <= 3, Rabin's test above."""
-    poly = _ptrim(list(poly))
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
-    if deg <= 3:
-        # a polynomial of degree 2 or 3 is reducible iff it has a root
-        return all(_peval(poly, x, p) != 0 for x in range(p))
-    x = [0, 1]
-    if _ptrim(_padd(_ppowmod(x, p ** deg, poly, p), _pscale(x, p - 1, p), p)):
-        return False
-    for r in sympy.primefactors(deg):
-        h = _padd(_ppowmod(x, p ** (deg // r), poly, p), _pscale(x, p - 1, p), p)
-        if len(_pgcd(h, poly, p)) != 1:
-            return False
-    return True
-
-
-def _peval(poly, x, p):
-    acc = 0
-    for c in reversed(poly):
-        acc = (acc * x + c) % p
-    return acc
+    """Irreducibility over Z_p of a polynomial given low-to-high; constants are not."""
+    hl = _hi_lo([c % p for c in poly])
+    return len(hl) > 1 and gf_irreducible_p(hl, p, ZZ)
 
 
 # ---------------------------------------------------------------------------
@@ -222,15 +125,13 @@ class FieldCtx:
         self.order = self.size - 1
         self.signature = (p, f, self.modulus)
         self._order_factors = tuple(sorted(sympy.factorint(self.order)))
+        self._modulus_hl = _hi_lo(self.modulus)
         # structure tensor: z^i * z^j = sum_k T[i,j,k] z^k  (mod modulus)
-        red = []
-        for d in range(2 * f - 1):
-            r = _pmod([0] * d + [1], list(self.modulus), p)
-            red.append([r[k] if k < len(r) else 0 for k in range(f)])
         T = np.zeros((f, f, f), dtype=np.int64)
         for i in range(f):
             for j in range(f):
-                T[i, j] = red[i + j]
+                r = gf_rem([1] + [0] * (i + j), self._modulus_hl, p, ZZ)[::-1]
+                T[i, j, :len(r)] = r
         self._tensor = T
         self._powers_of_p = p ** np.arange(f, dtype=np.int64)
         self.zeta = FieldElem(self, zeta_code if zeta_code is not None else self._find_zeta())
@@ -252,8 +153,12 @@ class FieldCtx:
         return FieldElem(self, int(code) % self.size)
 
     def from_coeffs(self, coeffs) -> FieldElem:
+        coeffs = list(coeffs)
+        if len(coeffs) > self.f:
+            raise MathDomainError(f"an element of GF({self.p}^{self.f}) has at most {self.f} "
+                                  f"coefficients, got {len(coeffs)}")
         code = 0
-        for c in reversed(list(coeffs)):
+        for c in reversed(coeffs):
             code = code * self.p + (int(c) % self.p)
         return FieldElem(self, code)
 
@@ -302,8 +207,11 @@ class FieldCtx:
             raise ZeroInverse("0 has no multiplicative inverse")
         if self.f == 1:
             return pow(a, -1, self.p)
-        inv = _pinvmod(list(FieldElem(self, a).coeffs), list(self.modulus), self.p)
-        return self.from_coeffs(inv + [0] * (self.f - len(inv))).code
+        # extended Euclid: s a + t modulus = h, the monic gcd
+        s, _, h = gf_gcdex(_hi_lo(FieldElem(self, a).coeffs), self._modulus_hl, self.p, ZZ)
+        if h != [1]:
+            raise ZeroInverse("element is not invertible")
+        return self.from_coeffs(s[::-1]).code
 
     def pow(self, a: int, e: int) -> int:
         a, e = int(a), int(e)

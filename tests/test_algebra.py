@@ -16,6 +16,36 @@ def alg49():
     return GroupAlgebra(f49, make_group(f49, 3, [7], [[2]]))
 
 
+@pytest.fixture(scope="module")
+def alg_c7sq(f7):
+    # A = C_7 x C_7 over GF(7): nilpotency index 1 + 6 + 6 = 13
+    return GroupAlgebra(f7, make_group(f7, 3, [7, 7], [[2, 0], [0, 4]]))
+
+
+@pytest.fixture(scope="module")
+def alg_c49(f7):
+    # A = C_49 (an exponent e = 2) over GF(7), 18^3 = 1 mod 49: index 49
+    return GroupAlgebra(f7, make_group(f7, 3, [49], [[18]]))
+
+
+def radical_power_nilpotency(alg):
+    """Independent oracle: smallest N with omega(A)^N = 0, each power row
+    reduced inside FA lifted into FG (coefficients on the b^0 slice)."""
+    q, na = alg.q, alg.group.abelian.order
+    one = alg.one().coeffs
+    gens = [alg.field.vsub(alg.basis(alg.group.generator(k + 1)).coeffs, one)
+            for k in range(len(alg.group.abelian.factors))]
+    rows = np.zeros((na - 1, alg.order), dtype=np.int64)  # a - 1 for every a != e
+    rows[np.arange(na - 1), q * np.arange(1, na)] = 1
+    rows[:, 0] = alg.field.neg(1)
+    R, _ = L.rref(alg.field, rows)
+    N = 1
+    while R.shape[0]:
+        R, _ = L.rref(alg.field, np.stack([alg.mul_coeffs(r, g) for r in R for g in gens]))
+        N += 1
+    return N
+
+
 def regular_rep_inverse(alg, x):
     """Independent oracle: invert the left-multiplication matrix column of 1."""
     n = alg.order
@@ -165,9 +195,9 @@ def test_invert_examples(alg21):
         alg21.invert(ahat)
 
 
-def test_invert_against_regular_representation(alg21, alg49, rng):
+def test_invert_against_regular_representation(alg21, alg49, alg_c49, rng):
     # the spec's regular-representation solve, kept as an oracle
-    for alg in (alg21, alg49):
+    for alg in (alg21, alg49, alg_c49):
         for _ in range(10):
             x = random_elem(alg, rng)
             oracle = regular_rep_inverse(alg, x)
@@ -178,11 +208,53 @@ def test_invert_against_regular_representation(alg21, alg49, rng):
                 assert alg.invert(x) == oracle
 
 
+def test_invert_is_log_depth(inst19, config_instance, rng, monkeypatch):
+    # (1 - g)^-1 by squaring: at most 2 per bit of N, plus x W, W (1 - g)^-1
+    # and the x x^-1 = 1 check
+    for alg in (inst19.algebra, config_instance("gf49").algebra):
+        bound = 2 * alg.nilpotency_index().bit_length() + 3
+        units = [x for x in (random_elem(alg, rng) for _ in range(8)) if x.is_unit()][:3]
+        assert units
+        calls = []
+        mul = alg.mul_coeffs
+
+        def counting_mul(x, y):
+            calls.append(1)
+            return mul(x, y)
+
+        monkeypatch.setattr(alg, "mul_coeffs", counting_mul)
+        for x in units:
+            calls.clear()
+            alg.invert(x)  # checks x x^-1 = 1 itself
+            assert 0 < len(calls) <= bound
+
+
+def test_invert_reports_non_nilpotent_gamma(alg21, monkeypatch):
+    # a wrong index is caught as a raised error, not a silent wrong inverse
+    a = alg21.basis(alg21.group.generator(1))
+    monkeypatch.setattr(alg21, "nilpotency_index", lambda: 1)
+    with pytest.raises(MathDomainError, match="not nilpotent"):
+        alg21.invert(a + a)
+
+
 def test_unit_iff_rho_unit(alg21, rng):
     # v is a unit of FG iff rho(v) is a unit of FB (gamma is nilpotent)
     for _ in range(100):
         x = random_elem(alg21, rng)
         assert x.is_unit() == (regular_rep_inverse(alg21, x) is not None)
+
+
+def test_nilpotency_index_against_radical_powers(inst7, inst19, inst11, alg_c7sq, alg_c49):
+    for alg, N in ((inst7.algebra, 7), (inst19.algebra, 19), (inst11.algebra, 11),
+                   (alg_c7sq, 13), (alg_c49, 49)):
+        assert alg.nilpotency_index() == N
+        assert radical_power_nilpotency(alg) == N
+
+
+def test_nilpotency_index_closed_form(config_instance, inst31):
+    # 1 + sum (p^e_i - 1), on instances too large for the radical-power oracle
+    assert config_instance("gf49").algebra.nilpotency_index() == 13
+    assert inst31.algebra.nilpotency_index() == 61
 
 
 def test_one_plus_gamma_exponent(alg21, alg49):

@@ -145,3 +145,42 @@ def test_no_irreducible_modulus_is_an_error(monkeypatch):
     monkeypatch.setattr("cqunits.field._is_irreducible", lambda poly, p: False)
     with pytest.raises(MathDomainError, match="no monic irreducible of degree 2"):
         make_field(7, 2)
+
+
+def gauss_count(p, f):
+    # monic irreducibles of degree f over Z_p: (1/f) sum_{d | f} mu(d) p^(f/d)
+    import sympy
+    return sum(sympy.mobius(d) * p ** (f // d) for d in sympy.divisors(f)) // f
+
+
+def test_default_moduli_zeta_and_inverses_pinned():
+    # the default modulus is the smallest irreducible one and zeta the first
+    # primitive code: every field code a report prints depends on both
+    for (p, f), modulus, zeta in (((7, 2), (1, 0, 1), 9), ((3, 4), (2, 1, 0, 0, 1), 3),
+                                  ((5, 3), (1, 1, 0, 1), 9), ((31, 2), (1, 0, 1), 35)):
+        fld = make_field(p, f)
+        assert fld.modulus == modulus and fld.zeta.code == zeta
+        for a in range(1, fld.size):
+            assert fld.mul(a, fld.inv(a)) == 1
+    for (p, f), expected in (((3, 4), 18), ((5, 3), 40), ((7, 2), 21), ((3, 5), 48)):
+        found = sum(_is_irreducible([(c // p ** j) % p for j in range(f)] + [1], p)
+                    for c in range(p ** f))
+        assert found == gauss_count(p, f) == expected
+
+
+def test_irreducibility_edge_cases():
+    assert not _is_irreducible([3], 7)  # constants are not irreducible
+    assert not _is_irreducible([0, 0, 0], 7)
+    assert _is_irreducible([5, 1], 7)  # every linear polynomial is
+    assert _is_irreducible([1, 0, 1, 0, 0], 7)  # trailing zeros are trimmed
+
+
+def test_from_coeffs_rejects_too_many_coefficients(f7, f49):
+    # more than f coefficients used to give a code outside [0, p^f)
+    for fld in (f7, f49):
+        with pytest.raises(MathDomainError, match="at most"):
+            fld.from_coeffs([1, 2, 3])
+        with pytest.raises(MathDomainError, match="at most"):
+            fld.elem([1, 2, 3])
+    assert f49.elem([1, 2]).code == 15 and f49.elem([3]).code == 3
+    assert f7.elem([4]).code == 4
