@@ -1,11 +1,13 @@
 """The group algebra FG as an exact dense coefficient ring.
 
 AlgElem holds one length-|G| array of field codes indexed by the group
-element index.  Products run through exact integer scatter-adds: small
-groups use the full multiplication table, larger ones convolve the q
-A-slices through the A-addition table so no |G| x |G| table is needed.
-Both accumulate in float64 through one scatter-convolution helper, whose
-exactness bound is checked once when the algebra is built.
+element index.  Small groups multiply through the full multiplication
+table with exact float64 scatter-adds (`_scatter_conv`).  Larger ones use
+the FFT: A is indexed row-major over its invariant factors, so a product
+in FA is a multi-dimensional cyclic convolution, and sigma^i carries the
+product of two B-slots into FA (`_mul_fft`).  Both routes carry exactness
+bounds checked when the algebra is built, and every FFT product also
+checks its rounding distances against its bound.
 
 The ideal generated by {a - 1 : a in A} is called gamma throughout; it
 is the kernel of the projection rho onto FB and is nilpotent, with an
@@ -14,6 +16,8 @@ by repeated squaring and the Cayley transform work.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -215,22 +219,58 @@ class AlgElem:
         return " + ".join(parts) if parts else "0"
 
 
+_EPS = 2.0 ** -53  # float64 unit roundoff
+
+
+def fft_error_bound(magnitude: int, axis_lengths, f: int) -> float:
+    """A-priori bound on the rounding error of one `_mul_fft` convolution.
+
+    After Percival (Math. Comp. 72, 2003): a length-2^n FFT convolution
+    of x and y in float64 is off by less than
+    |x| |y| ((1 + e)^3n (1 + e sqrt 5)^(3n+1) (1 + b)^3n - 1) in the
+    Euclidean norm, e the unit roundoff and b the error of the twiddle
+    factors (b = e: pocketfft computes them to within an ulp).  Here
+    |x| |y| <= `magnitude` = (p - 1)^2 |A| times the largest tensor column
+    sum.  n is taken as the sum of the axis lengths, not of their logs,
+    because pocketfft runs prime-radix passes as direct DFTs; f^2 more
+    factors (1 + e) cover the tensor sum between the transforms.
+    """
+    n = sum(axis_lengths)
+    log_growth = (6 * n + f * f) * math.log1p(_EPS) + (3 * n + 1) * math.log1p(_EPS * 5 ** 0.5)
+    return magnitude * math.expm1(log_growth)
+
+
 class GroupAlgebra:
     """Pairing of a FieldCtx with a GroupSpec, with cached mult machinery."""
 
     def __init__(self, field: FieldCtx, group: GroupSpec):
+        """Refuses (BudgetExceeded) an algebra whose products could be inexact.
+
+        Both product routes are checked, so either may be called.  The table
+        path's float64 sums must stay below 2^53.  For `_mul_fft`, the bound
+        `fft_error_bound` on the rounding error of one convolution must stay
+        below 1/4, so that rounding to the nearest integer is exact; it
+        depends on p, |A|, the axis lengths of A, the field tensor and the
+        float64 unit roundoff.
+        """
         self.field = field
         self.group = group
         self.order = group.order
         self.q = group.q
         self.inv2 = field.from_code(field.inv(2))
-        # the largest float64 sum in _scatter_conv: |G| products of digits < p,
-        # each spread over the field tensor's entries (a single 1 when f = 1)
-        bound = (field.p - 1) ** 2 * self.order * int(field._tensor.sum(axis=(0, 1)).max())
+        # each product digit sums products of digits < p, each spread over the
+        # field tensor's entries (a single 1 when f = 1): |G| of them in
+        # _scatter_conv, |A| in each convolution of _mul_fft
+        spread = int(field._tensor.sum(axis=(0, 1)).max())
+        bound = (field.p - 1) ** 2 * self.order * spread
         if bound >= _linalg._F64_LIMIT:
             raise BudgetExceeded(f"FG products would sum up to {bound}, past exact float64")
+        self._fft_bound = fft_error_bound((field.p - 1) ** 2 * group.abelian.order * spread,
+                                          group.abelian.factors, field.f)
+        if self._fft_bound >= 0.25:
+            raise BudgetExceeded(f"FFT products could be off by {self._fft_bound:.3g}, "
+                                 "past the 1/4 that rounding corrects")
         self._mul_flat = group.mul_table.ravel() if group.mul_table is not None else None
-        self._a_add_flat = group.a_add.ravel()
         self._gamma = None
         self._star_pairs = None
         self._sym_skew = None
@@ -271,11 +311,12 @@ class GroupAlgebra:
     def mul_coeffs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self._mul_flat is not None:
             return self._mul_table_path(x, y)
-        return self._mul_slice_path(x, y)
+        return self._mul_fft(x, y)
 
     def _scatter_conv(self, index, size, x, y) -> np.ndarray:
         """Float64 sums of x[g] y[h] at index[g * len(y) + h], unreduced: shape
-        (size,) for f = 1, else (size, f) digits; __init__ bounds them exactly."""
+        (size,) for f = 1, else (size, f) digits.  The table path's only
+        accumulation; __init__ bounds its sums below 2^53, so they are exact."""
         f = self.field.f
         if f == 1:
             return np.bincount(index, weights=np.outer(x, y).ravel().astype(np.float64),
@@ -285,31 +326,48 @@ class GroupAlgebra:
         return np.stack([np.bincount(index, weights=O[:, :, k].ravel().astype(np.float64),
                                      minlength=size) for k in range(f)], axis=1)
 
-    def _reduce(self, sums: np.ndarray) -> np.ndarray:
-        """Field codes of exact float64 sums from `_scatter_conv`."""
-        digits = np.rint(sums).astype(np.int64) % self.field.p
-        return digits if self.field.f == 1 else self.field.encode(digits)
-
     def _mul_table_path(self, x, y):
-        return self._reduce(self._scatter_conv(self._mul_flat, self.order, x, y))
+        digits = np.rint(self._scatter_conv(self._mul_flat, self.order, x, y)).astype(np.int64)
+        return self.field.encode(digits) if self.field.f > 1 else digits % self.field.p
 
-    def _mul_slice_path(self, x, y):
-        q, na = self.q, self.group.abelian.order
-        xs = x.reshape(na, q)
-        ys = y.reshape(na, q)
+    def _mul_fft(self, x, y):
+        """x y as q^2 cyclic convolutions over A's invariant-factor axes.
+
+        x_i a b^i * y_j c b^j = sigma^-i(sigma^i(a) + c) b^(i+j): slot i of x
+        is carried through sigma^i, convolved in FA with every slot j of y,
+        and the result carried back through sigma^-i into slot i + j.  One
+        batched rfftn transforms the q slots of x, one those of y, and one
+        batched irfftn per nonzero slot i of x inverts its q products.  For
+        f > 1 the f digit planes are transformed and combined with the field
+        tensor in the frequency domain.  The rounding distances are checked
+        against the a-priori bound of __init__ (MathDomainError past it).
+        """
+        q, f = self.q, self.field.f
+        shape = self.group.abelian.factors
+        na, axes = self.group.abelian.order, tuple(range(2, 2 + len(shape)))
         sig = self.group.sigma_pows
-        acc = np.zeros((q, na) + ((self.field.f,) if self.field.f > 1 else ()))
-        for i in range(q):
-            xi = xs[:, i]
-            if not xi.any():
-                continue
-            Yp = np.empty_like(ys)
-            Yp[sig[(q - i) % q]] = ys
-            for j in range(q):
-                yj = Yp[:, j]
-                if yj.any():
-                    acc[(i + j) % q] += self._scatter_conv(self._a_add_flat, na, xi, yj)
-        return self._reduce(acc).T.reshape(self.order)
+
+        def planes(c):  # (q, f, |A|): slot, digit, element of A
+            return np.moveaxis(self.field.decode(c.reshape(na, q)), 0, -1)
+
+        X, Y = planes(x), planes(y)
+        X = np.stack([X[i][:, sig[-i]] for i in range(q)])  # sigma^i(x_i)
+        FX = np.fft.rfftn(X.reshape(q, f, *shape), axes=axes)
+        FY = np.fft.rfftn(Y.reshape(q, f, *shape), axes=axes)
+        acc = np.zeros((q, f, na), dtype=np.int64)
+        worst = 0.0
+        for i in np.flatnonzero(X.any(axis=(1, 2))):
+            P = (FX[i] * FY if f == 1
+                 else np.einsum("u...,jv...,uvk->jk...", FX[i], FY, self.field._tensor))
+            R = np.fft.irfftn(P, s=shape, axes=axes).reshape(q, f, na)
+            Z = np.rint(R)
+            worst = max(worst, float(np.abs(R - Z).max()))
+            acc += np.roll(Z.astype(np.int64)[:, :, sig[i]], i, axis=0)  # sigma^-i, slot i + j
+        if worst > self._fft_bound:
+            raise MathDomainError(f"FFT product rounding distance {worst:.3g} exceeds "
+                                  f"its bound {self._fft_bound:.3g}")
+        codes = self.field.encode(np.moveaxis(acc, 1, -1))  # (q, |A|)
+        return codes.T.reshape(self.order)
 
     # --- inversion --------------------------------------------------------------
 

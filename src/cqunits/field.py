@@ -3,7 +3,9 @@
 A field element c_0 + c_1 z + ... + c_{f-1} z^{f-1} is stored as the
 integer code sum(c_j * p**j) in [0, p^f).  Scalar work goes through
 FieldElem; bulk work uses the vectorized code-array helpers on FieldCtx
-(vadd/vsub/vmul/vneg), which the linear-algebra layer builds on.
+(vadd/vsub/vmul/vneg), which the linear-algebra layer builds on; for
+f > 1, vmul multiplies through log/antilog tables of zeta, built on first
+use from the structure tensor.
 Inversion is by extended Euclid on polynomials (sympy's galoistools, which
 also reduces the structure tensor and tests moduli for irreducibility),
 never by table lookup.
@@ -30,6 +32,9 @@ def _is_irreducible(poly, p):
     hl = _hi_lo([c % p for c in poly])
     return len(hl) > 1 and gf_irreducible_p(hl, p, ZZ)
 
+
+# f > 1 fields up to this size multiply through log tables (5 int64 per element)
+_LOG_TABLE_LIMIT = 2 ** 20
 
 # ---------------------------------------------------------------------------
 
@@ -113,8 +118,10 @@ class FieldElem:
 class FieldCtx:
     """GF(p^f) with a fixed irreducible modulus and primitive element.
 
-    Immutable after construction; every operation is a pure function of
-    integer codes, so contexts are safe to share across threads.
+    Immutable after construction apart from the log tables that the first
+    f > 1 vmul caches (two threads racing there build the same tables);
+    every operation is a pure function of integer codes, so contexts are
+    safe to share across threads.
     """
 
     def __init__(self, p: int, f: int, modulus: tuple[int, ...], zeta_code: int | None = None):
@@ -134,6 +141,7 @@ class FieldCtx:
                 T[i, j, :len(r)] = r
         self._tensor = T
         self._powers_of_p = p ** np.arange(f, dtype=np.int64)
+        self._logs = None
         self.zeta = FieldElem(self, zeta_code if zeta_code is not None else self._find_zeta())
 
     # --- scalar ops on codes -----------------------------------------------
@@ -255,10 +263,38 @@ class FieldCtx:
         return self.encode(-self.decode(a))
 
     def vmul(self, a, b):
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.f == 1:
-            return (np.asarray(a, dtype=np.int64) * np.asarray(b, dtype=np.int64)) % self.p
+            return (a * b) % self.p
+        if self.size > _LOG_TABLE_LIMIT:
+            return self._vmul_tensor(a, b)
+        log, antilog = self._log_tables()
+        return antilog[log[a] + log[b]]
+
+    def _vmul_tensor(self, a, b):
+        """Products through the structure tensor; builds the log tables and
+        is their test oracle."""
         da, db = np.broadcast_arrays(self.decode(a), self.decode(b))
         return self.encode(np.einsum("...i,...j,ijk->...k", da, db, self._tensor))
+
+    def _log_tables(self):
+        """(log, antilog) of zeta, built on the first f > 1 vmul.
+
+        antilog[k] = zeta^k for 0 <= k < 2 (p^f - 1), then zeros; log[0]
+        points past the powers, so a product with a zero operand reads 0.
+        """
+        if self._logs is None:
+            n = self.order
+            powers = np.ones(1, dtype=np.int64)
+            while powers.size < n:  # double the run zeta^0 .. zeta^(k-1) by zeta^k
+                step = self._vmul_tensor(powers[-1], self.zeta.code)
+                powers = np.concatenate([powers, self._vmul_tensor(powers, step)])
+            powers = powers[:n]
+            log = np.empty(self.size, dtype=np.int64)
+            log[powers] = np.arange(n)
+            log[0] = 2 * n
+            self._logs = (log, np.concatenate([powers, powers, np.zeros(2 * n + 1, np.int64)]))
+        return self._logs
 
     def vsum(self, a, axis):
         if self.f == 1:

@@ -3,7 +3,10 @@
 The conjugation convention is sigma(a) = b^-1 a b, so a*b = b*sigma(a)
 and (a b^i)(c b^j) = (a sigma^-i(c)) b^(i+j).  Elements are indexed by
 g = a_index * q + j for g = a b^j, with A enumerated in mixed-radix
-order of exponent tuples (last invariant factor fastest).
+order of exponent tuples (last invariant factor fastest).  That is
+row-major order over the invariant factors, so FA is a multi-dimensional
+cyclic convolution ring on those axes (see `algebra`).  Index products add
+exponent tuples directly; there is no |A| x |A| addition table.
 """
 
 from __future__ import annotations
@@ -148,7 +151,9 @@ class GroupSpec:
     """Validated G = A x| <b> with all index machinery precomputed.
 
     Immutable after construction; `a_exps`, the sigma permutations and the
-    multiplication tables are plain arrays shared by every element.
+    inversion permutation are plain arrays shared by every element.  Products
+    of indices add exponent rows (`_mul_idx_arrays`); only groups up to
+    `_FULL_TABLE_LIMIT` also cache the full |G| x |G| `mul_table`.
     """
 
     _FULL_TABLE_LIMIT = 1500
@@ -167,7 +172,9 @@ class GroupSpec:
         self.a_exps = np.stack(np.unravel_index(a_idx, abelian.factors), axis=1)
 
         def encode(exps):
-            return np.ravel_multi_index(tuple((exps % facs).T), abelian.factors)
+            """Index of each exponent row along the last axis, reduced mod the factors."""
+            return np.ravel_multi_index(tuple(np.moveaxis(exps % facs, -1, 0)),
+                                        abelian.factors)
 
         self._encode_a = encode
 
@@ -195,11 +202,6 @@ class GroupSpec:
         self.inv_perm = self.sigma_pows[gj, a_inv[ga]] * q + (q - gj) % q
 
     @cached_property
-    def a_add(self) -> np.ndarray:
-        """|A| x |A| index table of the A-addition; built on first algebra use."""
-        return self._encode_a(self.a_exps[:, None, :] + self.a_exps[None, :, :])
-
-    @cached_property
     def mul_table(self):
         """Full |G| x |G| index table for small groups, None above the cutoff."""
         if self.order > self._FULL_TABLE_LIMIT:
@@ -213,7 +215,7 @@ class GroupSpec:
         a1, i = g1 // q, g1 % q
         a2, j = g2 // q, g2 % q
         c = self.sigma_pows[(q - i) % q, a2]  # sigma^-i applied to the A part
-        return self.a_add[a1, c] * q + (i + j) % q
+        return self._encode_a(self.a_exps[a1] + self.a_exps[c]) * q + (i + j) % q
 
     def mul_idx(self, g1, g2):
         if self.mul_table is not None and np.isscalar(g1) and np.isscalar(g2):

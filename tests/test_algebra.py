@@ -3,7 +3,9 @@ import pytest
 
 from cqunits import GroupAlgebra, Subspace, kernel_of, make_field, make_group
 from cqunits import _linalg as L
+from cqunits import algebra
 from cqunits.errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
+from cqunits.verifier import make_instance
 
 
 def random_elem(alg, rng):
@@ -76,12 +78,95 @@ def test_mul_lifted_idempotents_orthogonal(alg21):
     assert e0 * e0 == e0
 
 
-def test_mul_table_vs_slice_paths(alg21, rng):
+def test_mul_table_vs_fft_paths(alg21, rng):
     # the two product routes must agree
     for _ in range(50):
         x, y = random_elem(alg21, rng), random_elem(alg21, rng)
         assert np.array_equal(alg21._mul_table_path(x.coeffs, y.coeffs),
-                              alg21._mul_slice_path(x.coeffs, y.coeffs))
+                              alg21._mul_fft(x.coeffs, y.coeffs))
+
+
+def mul_reference(alg, x, y):
+    """Independent oracle for x y: every product of a support element of x
+    with every g in G, indexed by GroupSpec._mul_idx_arrays and summed in int64."""
+    field = alg.field
+    g = np.flatnonzero(x)
+    idx = alg.group._mul_idx_arrays(g[:, None], np.arange(alg.order)[None, :])
+    prods = field.decode(field._vmul_tensor(x[g][:, None], y[None, :]))
+    acc = np.zeros((alg.order, field.f), dtype=np.int64)
+    np.add.at(acc, idx.ravel(), prods.reshape(-1, field.f))
+    return field.encode(acc)
+
+
+def sparse_elem(alg, rng, size=12):
+    coeffs = np.zeros(alg.order, dtype=np.int64)
+    coeffs[rng.choice(alg.order, size, replace=False)] = rng.integers(1, alg.field.size, size)
+    return alg.elem(coeffs)
+
+
+@pytest.fixture(scope="module")
+def alg_c31sq(inst31):
+    return inst31.algebra
+
+
+@pytest.fixture(scope="module")
+def alg_gf49_c7e4():
+    # |G| = 7203, f = 2: above the table limit with a nontrivial field tensor
+    return make_instance(7, 2, 3, [7] * 4, np.diag([2, 4, 2, 4]), modulus=[1, 0, 1]).algebra
+
+
+@pytest.mark.parametrize("name", ["alg_c31sq", "alg_gf49_c7e4"])
+def test_mul_fft_against_index_reference(name, request, rng):
+    alg = request.getfixturevalue(name)
+    assert alg._mul_flat is None  # mul_coeffs is the FFT product here
+    for _ in range(2):
+        x, y = sparse_elem(alg, rng), random_elem(alg, rng)
+        assert np.array_equal(alg._mul_fft(x.coeffs, y.coeffs),
+                              mul_reference(alg, x.coeffs, y.coeffs))
+        x, y, z = (random_elem(alg, rng) for _ in range(3))
+        assert (x * y) * z == x * (y * z)
+        assert x * alg.one() == x and alg.one() * x == x
+
+
+def test_mul_fft_checks_rounding(alg21, monkeypatch):
+    # a transform off by 0.4 is caught by the per-product distance check
+    x = alg21.basis(alg21.group.generator(1)).coeffs
+    irfftn = np.fft.irfftn
+    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + 0.4)
+    with pytest.raises(MathDomainError, match="rounding distance"):
+        alg21._mul_fft(x, x)
+
+
+def test_fft_exactness_bound(f7, monkeypatch):
+    # C_10009 x| C_3: the conservative bound (axis length 10009) passes 1/4
+    f = make_field(10009)
+    w = next(w for w in range(2, 10009) if pow(w, 3, 10009) == 1)
+    with pytest.raises(BudgetExceeded, match="FFT"):
+        GroupAlgebra(f, make_group(f, 3, [10009], [[w]]))
+    # and a machine epsilon that pushes the c7 bound to 1/4 refuses it too
+    group = make_group(f7, 3, [7], [[2]])
+    scale = 0.25 / GroupAlgebra(f7, group)._fft_bound
+    monkeypatch.setattr(algebra, "_EPS", algebra._EPS * scale * 1.01)
+    with pytest.raises(BudgetExceeded, match="FFT"):
+        GroupAlgebra(f7, group)
+    monkeypatch.setattr(algebra, "_EPS", algebra._EPS / 1.01 * 0.99)
+    GroupAlgebra(f7, group)
+
+
+def test_gf81_c3e8_builds_and_multiplies(rng):
+    # GF(3^4), A = C_3^8, q = 5, |G| = 32805: the A-addition table this used
+    # to build was 2.57 GiB; the FFT product needs no table at all
+    C = [[0, 0, 0, 2], [1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, 2]]  # x^4 + x^3 + x^2 + x + 1
+    action = np.kron(np.eye(2, dtype=np.int64), C)
+    alg = make_instance(3, 4, 5, [3] * 8, action).algebra
+    G = alg.group
+    assert alg.order == 32805 and alg._mul_flat is None
+    x = random_elem(alg, rng)
+    assert x * alg.one() == x
+    s = sparse_elem(alg, rng)
+    assert np.array_equal((s * x).coeffs, mul_reference(alg, s.coeffs, x.coeffs))
+    g, h = G.elem([1, 0, 2, 0, 0, 1, 1, 2], 3), G.elem([0, 2, 1, 1, 0, 0, 2, 1], 4)
+    assert alg.basis(g) * alg.basis(h) == alg.basis(g * h)
 
 
 def test_mul_associative_random(alg21, alg49, rng):

@@ -184,3 +184,23 @@ def test_from_coeffs_rejects_too_many_coefficients(f7, f49):
             fld.elem([1, 2, 3])
     assert f49.elem([1, 2]).code == 15 and f49.elem([3]).code == 3
     assert f7.elem([4]).code == 4
+
+
+@pytest.mark.parametrize("p,f", [(7, 2), (3, 4), (5, 3), (31, 2)])
+def test_vmul_log_tables_match_tensor(p, f):
+    # every pair of elements, zero included, against the structure-tensor einsum
+    fld = make_field(p, f)
+    a = np.arange(fld.size)
+    assert fld._logs is None  # built on the first product, not with the field
+    got = fld.vmul(a[:, None], a[None, :])
+    assert np.array_equal(got, fld._vmul_tensor(a[:, None], a[None, :]))
+    assert not got[0].any() and not got[:, 0].any()
+
+
+def test_vmul_above_log_table_limit_uses_tensor(monkeypatch):
+    from cqunits import field as F
+    monkeypatch.setattr(F, "_LOG_TABLE_LIMIT", 48)
+    fld = make_field(7, 2)
+    a = np.arange(fld.size)
+    assert np.array_equal(fld.vmul(a, a[::-1]), fld._vmul_tensor(a, a[::-1]))
+    assert fld._logs is None

@@ -5,8 +5,8 @@ without row reduction, and the involution on gamma is checked against
 `AlgElem.star`; the reference is `Subspace(field, rows)`, which
 row reduces whatever rows it is given.  Kernels of units in FB come from
 the orbit blocks; they are also compared with the kernel of the dense
-operator, and each block entrywise with the dense operator.  Instances
-are drawn with p <= 13, q | p - 1, A = C_p or C_p^2 and action
+operator, and each block entrywise with the dense operator.  The FFT
+product is checked against the full-table product.  Instances are drawn with p <= 13, q | p - 1, A = C_p or C_p^2 and action
 diag(w^e1, w^e2).
 """
 
@@ -128,6 +128,30 @@ def check_all(alg, seed):
             rep = reps[name]
             assert rep.star_closed and rep.sym_dim + rep.skew_dim == rep.dim
     assert sqrt_relation_check(alg, reps["fb_unitary"].x, reps["fb_unitary"])
+
+
+def check_fft_product(alg, seed):
+    """_mul_fft against the full-table product, associative, with 1 as identity."""
+    rng = np.random.default_rng(seed)
+    fft = alg._mul_fft
+    x, y, z = (rng.integers(0, alg.field.size, alg.order) for _ in range(3))
+    assert np.array_equal(fft(x, y), alg._mul_table_path(x, y))
+    assert np.array_equal(fft(fft(x, y), z), fft(x, fft(y, z)))
+    one = alg.one().coeffs
+    assert np.array_equal(fft(x, one), x) and np.array_equal(fft(one, x), x)
+
+
+@settings(max_examples=10, deadline=None, database=None)
+@given(instances())
+def test_fft_product_matches_table(case):
+    inst, seed = case
+    check_fft_product(inst.algebra, seed)
+
+
+@pytest.mark.parametrize("name", ["c7", "f11c5", "c19", "gf49"])
+def test_config_fft_product_matches_table(name, config_instance):
+    for seed in range(5):
+        check_fft_product(config_instance(name).algebra, seed)
 
 
 @settings(max_examples=10, deadline=None, database=None)
