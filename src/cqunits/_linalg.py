@@ -21,6 +21,7 @@ import numpy as np
 
 _F32_LIMIT = 2 ** 24
 _F64_LIMIT = 2 ** 53
+_RREF_BATCH = 160  # rows reduced per BLAS update in _rref_prime
 
 
 def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -54,13 +55,13 @@ def matmul_mod(ctx, A, B) -> np.ndarray:
     return out
 
 
-def _rref_prime(ctx, M: np.ndarray, batch: int = 160) -> tuple[np.ndarray, list[int]]:
+def _rref_prime(ctx, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     p = ctx.p
     m, n = M.shape
     R = np.zeros((0, n), dtype=np.int64)
     pivots: list[int] = []
-    for lo in range(0, m, batch):
-        U = M[lo:lo + batch] % p
+    for lo in range(0, m, _RREF_BATCH):
+        U = M[lo:lo + _RREF_BATCH] % p
         if pivots:
             U = (U - _mm_prime(p, U[:, pivots], R)) % p
         Ur, Upiv = _rref_generic(ctx, np.ascontiguousarray(U))

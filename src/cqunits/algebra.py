@@ -1,13 +1,14 @@
 """The group algebra FG as an exact dense coefficient ring.
 
 AlgElem holds one length-|G| array of field codes indexed by the group
-element index.  Small groups multiply through the full multiplication
-table with exact float64 scatter-adds (`_scatter_conv`).  Larger ones use
-the FFT: A is indexed row-major over its invariant factors, so a product
-in FA is a multi-dimensional cyclic convolution, and sigma^i carries the
-product of two B-slots into FA (`_mul_fft`).  Both routes carry exactness
-bounds checked when the algebra is built, and every FFT product also
-checks its rounding distances against its bound.
+element index.  Small groups over a prime field multiply through the full
+multiplication table with one exact float64 scatter-add
+(`_mul_table_path`).  Every other algebra, and every one over GF(p^f)
+with f > 1, uses the FFT: A is indexed row-major over its invariant
+factors, so a product in FA is a multi-dimensional cyclic convolution,
+and sigma^i carries the product of two B-slots into FA (`_mul_fft`).
+Both routes carry exactness bounds checked when the algebra is built, and
+every FFT product also checks its rounding distances against its bound.
 
 The ideal generated by {a - 1 : a in A} is called gamma throughout; it
 is the kernel of the projection rho onto FB and is nilpotent, with an
@@ -246,8 +247,9 @@ class GroupAlgebra:
     def __init__(self, field: FieldCtx, group: GroupSpec):
         """Refuses (BudgetExceeded) an algebra whose products could be inexact.
 
-        Both product routes are checked, so either may be called.  The table
-        path's float64 sums must stay below 2^53.  For `_mul_fft`, the bound
+        Both product routes are checked, so either may be called where it
+        exists (the table path only for f = 1).  The table path's float64
+        sums must stay below 2^53.  For `_mul_fft`, the bound
         `fft_error_bound` on the rounding error of one convolution must stay
         below 1/4, so that rounding to the nearest integer is exact; it
         depends on p, |A|, the axis lengths of A, the field tensor and the
@@ -260,7 +262,7 @@ class GroupAlgebra:
         self.inv2 = field.from_code(field.inv(2))
         # each product digit sums products of digits < p, each spread over the
         # field tensor's entries (a single 1 when f = 1): |G| of them in
-        # _scatter_conv, |A| in each convolution of _mul_fft
+        # _mul_table_path, |A| in each convolution of _mul_fft
         spread = int(field._tensor.sum(axis=(0, 1)).max())
         bound = (field.p - 1) ** 2 * self.order * spread
         if bound >= _linalg._F64_LIMIT:
@@ -270,7 +272,10 @@ class GroupAlgebra:
         if self._fft_bound >= 0.25:
             raise BudgetExceeded(f"FFT products could be off by {self._fft_bound:.3g}, "
                                  "past the 1/4 that rounding corrects")
-        self._mul_flat = group.mul_table.ravel() if group.mul_table is not None else None
+        # for f > 1 the FFT product is faster even at |G| = 147 (gf49), so
+        # no table is built
+        table = group.mul_table if field.f == 1 else None
+        self._mul_flat = table.ravel() if table is not None else None
         self._gamma = None
         self._star_pairs = None
         self._sym_skew = None
@@ -313,22 +318,13 @@ class GroupAlgebra:
             return self._mul_table_path(x, y)
         return self._mul_fft(x, y)
 
-    def _scatter_conv(self, index, size, x, y) -> np.ndarray:
-        """Float64 sums of x[g] y[h] at index[g * len(y) + h], unreduced: shape
-        (size,) for f = 1, else (size, f) digits.  The table path's only
-        accumulation; __init__ bounds its sums below 2^53, so they are exact."""
-        f = self.field.f
-        if f == 1:
-            return np.bincount(index, weights=np.outer(x, y).ravel().astype(np.float64),
-                               minlength=size)
-        O = np.einsum("gi,hj,ijk->ghk", self.field.decode(x), self.field.decode(y),
-                      self.field._tensor)
-        return np.stack([np.bincount(index, weights=O[:, :, k].ravel().astype(np.float64),
-                                     minlength=size) for k in range(f)], axis=1)
-
     def _mul_table_path(self, x, y):
-        digits = np.rint(self._scatter_conv(self._mul_flat, self.order, x, y)).astype(np.int64)
-        return self.field.encode(digits) if self.field.f > 1 else digits % self.field.p
+        """x y over a prime field: the float64 sums of x[g] y[h] at
+        mul_table[g, h], one bincount.  __init__ bounds them below 2^53, so
+        they are exact."""
+        sums = np.bincount(self._mul_flat, weights=np.outer(x, y).ravel().astype(np.float64),
+                           minlength=self.order)
+        return np.rint(sums).astype(np.int64) % self.field.p
 
     def _mul_fft(self, x, y):
         """x y as q^2 cyclic convolutions over A's invariant-factor axes.

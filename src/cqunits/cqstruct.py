@@ -111,19 +111,10 @@ class FBElem:
         if not isinstance(other, FBElem):
             return self.scale(other)
         other = self._check(other)
-        q, f = self.ctx.q, self.ctx.field.f
-        if f == 1:
-            full = np.convolve(self.coeffs, other.coeffs)
-            folded = full[:q].copy()
-            folded[: q - 1] += full[q:]
-            return FBElem(self.ctx, folded % self.ctx.field.p)
-        out = np.zeros(q, dtype=np.int64)
-        for i in range(q):
-            if self.coeffs[i]:
-                term = self.ctx.field.vmul(other.coeffs, np.int64(self.coeffs[i]))
-                out[(i + np.arange(q)) % q] = self.ctx.field.vadd(
-                    out[(i + np.arange(q)) % q], term)
-        return FBElem(self.ctx, out)
+        q, fld = self.ctx.q, self.ctx.field
+        shift = (np.arange(q) - np.arange(q)[:, None]) % q  # b^i b^(k-i) = b^k
+        return FBElem(self.ctx, fld.vsum(fld.vmul(self.coeffs[:, None], other.coeffs[shift]),
+                                         axis=0))
 
     __rmul__ = __mul__
 

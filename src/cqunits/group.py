@@ -218,8 +218,6 @@ class GroupSpec:
         return self._encode_a(self.a_exps[a1] + self.a_exps[c]) * q + (i + j) % q
 
     def mul_idx(self, g1, g2):
-        if self.mul_table is not None and np.isscalar(g1) and np.isscalar(g2):
-            return int(self.mul_table[g1, g2])
         return self._mul_idx_arrays(np.asarray(g1), np.asarray(g2))
 
     def elem(self, a_exps=None, b_exp: int = 0) -> GroupElem:

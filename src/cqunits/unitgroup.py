@@ -6,12 +6,14 @@ commutator g -> x g - g x on gamma; for a unit x it vanishes exactly where
 x g x^-1 = g, so no inverse of x is formed.  Class lengths come out as
 prime powers p^(f * (dim gamma - dim C)), which is the only feasible exact
 route (|1 + gamma| is astronomically large); starred ones use dim S2, the
-number of pairs of the checked involution on gamma.  For x in FB the
-operator is block-diagonal over the sigma-orbits of A, so it is built and
-solved one q^2 x q^2 block at a time, and its symmetric/skew slices are
-counted over each pair of blocks that the involution swaps.  Any other x
-takes the dense |G|^2 operator, which is refused up front when it would
-not fit in physical memory.  All sampling is seeded.
+number of pairs of the checked involution on gamma.  There is one solver:
+the operator is built from index products over a partition of gamma into
+blocks it maps into themselves, each distinct block is solved once, and
+its symmetric/skew slices are counted over each block and the block the
+involution maps it onto.  For x in FB the blocks are the q^2 x q^2 ones
+over the sigma-orbits of A; any other x is one block of all of gamma.  A
+partition whose blocks would not fit in physical memory is refused up
+front.  All sampling is seeded.
 """
 
 from __future__ import annotations
@@ -43,50 +45,8 @@ def fb_ctx(alg: GroupAlgebra) -> FBCtx:
 # commutator operators and centralizers
 
 
-# gamma x gamma int64 arrays the dense path holds at once besides the |G|^2
-# codes of the commutator g -> x g - g x (no inverse of x is formed): M, and
-# the rref's echelon rows, their vstack copy and the matmul and modulo
-# temporaries that update them
-_DENSE_GAMMA_COPIES = 4
-
-
 def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _dense_operator_bytes(alg: GroupAlgebra) -> int:
-    """Bytes the dense path holds at its peak: the |G|^2 commutator codes and
-    _DENSE_GAMMA_COPIES gamma x gamma arrays, all int64."""
-    n, dim = alg.order, alg.gamma_dim()
-    return 8 * (n * n + _DENSE_GAMMA_COPIES * dim * dim)
-
-
-def _commutator_matrix_gamma(alg: GroupAlgebra, x: AlgElem) -> np.ndarray:
-    """Matrix of g -> x g - g x on gamma, in the (a-1)b^j coordinate system.
-
-    Refuses up front with BudgetExceeded when the dense path would not fit
-    in physical memory.
-    """
-    need, have = _dense_operator_bytes(alg), _physical_memory_bytes()
-    if need > have:
-        raise BudgetExceeded(f"the dense commutator operator needs about {need} bytes, "
-                             f"more than the {have} bytes of physical memory")
-    G, fld = alg.group, alg.field
-    n, q = alg.order, alg.q
-    h = np.arange(n, dtype=np.int64)
-    # C[:, h] holds the codes of x h - h x; for each g in supp x the targets
-    # g h and h g are permutations of h, so neither update hits a column twice
-    C = np.zeros((n, n), dtype=np.int64)
-    for g in np.nonzero(x.coeffs)[0]:
-        left, right = G._mul_idx_arrays(g, h), G._mul_idx_arrays(h, g)
-        C[left, h] = fld.vadd(C[left, h], x.coeffs[g])
-        C[right, h] = fld.vsub(C[right, h], x.coeffs[g])
-    # restrict to gamma: column for basis (a-1)b^j is the column of a b^j
-    # minus the column of b^j; rows with a = e are determined and dropped
-    M = C[q:, q:]
-    for j in range(q):
-        M[:, j::q] = fld.vsub(M[:, j::q], C[q:, j][:, None])
-    return np.ascontiguousarray(M)
 
 
 def _orbit_blocks(alg: GroupAlgebra) -> np.ndarray:
@@ -100,25 +60,30 @@ def _orbit_blocks(alg: GroupAlgebra) -> np.ndarray:
 
 def _commutator_blocks(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray,
                        block_of: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """The q^2 x q^2 diagonal blocks of g -> x g - g x on gamma, for x in FB.
+    """The diagonal blocks of g -> x g - g x on gamma over the partition coords.
 
-    b^i (a-1) b^j = (sigma^-i(a) - 1) b^(i+j) and (a-1) b^j b^i = (a-1) b^(i+j),
-    so each x_i permutes every block's coordinates once on each side and no
-    fancy-indexed update collides.
+    Column t is x e - e x for the gamma basis row e = h - b^j, where h = t + q
+    is the index of a b^j.  For each g in supp x the four index products
+    g h, g b^j, h g and b^j g each give every column one target, so no
+    fancy-indexed update collides.  Rows with a = e are determined by the
+    others and dropped; a kept term outside its column's block raises
+    MathDomainError.
     """
-    fld, q = alg.field, alg.q
+    G, fld, q = alg.group, alg.field, alg.q
     l, m = coords.shape
-    a, j = coords // q + 1, coords % q
-    rows, src = np.arange(l)[:, None], np.arange(m)
+    h = coords + q
+    bj = h % q
+    rows, src = np.broadcast_arrays(np.arange(l)[:, None], np.arange(m))
     blocks = np.zeros((l, m, m), dtype=np.int64)
-    for i in np.nonzero(x.coeffs[:q])[0]:
-        left = (alg.group.sigma_pows[(q - i) % q][a] - 1) * q
-        for moved, op in ((left, fld.vadd), ((a - 1) * q, fld.vsub)):
-            tgt = moved + (i + j) % q
-            if np.any(block_of[tgt] != rows):
+    for g in np.flatnonzero(x.coeffs):
+        for tgt, op in ((G._mul_idx_arrays(g, h), fld.vadd), (G._mul_idx_arrays(g, bj), fld.vsub),
+                        (G._mul_idx_arrays(h, g), fld.vsub), (G._mul_idx_arrays(bj, g), fld.vadd)):
+            kept = tgt >= q
+            t, r, s = tgt[kept] - q, rows[kept], src[kept]
+            if np.any(block_of[t] != r):
                 raise MathDomainError("a commutator term leaves its orbit block")
-            tl = local[tgt]
-            blocks[rows, tl, src] = op(blocks[rows, tl, src], x.coeffs[i])
+            tl = local[t]
+            blocks[r, tl, s] = op(blocks[r, tl, s], x.coeffs[g])
     return blocks
 
 
@@ -139,27 +104,37 @@ def _star_slices(field, K: np.ndarray, perm: np.ndarray) -> tuple[int, int, bool
     return sym_dim, skew_dim, star_closed
 
 
-def _block_centralizer(alg: GroupAlgebra, x: AlgElem):
-    """Kernel, slice dims and star closure for x in FB, one orbit block at a time.
+def _block_centralizer(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray):
+    """Kernel, slice dims and star closure of g -> x g - g x, one block at a time.
 
-    Each distinct block is solved once.  The blocks have disjoint
-    coordinates, so their kernel rows, placed at those coordinates and
-    sorted by pivot descending, are the canonical basis.  The involution
-    swaps the blocks in pairs (O and O^-1, never O itself for odd p and q),
-    so the slices are counted over each pair.
+    coords partitions the gamma coordinates into l blocks of size m, and
+    the operator must map each block into itself.  It is refused up front
+    (BudgetExceeded) when its 8 (l + 4) m^2 bytes would not fit in physical
+    memory: the l blocks, and the rref's echelon rows, their vstack copy and
+    the matmul and modulo temporaries for one of them.  Each distinct block
+    is solved once.  The blocks have disjoint coordinates, so their kernel
+    rows, placed at those coordinates and sorted by pivot descending, are
+    the canonical basis.  The involution must map every block onto a single
+    block; the slices are counted over each block together with that one
+    (for the orbit blocks O and O^-1, for one block itself alone).
     """
     fld, dim = alg.field, alg.gamma_dim()
-    coords = _orbit_blocks(alg)
     l, m = coords.shape
+    need, have = 8 * (l + 4) * m * m, _physical_memory_bytes()
+    if need > have:
+        raise BudgetExceeded(f"the commutator blocks need about {need} bytes, "
+                             f"more than the {have} bytes of physical memory")
     block_of = np.empty(dim, dtype=np.int64)
     block_of[coords] = np.arange(l)[:, None]
     local = np.empty(dim, dtype=np.int64)
     local[coords] = np.arange(m)
     blocks = _commutator_blocks(alg, x, coords, block_of, local)
-    distinct, which = np.unique(blocks.reshape(l, m * m), axis=0, return_inverse=True)
-    which = which.reshape(l)
-    kernels = [_linalg.right_kernel(fld, blk.reshape(m, m)) for blk in distinct]
-    pivots = [_linalg.right_pivots(k) for k in kernels]
+    first = {}  # a block's bytes -> the first block equal to it
+    which = np.array([first.setdefault(blk.tobytes(), t) for t, blk in enumerate(blocks)])
+    del first  # a dense block's bytes are as large as the block
+    kernels = {u: _linalg.right_kernel(fld, blocks[u]) for u in np.unique(which).tolist()}
+    del blocks
+    pivots = {u: _linalg.right_pivots(k) for u, k in kernels.items()}
 
     piv = np.concatenate([coords[t][pivots[u]] for t, u in enumerate(which)])
     dest = np.empty(piv.size, dtype=np.int64)
@@ -173,19 +148,19 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem):
 
     pi = alg.gamma_star_pairs()[0]
     partner = block_of[pi[coords[:, 0]]]
-    if np.any(block_of[pi[coords]] != partner[:, None]) or np.any(partner == np.arange(l)):
-        raise MathDomainError("the involution does not swap the orbit blocks in pairs")
-    slices, count = {}, Counter()  # pairs with equal kernels and pi are solved once
-    for t in np.nonzero(partner > np.arange(l))[0]:
-        pair = [t, partner[t]]
+    if np.any(block_of[pi[coords]] != partner[:, None]):
+        raise MathDomainError("the involution does not map each block onto one block")
+    slices, count = {}, Counter()  # blocks with equal kernels and pi are solved once
+    for t in np.nonzero(partner >= np.arange(l))[0]:
+        pair = [t] if partner[t] == t else [t, partner[t]]
         cols = pi[coords[pair].ravel()]
         perm = np.where(block_of[cols] == t, 0, m) + local[cols]
         key = (tuple(which[pair]), perm.tobytes())
         count[key] += 1
         if key not in slices:
-            k0, k1 = (kernels[u] for u in key[0])
-            Kc = np.zeros((len(k0) + len(k1), 2 * m), dtype=np.int64)
-            Kc[:len(k0), :m], Kc[len(k0):, m:] = k0, k1
+            ks = [kernels[u] for u in key[0]]  # block-diagonal over the pair
+            Kc = np.vstack([np.pad(k, ((0, 0), (i * m, (len(ks) - 1 - i) * m)))
+                            for i, k in enumerate(ks)])
             slices[key] = _star_slices(fld, Kc, perm)
     sym_dim = sum(count[key] * sym for key, (sym, _, _) in slices.items())
     skew_dim = sum(count[key] * skew for key, (_, skew, _) in slices.items())
@@ -210,24 +185,21 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
 
     1 + g commutes with x iff g does, so this also describes
     C_(1+gamma)(x).  The operator is linear in x and needs no inverse; x
-    must still be a unit (NotAUnit otherwise).  For x in FB (supported on
-    B) it is block-diagonal over the sigma-orbits of A: it is built and
-    solved as (|A|-1)/q blocks of size q^2, with no |G|^2 array.  Any
-    other x takes the dense operator, refused up front if it would not fit
-    in memory.  Either way the kernel basis K is canonical in gamma
-    coordinates, which the involution permutes by pi, so the slices C ^ S1
-    and C ^ S2 have dimensions dim - rank(K[:, pi] - K) and
-    dim - rank(K[:, pi] + K).  They sum to dim iff C is star-closed, which
-    is cross-checked directly.  The block path counts both over each pair
-    of blocks that pi swaps.
+    must still be a unit (NotAUnit otherwise).  The support of x picks the
+    block partition for `_block_centralizer`: for x in FB (supported on B)
+    the operator is block-diagonal over the sigma-orbits of A, so it is
+    solved as (|A|-1)/q blocks of size q^2; any other x is one block of all
+    of gamma.  The kernel basis K is canonical in gamma coordinates, which
+    the involution permutes by pi, so the slices C ^ S1 and C ^ S2 have
+    dimensions dim - rank(K[:, pi] - K) and dim - rank(K[:, pi] + K),
+    counted block by block.  They sum to dim iff C is star-closed, which is
+    cross-checked directly.
     """
     if not x.is_unit():
         raise NotAUnit("rho(x) is not invertible in FB")
-    if not x.coeffs[alg.q:].any():
-        K, sym_dim, skew_dim, star_closed = _block_centralizer(alg, x)
-    else:
-        K = _linalg.right_kernel(alg.field, _commutator_matrix_gamma(alg, x))
-        sym_dim, skew_dim, star_closed = _star_slices(alg.field, K, alg.gamma_star_pairs()[0])
+    coords = (_orbit_blocks(alg) if not x.coeffs[alg.q:].any()
+              else np.arange(alg.gamma_dim())[None, :])
+    K, sym_dim, skew_dim, star_closed = _block_centralizer(alg, x, coords)
     kernel = Subspace(alg.field, alg.gamma_expand(K), reduced=True)
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,
                              sym_dim=sym_dim, skew_dim=skew_dim)

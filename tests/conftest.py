@@ -7,8 +7,6 @@ from cqunits import GroupAlgebra, cli, make_field, make_group
 from cqunits.verifier import Instance, make_instance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-# GF(7^2), q = 3, A = C_7 x C_7, action diag(2, 4): the f > 1 case, no config file
-GF49_CFG = "p=7\nf=2\nq=3\nA=7,7\naction=2,0;0,4\n"
 
 
 @pytest.fixture(scope="session")
@@ -74,11 +72,22 @@ def inst11() -> Instance:
 
 @pytest.fixture(scope="session")
 def config_instance():
-    """Builds a fresh Instance from configs/<name>.cfg, or from GF49_CFG for "gf49"."""
+    """Builds a fresh Instance from configs/<name>.cfg."""
     def build(name: str) -> Instance:
-        return cli.parse_config(GF49_CFG if name == "gf49"
-                                else (CONFIGS / f"{name}.cfg").read_text())
+        return cli.parse_config((CONFIGS / f"{name}.cfg").read_text())
     return build
+
+
+def mul_reference(alg, x, y):
+    """Independent oracle for x y: every product of a support element of x
+    with every g in G, indexed by GroupSpec._mul_idx_arrays and summed in int64."""
+    field = alg.field
+    g = np.flatnonzero(x)
+    idx = alg.group._mul_idx_arrays(g[:, None], np.arange(alg.order)[None, :])
+    prods = field.decode(field._vmul_tensor(x[g][:, None], y[None, :]))
+    acc = np.zeros((alg.order, field.f), dtype=np.int64)
+    np.add.at(acc, idx.ravel(), prods.reshape(-1, field.f))
+    return field.encode(acc)
 
 
 @pytest.fixture(scope="session")

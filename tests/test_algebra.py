@@ -7,6 +7,8 @@ from cqunits import algebra
 from cqunits.errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
 from cqunits.verifier import make_instance
 
+from conftest import mul_reference
+
 
 def random_elem(alg, rng):
     return alg.elem(rng.integers(0, alg.field.size, alg.order))
@@ -84,18 +86,6 @@ def test_mul_table_vs_fft_paths(alg21, rng):
         x, y = random_elem(alg21, rng), random_elem(alg21, rng)
         assert np.array_equal(alg21._mul_table_path(x.coeffs, y.coeffs),
                               alg21._mul_fft(x.coeffs, y.coeffs))
-
-
-def mul_reference(alg, x, y):
-    """Independent oracle for x y: every product of a support element of x
-    with every g in G, indexed by GroupSpec._mul_idx_arrays and summed in int64."""
-    field = alg.field
-    g = np.flatnonzero(x)
-    idx = alg.group._mul_idx_arrays(g[:, None], np.arange(alg.order)[None, :])
-    prods = field.decode(field._vmul_tensor(x[g][:, None], y[None, :]))
-    acc = np.zeros((alg.order, field.f), dtype=np.int64)
-    np.add.at(acc, idx.ravel(), prods.reshape(-1, field.f))
-    return field.encode(acc)
 
 
 def sparse_elem(alg, rng, size=12):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cqunits import make_field
-from cqunits.cqstruct import (FBCtx, ProjVec, b_polynomial, b_exponent_coords,
+from cqunits.cqstruct import (FBCtx, FBElem, ProjVec, b_polynomial, b_exponent_coords,
                               classify_unit, complement_search_B_in_VstarFB,
                               distinct_projection_unit, enumerate_VFB,
                               from_projections, hall_2prime_decomposition,
@@ -18,6 +18,17 @@ from cqunits.errors import (BudgetExceeded, HypothesisFail, MathDomainError,
 @pytest.fixture(scope="module")
 def fb7(f7):
     return FBCtx(f7, 3)
+
+
+@pytest.mark.parametrize("name", ["c7", "f11c5", "gf49"])
+def test_fb_product_is_rho_of_fg_product(name, config_instance):
+    # the circulant product in FB against the FG product of the lifts
+    alg = config_instance(name).algebra
+    ctx = FBCtx(alg.field, alg.q)
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        x, y = (FBElem(ctx, rng.integers(0, alg.field.size, alg.q)) for _ in range(2))
+        assert np.array_equal((x * y).coeffs, (x.lift(alg) * y.lift(alg)).rho_coeffs())
 
 
 @pytest.fixture(scope="module")

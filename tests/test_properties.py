@@ -4,10 +4,12 @@ gamma, S1, S2 and the centralizer kernels are built in canonical form
 without row reduction, and the involution on gamma is checked against
 `AlgElem.star`; the reference is `Subspace(field, rows)`, which
 row reduces whatever rows it is given.  Kernels of units in FB come from
-the orbit blocks; they are also compared with the kernel of the dense
-operator, and each block entrywise with the dense operator.  The FFT
-product is checked against the full-table product.  Instances are drawn with p <= 13, q | p - 1, A = C_p or C_p^2 and action
-diag(w^e1, w^e2).
+the orbit blocks; they are also compared with the kernel of the same
+builder over one block of all of gamma, and each orbit block entrywise
+with that one block.  The FFT product is checked against the full-table
+product, or against `mul_reference` over GF(p^f) with f > 1, which has no
+table.  Instances are drawn with p <= 13, q | p - 1, A = C_p or C_p^2 and
+action diag(w^e1, w^e2).
 """
 
 
@@ -15,18 +17,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cqunits import _linalg
+from conftest import mul_reference
+
 from cqunits.algebra import Subspace
 from cqunits.group import orbits
-from cqunits.unitgroup import (_commutator_blocks, _commutator_matrix_gamma,
-                               _orbit_blocks, centralizer_in_gamma, random_fb_unit_coeffs,
+from cqunits.unitgroup import (_block_centralizer, _commutator_blocks, _orbit_blocks,
+                               centralizer_in_gamma, random_fb_unit_coeffs,
                                random_unit_vfg, random_unitary_vfg,
                                sqrt_relation_check)
 from cqunits.verifier import make_instance
 
-# full-support units take the dense path: its commutator g -> x g - g x
-# (no inverse) costs |G|^2, but its rref costs |G|^3 (with per-pivot field
-# einsums when f > 1); they are only drawn on the small instances
+# full-support units are one block of all of gamma: its commutator
+# g -> x g - g x (no inverse) costs |G|^2, but its rref costs |G|^3; they
+# are only drawn on the small instances
 FULL_SUPPORT_MAX_COST = 150
 
 
@@ -56,32 +59,44 @@ def check_gamma_slices(alg):
     return s1, s2
 
 
+def one_block(alg) -> np.ndarray:
+    """The partition of gamma into one block, the layout for any unit."""
+    return np.arange(alg.gamma_dim())[None, :]
+
+
+def placed_operator(alg, x, coords) -> np.ndarray:
+    """The blocks of g -> x g - g x over the partition coords, placed at
+    their coordinates in one gamma x gamma matrix."""
+    dim = alg.gamma_dim()
+    l, m = coords.shape
+    block_of = np.empty(dim, dtype=np.int64)
+    block_of[coords] = np.arange(l)[:, None]
+    local = np.empty(dim, dtype=np.int64)
+    local[coords] = np.arange(m)
+    blocks = _commutator_blocks(alg, x, coords, block_of, local)
+    placed = np.zeros((dim, dim), dtype=np.int64)
+    for t in range(l):
+        placed[np.ix_(coords[t], coords[t])] = blocks[t]
+    return placed
+
+
 def dense_kernel(alg, x) -> Subspace:
-    """The centralizer kernel from the dense |G|^2 operator, for any unit x."""
-    K = _linalg.right_kernel(alg.field, _commutator_matrix_gamma(alg, x))
+    """The centralizer kernel from one block of all of gamma, for any unit x."""
+    K = _block_centralizer(alg, x, one_block(alg))[0]
     return Subspace(alg.field, alg.gamma_expand(K), reduced=True)
 
 
 def assert_blocks_match_dense(alg, x):
     """The orbit blocks of x in FB, placed at their coordinates, are the
-    dense operator entry for entry, with nothing off the blocks."""
-    coords = _orbit_blocks(alg)
-    l, m = coords.shape
-    block_of = np.empty(alg.gamma_dim(), dtype=np.int64)
-    block_of[coords] = np.arange(l)[:, None]
-    local = np.empty(alg.gamma_dim(), dtype=np.int64)
-    local[coords] = np.arange(m)
-    blocks = _commutator_blocks(alg, x, coords, block_of, local)
-    placed = np.zeros((alg.gamma_dim(), alg.gamma_dim()), dtype=np.int64)
-    for t in range(l):
-        placed[np.ix_(coords[t], coords[t])] = blocks[t]
-    assert np.array_equal(placed, _commutator_matrix_gamma(alg, x))
+    one-block operator entry for entry, with nothing off the blocks."""
+    assert np.array_equal(placed_operator(alg, x, _orbit_blocks(alg)),
+                          placed_operator(alg, x, one_block(alg)))
 
 
 def check_kernel(alg, x, s1, s2):
     rep = centralizer_in_gamma(alg, x)
     assert_reference(rep.kernel)
-    if not x.coeffs[alg.q:].any():  # the orbit-block path against the dense one
+    if not x.coeffs[alg.q:].any():  # the orbit blocks against one block
         assert_blocks_match_dense(alg, x)
         assert rep.kernel == dense_kernel(alg, x)  # basis and pivots
     assert rep.sym_dim == rep.kernel.intersect(s1).dim
@@ -131,11 +146,16 @@ def check_all(alg, seed):
 
 
 def check_fft_product(alg, seed):
-    """_mul_fft against the full-table product, associative, with 1 as identity."""
+    """_mul_fft against the full-table product (`mul_reference` for f > 1,
+    which builds no table), associative, with 1 as identity."""
     rng = np.random.default_rng(seed)
     fft = alg._mul_fft
     x, y, z = (rng.integers(0, alg.field.size, alg.order) for _ in range(3))
-    assert np.array_equal(fft(x, y), alg._mul_table_path(x, y))
+    if alg.field.f == 1:
+        assert np.array_equal(fft(x, y), alg._mul_table_path(x, y))
+    else:
+        assert alg._mul_flat is None
+        assert np.array_equal(fft(x, y), mul_reference(alg, x, y))
     assert np.array_equal(fft(fft(x, y), z), fft(x, fft(y, z)))
     one = alg.one().coeffs
     assert np.array_equal(fft(x, one), x) and np.array_equal(fft(one, x), x)
@@ -176,26 +196,31 @@ def test_gf49_block_weights_leave_the_prime_field(config_instance):
 
 @pytest.mark.parametrize("name", ["c7", "gf49"])
 def test_dense_operator_matches_products(name, config_instance):
-    # column t of the dense operator is x e - e x for the gamma basis row e
-    # at coordinate t, read off its a != e coefficients
+    # column t of the operator is x e - e x for the gamma basis row e at
+    # coordinate t, read off its a != e coefficients; every unit in the
+    # one-block layout, the units in FB also in the orbit-block layout
     alg = config_instance(name).algebra
     rng = np.random.default_rng(7)
     b = alg.basis(alg.group.b())
     z = alg.one() + alg.elem(centralizer_in_gamma(alg, b).kernel.basis[0])
     units = {"vfg": random_unit_vfg(alg, rng), "vfg_unitary": random_unitary_vfg(alg, rng),
              "bz": b * z}
+    in_fb = {"one": alg.one(), "b": b, "b2": b * b,
+             "fb": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng))}
     gamma = alg.gamma_basis()
     coords = np.array(gamma.pivots) - alg.q
-    for tag, x in units.items():
+    for tag, x in {**units, **in_fb}.items():
         expect = np.zeros((alg.gamma_dim(), alg.gamma_dim()), dtype=np.int64)
         for t, row in zip(coords, gamma.basis):
             e = alg.elem(row)
             expect[:, t] = (x * e - e * x).coeffs[alg.q:]
-        assert np.array_equal(_commutator_matrix_gamma(alg, x), expect), tag
+        assert np.array_equal(placed_operator(alg, x, one_block(alg)), expect), tag
+        if tag in in_fb:
+            assert np.array_equal(placed_operator(alg, x, _orbit_blocks(alg)), expect), tag
 
 
 def test_inst31_block_kernel_of_b_matches_dense(inst31):
-    # the 192 orbit blocks of b against the one 4800 x 4800 dense operator
+    # the 192 orbit blocks of b against one 4800 x 4800 block
     alg = inst31.algebra
     b = alg.basis(alg.group.b())
     rep = inst31.b_centralizer

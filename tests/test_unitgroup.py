@@ -260,19 +260,26 @@ def test_star_closure_cross_check_raises(alg21, b21, monkeypatch):
 
 
 def test_fb_units_skip_the_dense_operator(alg21, b21, rep_b, monkeypatch):
-    # x in FB is solved over the orbit blocks; any other x builds the dense operator
-    def dense(*args):
-        raise AssertionError("dense operator built")
+    # x in FB never asks for a block wider than q^2; b z is one block of gamma
+    widths = []
+    solve = unitgroup._block_centralizer
 
-    monkeypatch.setattr(unitgroup, "_commutator_matrix_gamma", dense)
+    def record(alg, x, coords):
+        widths.append(coords.shape[1])
+        return solve(alg, x, coords)
+
+    monkeypatch.setattr(unitgroup, "_block_centralizer", record)
     assert centralizer_in_gamma(alg21, b21).kernel == rep_b.kernel
+    for x in (alg21.one(), b21 * b21, b21.scale(2) + alg21.one()):
+        centralizer_in_gamma(alg21, x)
+    assert widths == [alg21.q ** 2] * 4
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
-    with pytest.raises(AssertionError, match="dense operator built"):
-        centralizer_in_gamma(alg21, b21 * z)
+    centralizer_in_gamma(alg21, b21 * z)
+    assert widths[-1] == alg21.gamma_dim()
 
 
 def test_centralizers_never_invert(alg21, b21, rep_b, monkeypatch):
-    # both paths solve x g - g x = 0, so neither needs x^-1
+    # both layouts solve x g - g x = 0, so neither needs x^-1
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
     dense = centralizer_in_gamma(alg21, b21 * z)
 
@@ -285,15 +292,20 @@ def test_centralizers_never_invert(alg21, b21, rep_b, monkeypatch):
 
 
 def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, monkeypatch):
-    need = unitgroup._dense_operator_bytes(alg21)
+    # l blocks of size m need 8 (l + 4) m^2 bytes: b z is one block of
+    # gamma (m = 18), b the two orbit blocks of size q^2 = 9
+    need, need_fb = 8 * (1 + 4) * 18 ** 2, 8 * (2 + 4) * 9 ** 2
     monkeypatch.setattr(unitgroup, "_physical_memory_bytes", lambda: need - 1)
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
     with pytest.raises(BudgetExceeded, match=f"about {need} bytes") as err:
         centralizer_in_gamma(alg21, b21 * z)
     assert err.value.exit_code == 4
-    assert centralizer_in_gamma(alg21, b21).dim == 6  # the block path needs no budget
+    assert centralizer_in_gamma(alg21, b21).dim == 6  # the orbit blocks still fit
     monkeypatch.setattr(unitgroup, "_physical_memory_bytes", lambda: need)
     assert centralizer_in_gamma(alg21, b21 * z).dim <= 6
+    monkeypatch.setattr(unitgroup, "_physical_memory_bytes", lambda: need_fb - 1)
+    with pytest.raises(BudgetExceeded, match=f"about {need_fb} bytes"):
+        centralizer_in_gamma(alg21, b21)
 
 
 def test_block_leak_is_an_error(alg21, b21, monkeypatch):
