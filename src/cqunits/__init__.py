@@ -1,7 +1,7 @@
 """Exact unit-group computations in modular group algebras F[A x| C_q]."""
 
 from .algebra import AlgElem, GroupAlgebra, Subspace, kernel_of
-from .cqstruct import (FBCtx, FBElem, Idempotents, ProjVec, UnitClass,
+from .cqstruct import (CoeffElem, FBCtx, FBElem, Idempotents, ProjVec, UnitClass,
                        b_polynomial, classify_unit, complement_search_B_in_VstarFB,
                        distinct_projection_unit, enumerate_VFB,
                        from_projections, hall_2prime_decomposition, idempotents,
@@ -22,7 +22,7 @@ __all__ = [
     "AbelianSpec", "ActionSpec", "GroupElem", "GroupSpec", "OrbitTable",
     "make_group", "orbits",
     "AlgElem", "GroupAlgebra", "Subspace", "kernel_of",
-    "FBCtx", "FBElem", "Idempotents", "ProjVec", "UnitClass",
+    "CoeffElem", "FBCtx", "FBElem", "Idempotents", "ProjVec", "UnitClass",
     "idempotents", "projections", "from_projections", "classify_unit",
     "b_polynomial", "span_dimension", "enumerate_VFB",
     "hall_2prime_decomposition", "distinct_projection_unit",

@@ -1,9 +1,12 @@
 """The group algebra FG as an exact dense coefficient ring.
 
-AlgElem holds one length-|G| array of field codes indexed by the group
-element index.  Small groups over a prime field multiply through the full
-multiplication table with one exact float64 scatter-add
-(`_mul_table_path`).  Every other algebra, and every one over GF(p^f)
+AlgElem is a `CoeffElem`, the element core that `cqstruct` shares with
+FB, of length |G| and indexed by the group element index; this module
+adds what is particular to FG (rho, gamma, the product, the inverse).
+The algebra owns its FB layer as `GroupAlgebra.fb`, whose circulant
+solve inverts rho(x) for `invert` and `is_unit`.  Small groups over a
+prime field multiply through the full multiplication table with one
+exact float64 scatter-add (`_mul_table_path`).  Every other algebra, and every one over GF(p^f)
 with f > 1, uses the FFT: A is indexed row-major over its invariant
 factors, so a product in FA is a multi-dimensional cyclic convolution,
 and sigma^i carries the product of two B-slots into FA (`_mul_fft`).
@@ -23,7 +26,8 @@ import math
 import numpy as np
 
 from . import _linalg
-from .errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
+from .cqstruct import CoeffElem, FBCtx
+from .errors import BudgetExceeded, MathDomainError, NotAUnit
 from .field import FieldCtx
 from .group import GroupElem, GroupSpec
 
@@ -96,86 +100,10 @@ def kernel_of(subspace: Subspace, op) -> Subspace:
     return Subspace(subspace.field, _linalg.matmul_mod(subspace.field, C, B))
 
 
-class AlgElem:
-    """One element of FG; coefficient array is treated as immutable."""
+class AlgElem(CoeffElem):
+    """One element of FG: a CoeffElem indexed by the group element index."""
 
-    __slots__ = ("ctx", "coeffs")
-
-    def __init__(self, ctx: "GroupAlgebra", coeffs):
-        self.ctx = ctx
-        c = np.ascontiguousarray(coeffs, dtype=np.int64)
-        if c.shape != (ctx.order,):
-            raise MathDomainError(f"coefficient array must have length {ctx.order}")
-        c.setflags(write=False)
-        self.coeffs = c
-
-    def _check(self, other):
-        if isinstance(other, AlgElem):
-            if other.ctx is not self.ctx:
-                raise CtxMismatch("elements of different group algebras")
-            return other
-        if isinstance(other, int):
-            return self.ctx.scalar(other)
-        raise TypeError(f"cannot combine AlgElem with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._check(other)
-        return AlgElem(self.ctx, self.ctx.field.vadd(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return AlgElem(self.ctx, self.ctx.field.vsub(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __neg__(self):
-        return AlgElem(self.ctx, self.ctx.field.vneg(self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, AlgElem):
-            if other.ctx is not self.ctx:
-                raise CtxMismatch("elements of different group algebras")
-            return AlgElem(self.ctx, self.ctx.mul_coeffs(self.coeffs, other.coeffs))
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c) -> "AlgElem":
-        code = self.ctx.field.elem(c).code
-        return AlgElem(self.ctx, self.ctx.field.vmul(self.coeffs, np.int64(code)))
-
-    def __pow__(self, e: int) -> "AlgElem":
-        if e < 0:
-            return self.ctx.invert(self) ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __eq__(self, other):
-        return (isinstance(other, AlgElem) and other.ctx is self.ctx
-                and np.array_equal(other.coeffs, self.coeffs))
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
-    def is_zero(self) -> bool:
-        return not self.coeffs.any()
-
-    def star(self) -> "AlgElem":
-        """The involution extending g -> g^-1."""
-        return AlgElem(self.ctx, self.coeffs[self.ctx.group.inv_perm])
-
-    def augmentation(self):
-        return self.ctx.field.from_code(int(self.ctx.field.vsum(self.coeffs, axis=0)))
+    __slots__ = ()
 
     def rho_coeffs(self) -> np.ndarray:
         """Length-q code array of the image under rho: FG -> FB."""
@@ -186,38 +114,13 @@ class AlgElem:
         return not self.rho_coeffs().any()
 
     def is_unit(self) -> bool:
-        return self.ctx.fb_inverse_coeffs(self.rho_coeffs()) is not None
+        return self.ctx.fb.inverse_coeffs(self.rho_coeffs()) is not None
 
     def sym_skew_split(self) -> tuple["AlgElem", "AlgElem"]:
         """(x + x*)/2 and (x - x*)/2; requires odd p."""
         st = self.star()
         half = self.ctx.inv2
         return (self + st).scale(half), (self - st).scale(half)
-
-    def support(self):
-        for g in np.nonzero(self.coeffs)[0]:
-            yield GroupElem(self.ctx.group, int(g)), self.ctx.field.from_code(int(self.coeffs[g]))
-
-    def __repr__(self):
-        return f"AlgElem({self.format()})"
-
-    def format(self) -> str:
-        """Grammar-compatible rendering, e.g. '5 + 5*b + 3*a1^2*b^2'."""
-        field = self.ctx.field
-        parts = []
-        for g, c in self.support():
-            if field.f == 1:
-                cs = str(c.code)
-            else:
-                cs = "[" + ",".join(str(d) for d in c.coeffs) + "]"
-            gs = repr(g)
-            if gs == "1":
-                parts.append(cs)
-            elif c.code == 1:
-                parts.append(gs)
-            else:
-                parts.append(f"{cs}*{gs}")
-        return " + ".join(parts) if parts else "0"
 
 
 _EPS = 2.0 ** -53  # float64 unit roundoff
@@ -247,35 +150,37 @@ class GroupAlgebra:
     def __init__(self, field: FieldCtx, group: GroupSpec):
         """Refuses (BudgetExceeded) an algebra whose products could be inexact.
 
-        Both product routes are checked, so either may be called where it
-        exists (the table path only for f = 1).  The table path's float64
-        sums must stay below 2^53.  For `_mul_fft`, the bound
+        The route a product takes is checked.  Where a table is built
+        (f = 1, |G| <= `GroupSpec._FULL_TABLE_LIMIT`), the table path's
+        float64 sums must stay below 2^53.  For `_mul_fft`, the bound
         `fft_error_bound` on the rounding error of one convolution must stay
         below 1/4, so that rounding to the nearest integer is exact; it
         depends on p, |A|, the axis lengths of A, the field tensor and the
-        float64 unit roundoff.
+        float64 unit roundoff.  The algebra also builds its FB layer `fb`.
         """
         self.field = field
         self.group = group
         self.order = group.order
         self.q = group.q
+        self.star_perm = group.inv_perm
         self.inv2 = field.from_code(field.inv(2))
-        # each product digit sums products of digits < p, each spread over the
-        # field tensor's entries (a single 1 when f = 1): |G| of them in
-        # _mul_table_path, |A| in each convolution of _mul_fft
-        spread = int(field._tensor.sum(axis=(0, 1)).max())
-        bound = (field.p - 1) ** 2 * self.order * spread
-        if bound >= _linalg._F64_LIMIT:
+        self.fb = FBCtx(field, group.q)
+        # for f > 1 the FFT product is faster even at |G| = 147 (gf49), so
+        # no table is built
+        table = group.mul_table if field.f == 1 else None
+        self._mul_flat = table.ravel() if table is not None else None
+        # a table product digit sums |G| products of digits < p
+        bound = (field.p - 1) ** 2 * self.order
+        if self._mul_flat is not None and bound >= _linalg._F64_LIMIT:
             raise BudgetExceeded(f"FG products would sum up to {bound}, past exact float64")
+        # each FFT product digit sums |A| products of digits < p, each spread
+        # over the field tensor's entries (a single 1 when f = 1)
+        spread = int(field._tensor.sum(axis=(0, 1)).max())
         self._fft_bound = fft_error_bound((field.p - 1) ** 2 * group.abelian.order * spread,
                                           group.abelian.factors, field.f)
         if self._fft_bound >= 0.25:
             raise BudgetExceeded(f"FFT products could be off by {self._fft_bound:.3g}, "
                                  "past the 1/4 that rounding corrects")
-        # for f > 1 the FFT product is faster even at |G| = 147 (gf49), so
-        # no table is built
-        table = group.mul_table if field.f == 1 else None
-        self._mul_flat = table.ravel() if table is not None else None
         self._gamma = None
         self._star_pairs = None
         self._sym_skew = None
@@ -301,6 +206,9 @@ class GroupAlgebra:
         coeffs = np.zeros(self.order, dtype=np.int64)
         coeffs[idx] = 1
         return AlgElem(self, coeffs)
+
+    def monomial(self, g: int) -> str:
+        return repr(GroupElem(self.group, g))
 
     def from_b_coeffs(self, bcoeffs) -> AlgElem:
         """Lift sum c_j b^j of FB into FG (the natural inclusion)."""
@@ -367,16 +275,6 @@ class GroupAlgebra:
 
     # --- inversion --------------------------------------------------------------
 
-    def fb_inverse_coeffs(self, w: np.ndarray):
-        """Inverse of sum w_j b^j inside FB, or None if it is not a unit."""
-        q = self.q
-        M = np.empty((q, q), dtype=np.int64)
-        for k in range(q):
-            M[:, k] = np.roll(w, k)  # column k = coefficients of b^k * w
-        e0 = np.zeros(q, dtype=np.int64)
-        e0[0] = 1
-        return _linalg.solve_right(self.field, M, e0)
-
     def invert(self, x: AlgElem) -> AlgElem:
         """Exact inverse: W = rho(x)^-1 in FB, then (x W)^-1 = (1 - g)^-1 by squaring.
 
@@ -385,7 +283,7 @@ class GroupAlgebra:
         2^k >= nilpotency_index(), and (1 - g)^-1 = prod_k (1 + g^(2^k)):
         about 2 log2(N) products instead of N.
         """
-        winv = self.fb_inverse_coeffs(x.rho_coeffs())
+        winv = self.fb.inverse_coeffs(x.rho_coeffs())
         if winv is None:
             raise NotAUnit("rho(x) is not invertible in FB")
         W = self.from_b_coeffs(winv)

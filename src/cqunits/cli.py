@@ -515,8 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=None,
                         help="enumeration budget override")
     common.add_argument("--seed", type=int, default=None, help="sampler seed override")
-    common.add_argument("--trials", type=int, default=1000,
-                        help="sampling trials (sample-disjoint)")
 
     parser = argparse.ArgumentParser(
         prog="cqunits",
@@ -544,8 +542,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("distinct-unit", parents=[common]).set_defaults(fn=_cmd_distinct_unit)
     sub.add_parser("verify", parents=[common]).set_defaults(fn=_cmd_verify)
     sub.add_parser("certificate", parents=[common]).set_defaults(fn=_cmd_certificate)
-    sub.add_parser("sample-disjoint", parents=[common]).set_defaults(
-        fn=_cmd_sample_disjoint)
+    sp = sub.add_parser("sample-disjoint", parents=[common])
+    sp.add_argument("--trials", type=int, default=1000, help="sampling trials per family")
+    sp.set_defaults(fn=_cmd_sample_disjoint)
     return parser
 
 

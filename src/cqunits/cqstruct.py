@@ -1,10 +1,18 @@
-"""The semisimple commutative layer FB = F[C_q] for q | p^f - 1.
+"""The element core of the package, and the semisimple layer FB = F[C_q].
 
-FB splits as F^q through the primitive idempotents e_j, with b acting on
-e_j by the eigenvalue omega^j.  Units are classified by their projection
-vectors (u_0, ..., u_{q-1}); the normalized, symmetric and unitary unit
-groups are enumerated in exponent coordinates (discrete logs base zeta of
-the projections), where subgroup searches reduce to lattice arithmetic.
+`CoeffElem` is the one implementation of ring arithmetic on coefficient
+arrays over GF(p^f): FG's `AlgElem` (in `algebra`) and FB's `FBElem` are
+both CoeffElems, and differ only in the context that multiplies, inverts
+and names their monomials.  FB sits below FG: the group algebra owns one
+`FBCtx` as `GroupAlgebra.fb`, and an FBElem lifts into FG through
+`from_b_coeffs`.
+
+For q | p^f - 1, FB splits as F^q through the primitive idempotents e_j,
+with b acting on e_j by the eigenvalue omega^j.  Units are classified by
+their projection vectors (u_0, ..., u_{q-1}); the normalized, symmetric
+and unitary unit groups are enumerated in exponent coordinates (discrete
+logs base zeta of the projections), where subgroup searches reduce to
+lattice arithmetic.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import sympy
 
-from .algebra import AlgElem, GroupAlgebra
+from . import _linalg
 from .errors import (BudgetExceeded, CtxMismatch, HypothesisFail, MathDomainError,
                      NotAUnit, NotUnitary, RepeatedProjections)
 from .field import FieldCtx, FieldElem, QDecomp
@@ -24,12 +32,122 @@ from .field import FieldCtx, FieldElem, QDecomp
 DEFAULT_BUDGET = 10 ** 7
 
 
+class CoeffElem:
+    """An element of a coefficient ring over GF(p^f), held as one immutable
+    code array indexed by monomial.
+
+    The context `ctx` supplies `field`, `order` (the array length),
+    `mul_coeffs(x, y)`, `star_perm` (the involution on monomials),
+    `scalar(c)`, `one()`, `invert(x)` and `monomial(i)` (the name of
+    monomial i, "1" for the identity).
+    """
+
+    __slots__ = ("ctx", "coeffs")
+
+    def __init__(self, ctx, coeffs):
+        self.ctx = ctx
+        c = np.ascontiguousarray(coeffs, dtype=np.int64)
+        if c.shape != (ctx.order,):
+            raise MathDomainError(f"expected {ctx.order} coefficients")
+        c.setflags(write=False)
+        self.coeffs = c
+
+    def _new(self, coeffs):
+        return type(self)(self.ctx, coeffs)
+
+    def _check(self, other):
+        if isinstance(other, CoeffElem):
+            if other.ctx is not self.ctx:
+                raise CtxMismatch("elements of different rings")
+            return other
+        if isinstance(other, int):
+            return self.ctx.scalar(other)
+        raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+
+    def __add__(self, other):
+        return self._new(self.ctx.field.vadd(self.coeffs, self._check(other).coeffs))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._new(self.ctx.field.vsub(self.coeffs, self._check(other).coeffs))
+
+    def __rsub__(self, other):
+        return self._check(other) - self
+
+    def __neg__(self):
+        return self._new(self.ctx.field.vneg(self.coeffs))
+
+    def __mul__(self, other):
+        if not isinstance(other, CoeffElem):
+            return self.scale(other)
+        return self._new(self.ctx.mul_coeffs(self.coeffs, self._check(other).coeffs))
+
+    def __rmul__(self, other):
+        return self.scale(other)
+
+    def scale(self, c):
+        code = self.ctx.field.elem(c).code
+        return self._new(self.ctx.field.vmul(self.coeffs, np.int64(code)))
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inverse() ** (-e)
+        result = self.ctx.one()
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def inverse(self):
+        return self.ctx.invert(self)
+
+    def star(self):
+        """The involution extending g -> g^-1 on the monomials."""
+        return self._new(self.coeffs[self.ctx.star_perm])
+
+    def augmentation(self) -> FieldElem:
+        return self.ctx.field.from_code(int(self.ctx.field.vsum(self.coeffs, axis=0)))
+
+    def is_zero(self) -> bool:
+        return not self.coeffs.any()
+
+    def __eq__(self, other):
+        return (isinstance(other, CoeffElem) and other.ctx is self.ctx
+                and np.array_equal(other.coeffs, self.coeffs))
+
+    def __hash__(self):
+        return hash(self.coeffs.tobytes())
+
+    def format(self) -> str:
+        """Grammar-compatible rendering, e.g. '5 + 5*b + 3*a1^2*b^2'."""
+        field = self.ctx.field
+        parts = []
+        for i in np.flatnonzero(self.coeffs).tolist():
+            c = field.from_code(int(self.coeffs[i]))
+            cs = str(c.code) if field.f == 1 else "[" + ",".join(map(str, c.coeffs)) + "]"
+            mono = self.ctx.monomial(i)
+            if mono == "1":
+                parts.append(cs)
+            elif c.code == 1:
+                parts.append(mono)
+            else:
+                parts.append(f"{cs}*{mono}")
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.format()})"
+
+
 class FBCtx:
     """F[C_q] with its idempotent/projection tables precomputed."""
 
     def __init__(self, field: FieldCtx, q: int):
         self.field = field
-        self.q = q
+        self.q = self.order = q
         self.qdecomp = QDecomp(field, q)
         self.omega = self.qdecomp.omega
         w = self.omega.code
@@ -42,6 +160,7 @@ class FBCtx:
         # idempotent coefficients: e_j = (1/q) sum_t omega^(-j t) b^t
         self.idem_matrix = field.vmul(self.omega_pow[(-jt) % q], np.int64(self.inv_q))
         self.star_perm = np.array([0] + list(range(q - 1, 0, -1)), dtype=np.int64)
+        self._shift = (np.arange(q) - np.arange(q)[:, None]) % q  # b^i b^(k-i) = b^k
 
     def elem(self, coeffs) -> "FBElem":
         return FBElem(self, coeffs)
@@ -49,15 +168,42 @@ class FBCtx:
     def zero(self) -> "FBElem":
         return FBElem(self, np.zeros(self.q, dtype=np.int64))
 
+    def scalar(self, c) -> "FBElem":
+        coeffs = np.zeros(self.q, dtype=np.int64)
+        coeffs[0] = self.field.elem(c).code
+        return FBElem(self, coeffs)
+
     def one(self) -> "FBElem":
-        c = np.zeros(self.q, dtype=np.int64)
-        c[0] = 1
-        return FBElem(self, c)
+        return self.b(0)
 
     def b(self, j: int = 1) -> "FBElem":
         c = np.zeros(self.q, dtype=np.int64)
         c[j % self.q] = 1
         return FBElem(self, c)
+
+    def monomial(self, t: int) -> str:
+        return "1" if t == 0 else "b" if t == 1 else f"b^{t}"
+
+    def mul_coeffs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """The circulant product: coefficient k of x y is sum_i x_i y_(k-i)."""
+        fld = self.field
+        return fld.vsum(fld.vmul(x[:, None], y[self._shift]), axis=0)
+
+    def inverse_coeffs(self, w: np.ndarray):
+        """Inverse of sum w_j b^j inside FB, or None if it is not a unit."""
+        q = self.q
+        M = np.empty((q, q), dtype=np.int64)
+        for k in range(q):
+            M[:, k] = np.roll(w, k)  # column k = coefficients of b^k * w
+        e0 = np.zeros(q, dtype=np.int64)
+        e0[0] = 1
+        return _linalg.solve_right(self.field, M, e0)
+
+    def invert(self, x: "FBElem") -> "FBElem":
+        inv = self.inverse_coeffs(x.coeffs)
+        if inv is None:
+            raise NotAUnit("element is not a unit of FB")
+        return FBElem(self, inv)
 
     def _matvec(self, M, v):
         """Field-exact M @ v for small code matrices."""
@@ -67,114 +213,14 @@ class FBCtx:
         return f"FBCtx(GF({self.field.p}^{self.field.f})[C{self.q}])"
 
 
-class FBElem:
+class FBElem(CoeffElem):
     """Element of FB as a length-q coefficient array (index = power of b)."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, ctx: FBCtx, coeffs):
-        self.ctx = ctx
-        c = np.ascontiguousarray(coeffs, dtype=np.int64)
-        if c.shape != (ctx.q,):
-            raise MathDomainError(f"expected {ctx.q} coefficients")
-        c.setflags(write=False)
-        self.coeffs = c
-
-    def _check(self, other):
-        if isinstance(other, FBElem):
-            if other.ctx is not self.ctx:
-                raise CtxMismatch("elements of different FB contexts")
-            return other
-        if isinstance(other, int):
-            c = np.zeros(self.ctx.q, dtype=np.int64)
-            c[0] = self.ctx.field.elem(other).code
-            return FBElem(self.ctx, c)
-        raise TypeError(f"cannot combine FBElem with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._check(other)
-        return FBElem(self.ctx, self.ctx.field.vadd(self.coeffs, other.coeffs))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._check(other)
-        return FBElem(self.ctx, self.ctx.field.vsub(self.coeffs, other.coeffs))
-
-    def __rsub__(self, other):
-        return self._check(other) - self
-
-    def __neg__(self):
-        return FBElem(self.ctx, self.ctx.field.vneg(self.coeffs))
-
-    def __mul__(self, other):
-        if not isinstance(other, FBElem):
-            return self.scale(other)
-        other = self._check(other)
-        q, fld = self.ctx.q, self.ctx.field
-        shift = (np.arange(q) - np.arange(q)[:, None]) % q  # b^i b^(k-i) = b^k
-        return FBElem(self.ctx, fld.vsum(fld.vmul(self.coeffs[:, None], other.coeffs[shift]),
-                                         axis=0))
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "FBElem":
-        code = self.ctx.field.elem(c).code
-        return FBElem(self.ctx, self.ctx.field.vmul(self.coeffs, np.int64(code)))
-
-    def __pow__(self, e: int) -> "FBElem":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def inverse(self) -> "FBElem":
-        pv = projections(self)
-        if not pv.is_unit():
-            raise NotAUnit("element has a zero projection")
-        return from_projections(pv.inverse())
-
-    def star(self) -> "FBElem":
-        return FBElem(self.ctx, self.coeffs[self.ctx.star_perm])
-
-    def augmentation(self) -> FieldElem:
-        return self.ctx.field.from_code(int(self.ctx.field.vsum(self.coeffs, axis=0)))
-
-    def lift(self, alg: GroupAlgebra) -> AlgElem:
+    def lift(self, alg):
+        """The same element inside FG, for a group algebra `alg` over FB's field and q."""
         return alg.from_b_coeffs(self.coeffs)
-
-    def __eq__(self, other):
-        return (isinstance(other, FBElem) and other.ctx is self.ctx
-                and np.array_equal(other.coeffs, self.coeffs))
-
-    def __hash__(self):
-        return hash(self.coeffs.tobytes())
-
-    def format(self) -> str:
-        f = self.ctx.field
-        parts = []
-        for t in range(self.ctx.q):
-            code = int(self.coeffs[t])
-            if not code:
-                continue
-            cs = str(code) if f.f == 1 else "[" + ",".join(
-                str(d) for d in f.elem(code).coeffs) + "]"
-            if t == 0:
-                parts.append(cs)
-            elif code == 1:
-                parts.append("b" if t == 1 else f"b^{t}")
-            else:
-                parts.append(f"{cs}*b" if t == 1 else f"{cs}*b^{t}")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self):
-        return f"FBElem({self.format()})"
 
 
 class ProjVec:
@@ -361,7 +407,6 @@ def _poly_mul_codes(fld: FieldCtx, a, b):
 
 def span_dimension(u: FBElem) -> int:
     """dim of F[u] inside FB = rank of {1, u, ..., u^(q-1)}."""
-    from . import _linalg
     rows = []
     upow = u.ctx.one()
     for _ in range(u.ctx.q):

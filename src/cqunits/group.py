@@ -152,7 +152,7 @@ class GroupSpec:
 
     Immutable after construction; `a_exps`, the sigma permutations and the
     inversion permutation are plain arrays shared by every element.  Products
-    of indices add exponent rows (`_mul_idx_arrays`); only groups up to
+    of indices add exponent rows (`mul_idx`); only groups up to
     `_FULL_TABLE_LIMIT` also cache the full |G| x |G| `mul_table`.
     """
 
@@ -208,17 +208,15 @@ class GroupSpec:
             return None
         g = np.arange(self.order, dtype=np.int64)
         x, y = np.meshgrid(g, g, indexing="ij")
-        return self._mul_idx_arrays(x, y)
+        return self.mul_idx(x, y)
 
-    def _mul_idx_arrays(self, g1, g2):
+    def mul_idx(self, g1, g2):
+        """Index of g1 g2, for two indices or elementwise over broadcast index arrays."""
         q = self.q
         a1, i = g1 // q, g1 % q
         a2, j = g2 // q, g2 % q
         c = self.sigma_pows[(q - i) % q, a2]  # sigma^-i applied to the A part
         return self._encode_a(self.a_exps[a1] + self.a_exps[c]) * q + (i + j) % q
-
-    def mul_idx(self, g1, g2):
-        return self._mul_idx_arrays(np.asarray(g1), np.asarray(g2))
 
     def elem(self, a_exps=None, b_exp: int = 0) -> GroupElem:
         if a_exps is None:

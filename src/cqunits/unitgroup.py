@@ -26,19 +26,10 @@ import numpy as np
 
 from . import _linalg
 from .algebra import AlgElem, GroupAlgebra, Subspace
-from .cqstruct import FBCtx, ProjVec, from_projections, mirror_exps, zeta_powers
+from .cqstruct import ProjVec, from_projections, mirror_exps, zeta_powers
 from .errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotAUnit,
                      NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
 from .group import orbits
-
-
-def fb_ctx(alg: GroupAlgebra) -> FBCtx:
-    """The FB layer of this algebra, built once and cached on it."""
-    ctx = getattr(alg, "_fb_ctx", None)
-    if ctx is None:
-        ctx = FBCtx(alg.field, alg.q)
-        alg._fb_ctx = ctx
-    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -76,8 +67,8 @@ def _commutator_blocks(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray,
     rows, src = np.broadcast_arrays(np.arange(l)[:, None], np.arange(m))
     blocks = np.zeros((l, m, m), dtype=np.int64)
     for g in np.flatnonzero(x.coeffs):
-        for tgt, op in ((G._mul_idx_arrays(g, h), fld.vadd), (G._mul_idx_arrays(g, bj), fld.vsub),
-                        (G._mul_idx_arrays(h, g), fld.vsub), (G._mul_idx_arrays(bj, g), fld.vadd)):
+        for tgt, op in ((G.mul_idx(g, h), fld.vadd), (G.mul_idx(g, bj), fld.vsub),
+                        (G.mul_idx(h, g), fld.vsub), (G.mul_idx(bj, g), fld.vadd)):
             kept = tgt >= q
             t, r, s = tgt[kept] - q, rows[kept], src[kept]
             if np.any(block_of[t] != r):
@@ -337,7 +328,7 @@ def random_fb_unit_coeffs(alg: GroupAlgebra, rng: np.random.Generator,
         exps = mirror_exps(rng.integers(0, N, (alg.q - 1) // 2), N, -1)
     else:
         exps = rng.integers(0, N, alg.q - 1)
-    return from_projections(ProjVec(fb_ctx(alg), zeta_powers(alg.field, exps))).coeffs
+    return from_projections(ProjVec(alg.fb, zeta_powers(alg.field, exps))).coeffs
 
 
 def random_unit_vfg(alg: GroupAlgebra, rng: np.random.Generator) -> AlgElem:

@@ -26,7 +26,7 @@ from .cqstruct import (DEFAULT_BUDGET, ComplementSearch, FBCtx,
 from .errors import BranchMismatch, MathDomainError
 from .field import FieldCtx, QDecomp, make_field
 from .group import GroupSpec, make_group
-from .unitgroup import CentralizerReport, centralizer_in_gamma, fb_ctx
+from .unitgroup import CentralizerReport, centralizer_in_gamma
 
 
 class Instance:
@@ -46,9 +46,9 @@ class Instance:
     def algebra(self) -> GroupAlgebra:
         return GroupAlgebra(self.field, self.group)
 
-    @cached_property
+    @property
     def fb(self) -> FBCtx:
-        return fb_ctx(self.algebra)
+        return self.algebra.fb
 
     @cached_property
     def s2_dim(self) -> int:

@@ -80,10 +80,10 @@ def config_instance():
 
 def mul_reference(alg, x, y):
     """Independent oracle for x y: every product of a support element of x
-    with every g in G, indexed by GroupSpec._mul_idx_arrays and summed in int64."""
+    with every g in G, indexed by GroupSpec.mul_idx and summed in int64."""
     field = alg.field
     g = np.flatnonzero(x)
-    idx = alg.group._mul_idx_arrays(g[:, None], np.arange(alg.order)[None, :])
+    idx = alg.group.mul_idx(g[:, None], np.arange(alg.order)[None, :])
     prods = field.decode(field._vmul_tensor(x[g][:, None], y[None, :]))
     acc = np.zeros((alg.order, field.f), dtype=np.int64)
     np.add.at(acc, idx.ravel(), prods.reshape(-1, field.f))

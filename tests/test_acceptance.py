@@ -23,7 +23,7 @@ from cqunits.cqstruct import (FBCtx, ProjVec, b_polynomial,
 from cqunits.errors import RepeatedProjections
 from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma,
                                centralizer_of_b_orbit_form, class_length,
-                               fb_ctx, random_gamma, random_skew,
+                               random_gamma, random_skew,
                                sample_disjoint_classes, sqrt_relation_check)
 from cqunits.verifier import counting_certificate, m_gt_1_no_complement
 
@@ -241,7 +241,7 @@ def test_criterion_06_cayley_bijection(crit, inst7):
 
 def _seeded_distinct_projection_units(alg, count, seed):
     fld = alg.field
-    fb = fb_ctx(alg)
+    fb = alg.fb
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:

@@ -439,15 +439,18 @@ def test_format_roundtrip(alg21, alg49, rng):
 
 
 def test_scatter_exactness_bound(f7, f49, monkeypatch):
-    # |G| = 21 products of digits up to (p-1)^2 = 36; over GF(49) (modulus
-    # x^2 + 1) each product also spreads over tensor entries summing to 7
-    for field, largest in ((f7, 36 * 21), (f49, 36 * 21 * 7)):
-        group = make_group(field, 3, [7], [[2]])
-        monkeypatch.setattr(L, "_F64_LIMIT", largest)
-        with pytest.raises(BudgetExceeded):
-            GroupAlgebra(field, group)
-        monkeypatch.setattr(L, "_F64_LIMIT", largest + 1)
-        GroupAlgebra(field, group)
+    # the table path sums |G| = 21 products of digits up to (p-1)^2 = 36
+    group = make_group(f7, 3, [7], [[2]])
+    monkeypatch.setattr(L, "_F64_LIMIT", 36 * 21)
+    with pytest.raises(BudgetExceeded):
+        GroupAlgebra(f7, group)
+    monkeypatch.setattr(L, "_F64_LIMIT", 36 * 21 + 1)
+    GroupAlgebra(f7, group)
+    # f > 1 builds no table, so its bound does not apply: over GF(49) (each
+    # product spread over tensor entries summing to 7) the algebra builds at
+    # the limit a table would have reached
+    monkeypatch.setattr(L, "_F64_LIMIT", 36 * 21 * 7)
+    assert GroupAlgebra(f49, make_group(f49, 3, [7], [[2]]))._mul_flat is None
 
 
 def test_sym_skew_requires_fixed_point_free_involution(f7, g21):

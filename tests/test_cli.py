@@ -215,6 +215,14 @@ def test_cmd_sample_disjoint(capsys, c7_path):
     assert res["lower_bound_ok"]
 
 
+def test_trials_belongs_to_sample_disjoint(capsys, c7_path):
+    # the other subcommands have no --trials, so argparse rejects it (exit 2)
+    with pytest.raises(SystemExit) as exc:
+        main(["cayley", "4*a1 - 4*a1^6", "--config", c7_path, "--trials", "5"])
+    assert exc.value.code == 2
+    assert "--trials" in capsys.readouterr().err
+
+
 def test_json_byte_stable(capsys, c7_path):
     main(["certificate", "--config", c7_path, "--json"])
     first = capsys.readouterr().out

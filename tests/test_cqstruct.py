@@ -24,11 +24,39 @@ def fb7(f7):
 def test_fb_product_is_rho_of_fg_product(name, config_instance):
     # the circulant product in FB against the FG product of the lifts
     alg = config_instance(name).algebra
-    ctx = FBCtx(alg.field, alg.q)
     rng = np.random.default_rng(3)
     for _ in range(20):
-        x, y = (FBElem(ctx, rng.integers(0, alg.field.size, alg.q)) for _ in range(2))
+        x, y = (FBElem(alg.fb, rng.integers(0, alg.field.size, alg.q)) for _ in range(2))
         assert np.array_equal((x * y).coeffs, (x.lift(alg) * y.lift(alg)).rho_coeffs())
+
+
+@pytest.mark.parametrize("name", ["c7", "c19", "f11c5", "gf49", "c31sq"])
+def test_fb_format_is_the_lift_and_parses_back(name, config_instance):
+    # FB text must be FG text: the same coefficients, read back by the parser
+    from cqunits.cli import parse_element
+    inst = config_instance(name)
+    alg = inst.algebra
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        u = inst.fb.elem(rng.integers(0, alg.field.size, alg.q))
+        assert u.format() == alg.from_b_coeffs(u.coeffs).format()
+        assert np.array_equal(parse_element(u.format(), inst).rho_coeffs(), u.coeffs)
+
+
+@pytest.mark.parametrize("name", ["c7", "f11c5", "gf49"])
+def test_fb_inverse_matches_projections(name, config_instance):
+    # the circulant solve against inverting each projection
+    fb = config_instance(name).fb
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        u = fb.elem(rng.integers(0, fb.field.size, fb.q))
+        pv = projections(u)
+        if not pv.is_unit():
+            with pytest.raises(NotAUnit):
+                u.inverse()
+            continue
+        assert u.inverse() == from_projections(pv.inverse())
+        assert u * u.inverse() == fb.one() and u ** -2 == (u * u).inverse()
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,7 @@ from cqunits.errors import (BadCentralizerElement, BudgetExceeded, MathDomainErr
                             NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
 from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma,
                                centralizer_of_b_orbit_form, class_length,
-                               fb_ctx, random_gamma, random_skew,
+                               random_gamma, random_skew,
                                random_unit_vfg, random_unitary_vfg,
                                sample_disjoint_classes, sqrt_relation_check)
 from cqunits.verifier import Instance
@@ -117,7 +117,7 @@ def test_sqrt_relation(alg21, b21, rep_b):
 
 def test_distinct_projection_units_share_centralizer_with_b(alg21, rep_b):
     # F[u] = FB forces C(u) = C(b); check a few distinct-projection units
-    fb = fb_ctx(alg21)
+    fb = alg21.fb
     for vals in ([1, 2, 4], [1, 3, 5], [1, 5, 2]):
         pv = ProjVec(fb, np.array(vals))
         if not pv.has_distinct_projections():
