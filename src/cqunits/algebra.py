@@ -8,8 +8,9 @@ solve inverts rho(x) for `invert` and `is_unit`.  Small groups over a
 prime field multiply through the full multiplication table with one
 exact float64 scatter-add (`_mul_table_path`).  Every other algebra, and every one over GF(p^f)
 with f > 1, uses the FFT: A is indexed row-major over its invariant
-factors, so a product in FA is a multi-dimensional cyclic convolution,
-and sigma^i carries the product of two B-slots into FA (`_mul_fft`).
+factors, so a product in FA is a multi-dimensional cyclic convolution;
+sigma acts on spectra by permuting the characters of A, so each product
+takes one inverse transform (`_mul_fft`).
 Both routes carry exactness bounds checked when the algebra is built, and
 every FFT product also checks its rounding distances against its bound.
 
@@ -126,21 +127,25 @@ class AlgElem(CoeffElem):
 _EPS = 2.0 ** -53  # float64 unit roundoff
 
 
-def fft_error_bound(magnitude: int, axis_lengths, f: int) -> float:
-    """A-priori bound on the rounding error of one `_mul_fft` convolution.
+def fft_error_bound(magnitude: int, axis_lengths, f: int, q: int) -> float:
+    """A-priori bound on the rounding error of one `_mul_fft` product.
 
     After Percival (Math. Comp. 72, 2003): a length-2^n FFT convolution
     of x and y in float64 is off by less than
     |x| |y| ((1 + e)^3n (1 + e sqrt 5)^(3n+1) (1 + b)^3n - 1) in the
     Euclidean norm, e the unit roundoff and b the error of the twiddle
-    factors (b = e: pocketfft computes them to within an ulp).  Here
-    |x| |y| <= `magnitude` = (p - 1)^2 |A| times the largest tensor column
-    sum.  n is taken as the sum of the axis lengths, not of their logs,
-    because pocketfft runs prime-radix passes as direct DFTs; f^2 more
-    factors (1 + e) cover the tensor sum between the transforms.
+    factors (b = e: pocketfft computes them to within an ulp).  n is taken
+    as the sum of the axis lengths, not of their logs, because pocketfft
+    runs prime-radix passes as direct DFTs.  A slot of the product sums q
+    such convolutions x_i * (y_j o sigma^i) before one inverse transform;
+    the gather by sigma^i is exact and keeps |y_j|, so their errors add,
+    and `magnitude` = (p - 1)^2 |A| q times the largest tensor column sum
+    bounds sum_i |x_i| |y_j|.  q + f^2 more factors (1 + e) cover the sum
+    over the slots and the tensor sum between the transforms.
     """
     n = sum(axis_lengths)
-    log_growth = (6 * n + f * f) * math.log1p(_EPS) + (3 * n + 1) * math.log1p(_EPS * 5 ** 0.5)
+    log_growth = ((6 * n + f * f + q) * math.log1p(_EPS)
+                  + (3 * n + 1) * math.log1p(_EPS * 5 ** 0.5))
     return magnitude * math.expm1(log_growth)
 
 
@@ -153,9 +158,9 @@ class GroupAlgebra:
         The route a product takes is checked.  Where a table is built
         (f = 1, |G| <= `GroupSpec._FULL_TABLE_LIMIT`), the table path's
         float64 sums must stay below 2^53.  For `_mul_fft`, the bound
-        `fft_error_bound` on the rounding error of one convolution must stay
+        `fft_error_bound` on the rounding error of one product must stay
         below 1/4, so that rounding to the nearest integer is exact; it
-        depends on p, |A|, the axis lengths of A, the field tensor and the
+        depends on p, q, |A|, the axis lengths of A, the field tensor and the
         float64 unit roundoff.  The algebra also builds its FB layer `fb`.
         """
         self.field = field
@@ -173,11 +178,11 @@ class GroupAlgebra:
         bound = (field.p - 1) ** 2 * self.order
         if self._mul_flat is not None and bound >= _linalg._F64_LIMIT:
             raise BudgetExceeded(f"FG products would sum up to {bound}, past exact float64")
-        # each FFT product digit sums |A| products of digits < p, each spread
+        # each FFT product digit sums q |A| products of digits < p, each spread
         # over the field tensor's entries (a single 1 when f = 1)
         spread = int(field._tensor.sum(axis=(0, 1)).max())
-        self._fft_bound = fft_error_bound((field.p - 1) ** 2 * group.abelian.order * spread,
-                                          group.abelian.factors, field.f)
+        magnitude = (field.p - 1) ** 2 * group.abelian.order * self.q * spread
+        self._fft_bound = fft_error_bound(magnitude, group.abelian.factors, field.f, self.q)
         if self._fft_bound >= 0.25:
             raise BudgetExceeded(f"FFT products could be off by {self._fft_bound:.3g}, "
                                  "past the 1/4 that rounding corrects")
@@ -235,42 +240,42 @@ class GroupAlgebra:
         return np.rint(sums).astype(np.int64) % self.field.p
 
     def _mul_fft(self, x, y):
-        """x y as q^2 cyclic convolutions over A's invariant-factor axes.
+        """x y with one batched inverse FFT over A's invariant-factor axes.
 
-        x_i a b^i * y_j c b^j = sigma^-i(sigma^i(a) + c) b^(i+j): slot i of x
-        is carried through sigma^i, convolved in FA with every slot j of y,
-        and the result carried back through sigma^-i into slot i + j.  One
-        batched rfftn transforms the q slots of x, one those of y, and one
-        batched irfftn per nonzero slot i of x inverts its q products.  For
-        f > 1 the f digit planes are transformed and combined with the field
-        tensor in the frequency domain.  The rounding distances are checked
+        x_i a b^i * y_j c b^j = (a + sigma^-i(c)) b^(i+j): slot i + j gains
+        x_i * (y_j o sigma^i) in FA, whose spectrum is x_i's times a gather
+        of y_j's (`GroupSpec.char_gather`).  x and y are transformed once
+        each (once in all for a square, y is x), the products of the nonzero
+        slots of x are summed per slot in the frequency domain, the f^2
+        digit-plane products combined with the field tensor, and one irfftn
+        of q slices inverts them.  The rounding distances are checked
         against the a-priori bound of __init__ (MathDomainError past it).
         """
         q, f = self.q, self.field.f
         shape = self.group.abelian.factors
+        half = (*shape[:-1], shape[-1] // 2 + 1)  # the characters rfftn stores
         na, axes = self.group.abelian.order, tuple(range(2, 2 + len(shape)))
-        sig = self.group.sigma_pows
+        idx, conj = self.group.char_gather
 
-        def planes(c):  # (q, f, |A|): slot, digit, element of A
-            return np.moveaxis(self.field.decode(c.reshape(na, q)), 0, -1)
+        def spectrum(c):  # (q, f, H): slot, digit, stored character of A
+            planes = np.moveaxis(self.field.decode(c.reshape(na, q)), 0, -1)
+            return np.fft.rfftn(planes.reshape(q, f, *shape), axes=axes).reshape(q, f, -1)
 
-        X, Y = planes(x), planes(y)
-        X = np.stack([X[i][:, sig[-i]] for i in range(q)])  # sigma^i(x_i)
-        FX = np.fft.rfftn(X.reshape(q, f, *shape), axes=axes)
-        FY = np.fft.rfftn(Y.reshape(q, f, *shape), axes=axes)
-        acc = np.zeros((q, f, na), dtype=np.int64)
-        worst = 0.0
-        for i in np.flatnonzero(X.any(axis=(1, 2))):
-            P = (FX[i] * FY if f == 1
-                 else np.einsum("u...,jv...,uvk->jk...", FX[i], FY, self.field._tensor))
-            R = np.fft.irfftn(P, s=shape, axes=axes).reshape(q, f, na)
-            Z = np.rint(R)
-            worst = max(worst, float(np.abs(R - Z).max()))
-            acc += np.roll(Z.astype(np.int64)[:, :, sig[i]], i, axis=0)  # sigma^-i, slot i + j
+        FX = spectrum(x)
+        FY = FX if y is x else spectrum(y)
+        acc = np.zeros((q, f, f, FY.shape[2]), dtype=FY.dtype)  # slot, digit pair, character
+        for i in np.flatnonzero(x.reshape(na, q).any(axis=0)):
+            G = FY[(np.arange(q) - i) % q][..., idx[i]]  # at slot i + j: y_j o sigma^i
+            G[..., conj[i]] = G[..., conj[i]].conj()
+            acc += FX[i][:, None] * G[:, None]
+        P = self.field._tensor.reshape(f * f, f).T @ acc.reshape(q, f * f, -1)
+        R = np.fft.irfftn(P.reshape(q, f, *half), s=shape, axes=axes).reshape(q, f, na)
+        Z = np.rint(R)
+        worst = float(np.abs(R - Z).max())
         if worst > self._fft_bound:
             raise MathDomainError(f"FFT product rounding distance {worst:.3g} exceeds "
                                   f"its bound {self._fft_bound:.3g}")
-        codes = self.field.encode(np.moveaxis(acc, 1, -1))  # (q, |A|)
+        codes = self.field.encode(np.moveaxis(Z.astype(np.int64), 1, -1))  # (q, |A|)
         return codes.T.reshape(self.order)
 
     # --- inversion --------------------------------------------------------------

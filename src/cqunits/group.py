@@ -210,6 +210,21 @@ class GroupSpec:
         x, y = np.meshgrid(g, g, indexing="ij")
         return self.mul_idx(x, y)
 
+    @cached_property
+    def char_gather(self):
+        """(idx, conj), each (q, H), over the H characters k of A that rfftn stores: at k,
+        y[sigma_pows[t]] has y's spectrum at k' = k o sigma^-t, read at idx[t], conjugated where
+        conj[t]; k'_j = n_j sum_l k_l c_jl / n_l mod n_j, c_j the exponents of sigma^-t(e_j)."""
+        facs = np.asarray(self.abelian.factors, dtype=np.int64)
+        half = (*facs[:-1], facs[-1] // 2 + 1)
+        k = np.indices(half).reshape(facs.size, -1).T
+        units = self._encode_a(np.eye(facs.size, dtype=np.int64))
+        c = self.a_exps[self.sigma_pows[-np.arange(self.q) % self.q][:, units]]  # t, j, l
+        kt = k @ np.swapaxes(c * facs[:, None] // facs, 1, 2) % facs  # t, k, j
+        conj = kt[..., -1] > facs[-1] // 2
+        kt[conj] = -kt[conj] % facs
+        return np.ravel_multi_index(tuple(np.moveaxis(kt, -1, 0)), half), conj
+
     def mul_idx(self, g1, g2):
         """Index of g1 g2, for two indices or elementwise over broadcast index arrays."""
         q = self.q

@@ -105,6 +105,20 @@ def alg_gf49_c7e4():
     return make_instance(7, 2, 3, [7] * 4, np.diag([2, 4, 2, 4]), modulus=[1, 0, 1]).algebra
 
 
+@pytest.fixture(scope="module")
+def alg_c49x7():
+    # A = C_49 x C_7 with an upper-triangular action: sigma^t permutes the
+    # characters of A, but not coordinate by coordinate
+    return make_instance(7, 1, 3, [49, 7], [[18, 7], [0, 2]]).algebra
+
+
+@pytest.fixture(scope="module")
+def alg_gf81_c3e8():
+    # GF(3^4), A = C_3^8, q = 5, |G| = 32805
+    C = [[0, 0, 0, 2], [1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, 2]]  # x^4 + x^3 + x^2 + x + 1
+    return make_instance(3, 4, 5, [3] * 8, np.kron(np.eye(2, dtype=np.int64), C)).algebra
+
+
 @pytest.mark.parametrize("name", ["alg_c31sq", "alg_gf49_c7e4"])
 def test_mul_fft_against_index_reference(name, request, rng):
     alg = request.getfixturevalue(name)
@@ -116,6 +130,29 @@ def test_mul_fft_against_index_reference(name, request, rng):
         x, y, z = (random_elem(alg, rng) for _ in range(3))
         assert (x * y) * z == x * (y * z)
         assert x * alg.one() == x and alg.one() * x == x
+
+
+@pytest.mark.parametrize("name", ["alg_c49x7", "alg_gf81_c3e8"])
+def test_mul_fft_sparse_x_against_index_reference(name, request, rng):
+    # only the nonzero slots of x enter the frequency-domain sum
+    alg = request.getfixturevalue(name)
+    for size in (1, 12):
+        x, y = sparse_elem(alg, rng, size).coeffs, random_elem(alg, rng).coeffs
+        assert np.array_equal(alg._mul_fft(x, y), mul_reference(alg, x, y))
+        assert np.array_equal(alg._mul_fft(x, x), mul_reference(alg, x, x))
+    if alg._mul_flat is not None:
+        x, y = random_elem(alg, rng).coeffs, random_elem(alg, rng).coeffs
+        assert np.array_equal(alg._mul_fft(x, y), alg._mul_table_path(x, y))
+
+
+def test_fft_bound_admits_configs_and_large_instances(config_instance, alg_gf81_c3e8):
+    # the bound covers q slot products summed before one inverse transform;
+    # every algebra built here must still pass it
+    for name in ("c7", "c19", "f11c5", "c31sq", "gf49"):
+        assert config_instance(name).algebra._fft_bound < 0.25
+    c61sq = make_instance(61, 1, 5, [61, 61], [[9, 0], [0, 20]]).algebra
+    assert c61sq.order == 18605 and c61sq._fft_bound < 0.25
+    assert alg_gf81_c3e8._fft_bound < 0.25
 
 
 def test_mul_fft_checks_rounding(alg21, monkeypatch):
@@ -143,12 +180,10 @@ def test_fft_exactness_bound(f7, monkeypatch):
     GroupAlgebra(f7, group)
 
 
-def test_gf81_c3e8_builds_and_multiplies(rng):
-    # GF(3^4), A = C_3^8, q = 5, |G| = 32805: the A-addition table this used
-    # to build was 2.57 GiB; the FFT product needs no table at all
-    C = [[0, 0, 0, 2], [1, 0, 0, 2], [0, 1, 0, 2], [0, 0, 1, 2]]  # x^4 + x^3 + x^2 + x + 1
-    action = np.kron(np.eye(2, dtype=np.int64), C)
-    alg = make_instance(3, 4, 5, [3] * 8, action).algebra
+def test_gf81_c3e8_builds_and_multiplies(alg_gf81_c3e8, rng):
+    # the A-addition table this used to build was 2.57 GiB; the FFT product
+    # needs no table at all
+    alg = alg_gf81_c3e8
     G = alg.group
     assert alg.order == 32805 and alg._mul_flat is None
     x = random_elem(alg, rng)

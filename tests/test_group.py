@@ -165,3 +165,20 @@ def test_algebra_above_table_limit_builds_no_table():
     assert G.mul_table is None and alg._mul_flat is None
     b, a = G.b(), G.generator(1)
     assert alg.basis(b) * alg.basis(a) == alg.basis(G.mul_idx(b.idx, a.idx))
+
+
+@pytest.mark.parametrize("name", ["c7", "c19", "f11c5", "c31sq", "gf49", "c49x7"])
+def test_char_gather_is_the_spectrum_of_sigma_t(name, config_instance):
+    # the gathered half spectrum of y against rfftn of y[sigma_pows[t]];
+    # c49x7 (A = C_49 x C_7, upper-triangular action) mixes the coordinates
+    G = (make_group(make_field(7), 3, [49, 7], [[18, 7], [0, 2]]) if name == "c49x7"
+         else config_instance(name).group)
+    shape = G.abelian.factors
+    y = np.random.default_rng(3).random(G.abelian.order)
+    FY = np.fft.rfftn(y.reshape(shape)).ravel()
+    idx, conj = G.char_gather
+    assert idx.shape == conj.shape == (G.q, FY.size)
+    for t in range(G.q):
+        gathered = np.where(conj[t], FY[idx[t]].conj(), FY[idx[t]])
+        expect = np.fft.rfftn(y[G.sigma_pows[t]].reshape(shape)).ravel()
+        assert np.abs(gathered - expect).max() <= 1e-9 * np.abs(expect).max()

@@ -8,10 +8,14 @@ the orbit blocks; they are also compared with the kernel of the same
 builder over one block of all of gamma, and each orbit block entrywise
 with that one block.  The FFT product is checked against the full-table
 product, or against `mul_reference` over GF(p^f) with f > 1, which has no
-table.  Instances are drawn with p <= 13, q | p - 1, A = C_p or C_p^2 and
-action diag(w^e1, w^e2).
+table.  Instances are drawn with p <= 13, q | p - 1, A = C_p, C_p^2 or
+(for p = 7) C_49 x C_7, and an upper-triangular action whose diagonal
+entries have order q; so sigma need not act on the characters of A
+coordinate by coordinate.
 """
 
+
+from functools import partial
 
 import numpy as np
 import pytest
@@ -111,13 +115,18 @@ def order_q_root(p, q):
 @st.composite
 def instances(draw):
     p, q = draw(st.sampled_from([(7, 3), (11, 5), (13, 3)]))
-    rank = draw(st.integers(1, 2))
-    exps = draw(st.lists(st.integers(1, q - 1), min_size=rank, max_size=rank))
+    factors = draw(st.sampled_from([[p], [p, p]] + ([[p * p, p]] if p == 7 else [])))
+    exps = draw(st.lists(st.integers(1, q - 1), min_size=len(factors), max_size=len(factors)))
     w = order_q_root(p, q)
-    action = [[pow(w, e, p) if i == j else 0 for j, e in enumerate(exps)]
-              for i in range(rank)]
+    # w^e lifted to an element of order q mod p^k is (w^e)^(p^(k-1))
+    action = [[pow(w, e * n // p, n) if i == j else 0 for j in range(len(factors))]
+              for i, (e, n) in enumerate(zip(exps, factors))]
+    if len(factors) == 2 and exps[0] != exps[1]:
+        # sigma(a2) gains a1^u; u n2 must vanish mod n1, and sigma^q = 1
+        # needs distinct diagonal entries mod p
+        action[0][1] = draw(st.integers(0, p - 1)) * (factors[0] // factors[1])
     seed = draw(st.integers(0, 2 ** 32 - 1))
-    return make_instance(p, 1, q, [p] * rank, action), seed
+    return make_instance(p, 1, q, factors, action), seed
 
 
 def sample_units(alg, rng):
@@ -151,11 +160,11 @@ def check_fft_product(alg, seed):
     rng = np.random.default_rng(seed)
     fft = alg._mul_fft
     x, y, z = (rng.integers(0, alg.field.size, alg.order) for _ in range(3))
-    if alg.field.f == 1:
-        assert np.array_equal(fft(x, y), alg._mul_table_path(x, y))
-    else:
+    reference = alg._mul_table_path if alg.field.f == 1 else partial(mul_reference, alg)
+    if alg.field.f > 1:
         assert alg._mul_flat is None
-        assert np.array_equal(fft(x, y), mul_reference(alg, x, y))
+    assert np.array_equal(fft(x, y), reference(x, y))
+    assert np.array_equal(fft(x, x), reference(x, x))  # a square transforms x once
     assert np.array_equal(fft(fft(x, y), z), fft(x, fft(y, z)))
     one = alg.one().coeffs
     assert np.array_equal(fft(x, one), x) and np.array_equal(fft(one, x), x)
