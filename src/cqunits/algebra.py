@@ -23,6 +23,8 @@ by repeated squaring and the Cayley transform work.
 from __future__ import annotations
 
 import math
+import os
+from functools import cached_property
 
 import numpy as np
 
@@ -33,30 +35,83 @@ from .field import FieldCtx
 from .group import GroupElem, GroupSpec
 
 
+def _physical_memory_bytes() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def refuse_past_memory(need: int, what: str) -> None:
+    """BudgetExceeded when `need` bytes for `what` exceed physical memory."""
+    have = _physical_memory_bytes()
+    if need > have:
+        raise BudgetExceeded(f"{what} need about {need} bytes, "
+                             f"more than the {have} bytes of physical memory")
+
+
 class Subspace:
     """A row space over GF(p^f), stored as its canonical reduced echelon basis.
 
     Pivots are taken from the right: the basis is rref(rows[:, ::-1]) read
     back in ambient column order, each row 1 at its rightmost nonzero column,
     rows in descending pivot order.  `reduced=True` passes such a basis as is.
+
+    A subspace of gamma may come in block form, rows None and blocks =
+    (alg, coords, kernels, which): the rows of the canonical kernel
+    kernels[which[t]] placed at coords[t], the rows of coords (ascending)
+    partitioning gamma's coordinates.  `dim` is read off the blocks;
+    `basis` and `pivots` are built on first read, once (`_echelon`).
     """
 
-    def __init__(self, field: FieldCtx, rows, reduced: bool = False):
+    def __init__(self, field: FieldCtx, rows, reduced: bool = False, blocks=None):
         self.field = field
+        self.blocks = blocks
+        if blocks is not None:
+            alg, _, kernels, which = blocks
+            self.ambient = alg.order
+            self.dim = sum(kernels[u].shape[0] for u in which.tolist())
+            return
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         n = rows.shape[1]
         if reduced:
-            self.basis = rows
-            self.pivots = _linalg.right_pivots(rows).tolist()
+            self._echelon = rows, _linalg.right_pivots(rows).tolist()
         else:
             R, piv = _linalg.rref(field, rows[:, ::-1])
-            self.basis = np.ascontiguousarray(R[:, ::-1])
-            self.pivots = [n - 1 - c for c in piv]
+            self._echelon = np.ascontiguousarray(R[:, ::-1]), [n - 1 - c for c in piv]
         self.ambient = n
+        self.dim = self.basis.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
+    def basis(self) -> np.ndarray:
+        return self._echelon[0]
+
+    @property
+    def pivots(self) -> list[int]:
+        return self._echelon[1]
+
+    @cached_property
+    def _echelon(self):
+        """The block form's canonical basis and pivots: the kernel rows placed
+        at their blocks' disjoint coordinates, sorted by pivot descending,
+        then `gamma_expand` (whose a = e slice lies left of every pivot).
+        Refused up front (BudgetExceeded) when its arrays for d = dim rows
+        would not fit in physical memory: the placed rows (8 d dim gamma
+        bytes), the |G|-wide copy (8 d |G|) and, for f > 1, the two int64
+        temporaries of `vsum`'s digit decode (16 f d dim gamma).
+        """
+        alg, coords, kernels, which = self.blocks
+        width, f = alg.gamma_dim(), self.field.f
+        refuse_past_memory(8 * self.dim * (alg.order + (1 + (2 * f if f > 1 else 0)) * width),
+                           "the dense basis rows")
+        parts = [(np.flatnonzero(which == u), k) for u, k in kernels.items()]
+        piv = np.concatenate([coords[ts][:, _linalg.right_pivots(k)].ravel() for ts, k in parts])
+        dest = np.empty(piv.size, dtype=np.int64)
+        dest[np.argsort(-piv)] = np.arange(piv.size)
+        K = np.zeros((piv.size, width), dtype=np.int64)
+        r = 0
+        for ts, k in parts:  # block ts[i]'s row j goes to dest[r + i d + j]
+            n = ts.size * k.shape[0]
+            K[dest[r:r + n].reshape(ts.size, -1, 1), coords[ts][:, None, :]] = k
+            r += n
+        return alg.gamma_expand(K), (np.sort(piv)[::-1] + alg.q).tolist()
 
     def contains(self, vec) -> bool:
         return self.contains_rows(np.asarray(vec, dtype=np.int64)[None, :])
@@ -355,23 +410,19 @@ class GroupAlgebra:
         return self._gamma
 
     def sym_skew_subspaces(self) -> tuple[Subspace, Subspace]:
-        """The symmetric and skew slices S1, S2 of gamma, written down.
+        """The symmetric and skew slices S1, S2 of gamma, in block form.
 
-        Over the pairs (hi, pi[hi]) of gamma_star_pairs() S1 and S2 have the
-        canonical bases e_hi + e_pi[hi] and e_hi - e_pi[hi], rows in descending
-        hi; so dim S2 is the number of pairs, and reading it needs no basis.
+        The blocks are the pairs [pi[hi], hi] of gamma_star_pairs(), each
+        with the one kernel row [1, 1] (S1) or [-1, 1] (S2): the canonical
+        bases e_hi +/- e_pi[hi], rows in descending hi.  So dim S2 is the
+        number of pairs, and reading it builds no rows.
         """
         if self._sym_skew is None:
             pi, hi = self.gamma_star_pairs()
-            rows = np.arange(hi.size)
-
-            def slice_basis(sign):
-                K = np.zeros((hi.size, pi.size), dtype=np.int64)
-                K[rows, hi] = 1
-                K[rows, pi[hi]] = sign
-                return Subspace(self.field, self.gamma_expand(K), reduced=True)
-
-            self._sym_skew = (slice_basis(1), slice_basis(self.field.neg(1)))
+            coords, which = np.stack([pi[hi], hi], axis=1), np.zeros(hi.size, dtype=np.int64)
+            self._sym_skew = tuple(
+                Subspace(self.field, None, blocks=(self, coords, {0: np.array([[sign, 1]])}, which))
+                for sign in (1, self.field.neg(1)))
         return self._sym_skew
 
     def nilpotency_index(self) -> int:

@@ -11,33 +11,30 @@ the operator is built from index products over a partition of gamma into
 blocks it maps into themselves, each distinct block is solved once, and
 its symmetric/skew slices are counted over each block and the block the
 involution maps it onto.  For x in FB the blocks are the q^2 x q^2 ones
-over the sigma-orbits of A; any other x is one block of all of gamma.  A
-partition whose blocks would not fit in physical memory is refused up
-front.  All sampling is seeded.
+over the sigma-orbits of A; any other x is one block of all of gamma.  The
+kernel stays in that block form (`algebra.Subspace`): dimensions are read
+off the blocks, and the dense basis is built only when a caller reads its
+rows.  Blocks, or a dense basis, that would not fit in physical memory are
+refused up front.  All sampling is seeded.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linalg
-from .algebra import AlgElem, GroupAlgebra, Subspace
+from .algebra import AlgElem, GroupAlgebra, Subspace, refuse_past_memory
 from .cqstruct import ProjVec, from_projections, mirror_exps, zeta_powers
-from .errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotAUnit,
+from .errors import (BadCentralizerElement, MathDomainError, NotAUnit,
                      NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
 from .group import orbits
 
 
 # ---------------------------------------------------------------------------
 # commutator operators and centralizers
-
-
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 def _orbit_blocks(alg: GroupAlgebra) -> np.ndarray:
@@ -103,18 +100,15 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray):
     (BudgetExceeded) when its 8 (l + 4) m^2 bytes would not fit in physical
     memory: the l blocks, and the rref's echelon rows, their vstack copy and
     the matmul and modulo temporaries for one of them.  Each distinct block
-    is solved once.  The blocks have disjoint coordinates, so their kernel
-    rows, placed at those coordinates and sorted by pivot descending, are
-    the canonical basis.  The involution must map every block onto a single
-    block; the slices are counted over each block together with that one
-    (for the orbit blocks O and O^-1, for one block itself alone).
+    is solved once, and the kernel is returned in block form over coords
+    (`Subspace`), which builds no rows.  The involution must map every
+    block onto a single block; the slices are counted over each block
+    together with that one (for the orbit blocks O and O^-1, for one block
+    itself alone).
     """
     fld, dim = alg.field, alg.gamma_dim()
     l, m = coords.shape
-    need, have = 8 * (l + 4) * m * m, _physical_memory_bytes()
-    if need > have:
-        raise BudgetExceeded(f"the commutator blocks need about {need} bytes, "
-                             f"more than the {have} bytes of physical memory")
+    refuse_past_memory(8 * (l + 4) * m * m, "the commutator blocks")
     block_of = np.empty(dim, dtype=np.int64)
     block_of[coords] = np.arange(l)[:, None]
     local = np.empty(dim, dtype=np.int64)
@@ -125,17 +119,7 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray):
     del first  # a dense block's bytes are as large as the block
     kernels = {u: _linalg.right_kernel(fld, blocks[u]) for u in np.unique(which).tolist()}
     del blocks
-    pivots = {u: _linalg.right_pivots(k) for u, k in kernels.items()}
-
-    piv = np.concatenate([coords[t][pivots[u]] for t, u in enumerate(which)])
-    dest = np.empty(piv.size, dtype=np.int64)
-    dest[np.argsort(-piv)] = np.arange(piv.size)
-    K = np.zeros((piv.size, dim), dtype=np.int64)
-    r = 0
-    for t, u in enumerate(which):
-        d = kernels[u].shape[0]
-        K[np.ix_(dest[r:r + d], coords[t])] = kernels[u]
-        r += d
+    kernel = Subspace(fld, None, blocks=(alg, coords, kernels, which))
 
     pi = alg.gamma_star_pairs()[0]
     partner = block_of[pi[coords[:, 0]]]
@@ -156,12 +140,13 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray):
     sym_dim = sum(count[key] * sym for key, (sym, _, _) in slices.items())
     skew_dim = sum(count[key] * skew for key, (_, skew, _) in slices.items())
     star_closed = all(closed for _, _, closed in slices.values())
-    return K, sym_dim, skew_dim, star_closed
+    return kernel, sym_dim, skew_dim, star_closed
 
 
 @dataclass
 class CentralizerReport:
-    """Exact kernel of the commutator g -> x g - g x on gamma, with star slices."""
+    """Exact kernel of the commutator g -> x g - g x on gamma, with star slices,
+    all read off its blocks; `kernel.basis` is built on first read."""
 
     x: AlgElem
     kernel: Subspace
@@ -180,18 +165,17 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
     block partition for `_block_centralizer`: for x in FB (supported on B)
     the operator is block-diagonal over the sigma-orbits of A, so it is
     solved as (|A|-1)/q blocks of size q^2; any other x is one block of all
-    of gamma.  The kernel basis K is canonical in gamma coordinates, which
-    the involution permutes by pi, so the slices C ^ S1 and C ^ S2 have
-    dimensions dim - rank(K[:, pi] - K) and dim - rank(K[:, pi] + K),
-    counted block by block.  They sum to dim iff C is star-closed, which is
-    cross-checked directly.
+    of gamma.  The kernel basis K, canonical in gamma coordinates, is kept
+    as its blocks.  The involution permutes the coordinates by pi, so the
+    slices C ^ S1 and C ^ S2 have dimensions dim - rank(K[:, pi] - K) and
+    dim - rank(K[:, pi] + K), counted block by block.  They sum to dim iff
+    C is star-closed, which is cross-checked directly.
     """
     if not x.is_unit():
         raise NotAUnit("rho(x) is not invertible in FB")
     coords = (_orbit_blocks(alg) if not x.coeffs[alg.q:].any()
               else np.arange(alg.gamma_dim())[None, :])
-    K, sym_dim, skew_dim, star_closed = _block_centralizer(alg, x, coords)
-    kernel = Subspace(alg.field, alg.gamma_expand(K), reduced=True)
+    kernel, sym_dim, skew_dim, star_closed = _block_centralizer(alg, x, coords)
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,
                              sym_dim=sym_dim, skew_dim=skew_dim)
 

@@ -9,8 +9,10 @@ and m = 1 with s + 1 >= q and 2n >= f(q-1) by the counting inequality
 whose two sides are carried both as factored prime powers and as full
 arbitrary-precision integers (recomputed by a log-free product chain as a
 cross-check).  Dimensions entering the certificate are exact, not formula
-shortcuts: kernel dimensions from the unitgroup layer, and dim S2 from S2
-written down over the pairs of the checked involution on gamma.
+shortcuts: kernel dimensions from the unitgroup layer's orbit-block
+solve, and dim S2 from S2 in block form over the pairs of the checked
+involution on gamma.  Both are read off their blocks; no dense row of
+either subspace is built.
 """
 
 from __future__ import annotations
@@ -52,9 +54,9 @@ class Instance:
 
     @cached_property
     def s2_dim(self) -> int:
-        # dim S2 is also the pair count gamma_star_pairs()[1].size; S2 stays
-        # written down here because perfbench's traced smoke checks reach
-        # sym_skew_subspaces only through this read (ROADMAP item 1)
+        # S2's block form reads dim as the pair count of gamma_star_pairs()
+        # and builds no rows; the read stays on sym_skew_subspaces because
+        # perfbench's traced smoke checks reach that span only through it
         return self.algebra.sym_skew_subspaces()[1].dim
 
     @cached_property

@@ -3,7 +3,10 @@
 gamma, S1, S2 and the centralizer kernels are built in canonical form
 without row reduction, and the involution on gamma is checked against
 `AlgElem.star`; the reference is `Subspace(field, rows)`, which
-row reduces whatever rows it is given.  Kernels of units in FB come from
+row reduces whatever rows it is given.  S1, S2 and the kernels are kept
+in block form: their `dim` is checked before any rows exist, and the rows
+built on first read against the same subspaces written down densely
+(`slice_rows`, `eager_rows`).  Kernels of units in FB come from
 the orbit blocks; they are also compared with the kernel of the same
 builder over one block of all of gamma, and each orbit block entrywise
 with that one block.  The FFT product is checked against the full-table
@@ -23,6 +26,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mul_reference
 
+from cqunits import _linalg as L
 from cqunits.algebra import Subspace
 from cqunits.group import orbits
 from cqunits.unitgroup import (_block_centralizer, _commutator_blocks, _orbit_blocks,
@@ -44,9 +48,48 @@ def assert_reference(sub: Subspace, rows=None):
     assert np.array_equal(sub.basis, ref.basis)
 
 
+def assert_lazy_rows(sub: Subspace, ref: Subspace):
+    """`sub` is in block form with no rows built yet; its `dim` matches the
+    rows built on first read, which equal `ref` in basis and pivots."""
+    assert sub.blocks is not None and "_echelon" not in vars(sub)
+    dim = sub.dim
+    assert sub.basis.shape[0] == dim
+    assert sub.pivots == ref.pivots
+    assert np.array_equal(sub.basis, ref.basis)
+
+
+def eager_rows(sub: Subspace) -> Subspace:
+    """The block form's rows placed one block at a time (`np.ix_`), sorted by
+    pivot descending and expanded to FG, as the centralizer solver wrote
+    them down before the rows were built lazily."""
+    alg, coords, kernels, which = sub.blocks
+    piv = np.concatenate([coords[t][L.right_pivots(kernels[u])] for t, u in enumerate(which)])
+    dest = np.empty(piv.size, dtype=np.int64)
+    dest[np.argsort(-piv)] = np.arange(piv.size)
+    K = np.zeros((piv.size, alg.gamma_dim()), dtype=np.int64)
+    r = 0
+    for t, u in enumerate(which):
+        d = kernels[u].shape[0]
+        K[np.ix_(dest[r:r + d], coords[t])] = kernels[u]
+        r += d
+    return Subspace(alg.field, alg.gamma_expand(K), reduced=True)
+
+
+def slice_rows(alg, sign) -> Subspace:
+    """S1 (sign 1) or S2 (sign the code of -1) written down densely over the pairs
+    (hi, pi[hi]), as `sym_skew_subspaces` did before its block form."""
+    pi, hi = alg.gamma_star_pairs()
+    K = np.zeros((hi.size, pi.size), dtype=np.int64)
+    K[np.arange(hi.size), hi] = 1
+    K[np.arange(hi.size), pi[hi]] = sign
+    return Subspace(alg.field, alg.gamma_expand(K), reduced=True)
+
+
 def check_gamma_slices(alg):
     gamma = alg.gamma_basis()
     s1, s2 = alg.sym_skew_subspaces()
+    assert_lazy_rows(s1, slice_rows(alg, 1))
+    assert_lazy_rows(s2, slice_rows(alg, alg.field.neg(1)))
     assert_reference(gamma)
     # S1, S2 against the symmetric/skew parts of gamma under the ambient star
     rows = gamma.basis
@@ -86,8 +129,7 @@ def placed_operator(alg, x, coords) -> np.ndarray:
 
 def dense_kernel(alg, x) -> Subspace:
     """The centralizer kernel from one block of all of gamma, for any unit x."""
-    K = _block_centralizer(alg, x, one_block(alg))[0]
-    return Subspace(alg.field, alg.gamma_expand(K), reduced=True)
+    return _block_centralizer(alg, x, one_block(alg))[0]
 
 
 def assert_blocks_match_dense(alg, x):
@@ -99,6 +141,8 @@ def assert_blocks_match_dense(alg, x):
 
 def check_kernel(alg, x, s1, s2):
     rep = centralizer_in_gamma(alg, x)
+    assert rep.dim == rep.kernel.dim
+    assert_lazy_rows(rep.kernel, eager_rows(rep.kernel))
     assert_reference(rep.kernel)
     if not x.coeffs[alg.q:].any():  # the orbit blocks against one block
         assert_blocks_match_dense(alg, x)

@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from cqunits import GroupAlgebra, _linalg, make_field, make_group, unitgroup
+from conftest import CONFIGS
+
+from cqunits import GroupAlgebra, _linalg, algebra, cli, make_field, make_group, unitgroup
 from cqunits.cqstruct import FBCtx, ProjVec, from_projections
 from cqunits.errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotAUnit,
                             NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
@@ -295,17 +299,55 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, monkeypatch):
     # l blocks of size m need 8 (l + 4) m^2 bytes: b z is one block of
     # gamma (m = 18), b the two orbit blocks of size q^2 = 9
     need, need_fb = 8 * (1 + 4) * 18 ** 2, 8 * (2 + 4) * 9 ** 2
-    monkeypatch.setattr(unitgroup, "_physical_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
     with pytest.raises(BudgetExceeded, match=f"about {need} bytes") as err:
         centralizer_in_gamma(alg21, b21 * z)
     assert err.value.exit_code == 4
     assert centralizer_in_gamma(alg21, b21).dim == 6  # the orbit blocks still fit
-    monkeypatch.setattr(unitgroup, "_physical_memory_bytes", lambda: need)
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
     assert centralizer_in_gamma(alg21, b21 * z).dim <= 6
-    monkeypatch.setattr(unitgroup, "_physical_memory_bytes", lambda: need_fb - 1)
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need_fb - 1)
     with pytest.raises(BudgetExceeded, match=f"about {need_fb} bytes"):
         centralizer_in_gamma(alg21, b21)
+
+
+def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
+    # on gf49 (|G| = 147, f = 2) the 16 orbit blocks of 9 need 8 (16 + 4) 9^2
+    # bytes, the 48 dense rows of C(b) 8 * 48 (147 + (1 + 2 * 2) 144): the
+    # placed rows, the |G|-wide copy and vsum's two digit-decode temporaries
+    need = 8 * 48 * (147 + 5 * 144)
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
+    alg = config_instance("gf49").algebra
+    rep = centralizer_in_gamma(alg, alg.basis(alg.group.b()))
+    assert (rep.dim, rep.skew_dim, rep.star_closed) == (48, 24, True)
+    with pytest.raises(BudgetExceeded, match=f"about {need} bytes") as err:
+        rep.kernel.basis
+    assert err.value.exit_code == 4
+    assert cli.main(["sample-disjoint", "--config", str(CONFIGS / "gf49.cfg"),
+                     "--trials", "1"]) == 4
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
+    assert rep.kernel.basis.shape == (48, 147)
+
+
+@pytest.mark.parametrize("name", ["gf49", "c31sq"])
+def test_lazy_basis_estimate_covers_its_build(name, config_instance, monkeypatch):
+    # tracemalloc sees numpy's buffers: one build of C(b) or S2 peaks at the
+    # estimate plus index bookkeeping of O(dim + dim gamma) bytes
+    estimates = []
+    refuse = algebra.refuse_past_memory
+    monkeypatch.setattr(algebra, "refuse_past_memory",
+                        lambda need, what: estimates.append(need) or refuse(need, what))
+    alg = config_instance(name).algebra
+    for sub in (centralizer_in_gamma(alg, alg.basis(alg.group.b())).kernel,
+                alg.sym_skew_subspaces()[1]):
+        tracemalloc.start()
+        try:
+            sub.basis
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert estimates[-1] <= peak <= 1.1 * estimates[-1]
 
 
 def test_block_leak_is_an_error(alg21, b21, monkeypatch):
@@ -333,14 +375,14 @@ def test_every_reader_checks_the_involution(f7, g21, rep_b):
 
 @pytest.mark.parametrize("name", ["c7", "gf49"])
 def test_starred_class_length_counts_pairs(name, config_instance, monkeypatch):
-    # the reference reads dim S2 off the written-down S2
+    # the reference reads dim S2 off the rows of S2, built from its blocks
     ref = config_instance(name).algebra
     b = ref.basis(ref.group.b())
-    expect = ref.field.f * (ref.sym_skew_subspaces()[1].dim
+    expect = ref.field.f * (ref.sym_skew_subspaces()[1].basis.shape[0]
                             - centralizer_in_gamma(ref, b).skew_dim)
 
     def refuse(self):
-        raise AssertionError("S1/S2 written down")
+        raise AssertionError("S1/S2 reached")
 
     monkeypatch.setattr(GroupAlgebra, "sym_skew_subspaces", refuse)
     alg = config_instance(name).algebra

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from cqunits.algebra import GroupAlgebra
 from cqunits.errors import (BranchMismatch, NotFixedPointFree, QDoesNotDivide)
 from cqunits.verifier import (FactoredInt, analyze, counting_certificate,
                               m_gt_1_no_complement, make_instance, to_decimal)
@@ -49,6 +50,22 @@ def test_certificate_c7(inst7):
     assert cert.R.value == 7 ** 8
     assert cert.a_order == 7 and cert.intermediate_bound == 1
     assert cert.intermediate_ok and cert.counting_ok
+    assert all(cert.checks.values())
+    assert cert.verdict == "NoNormalComplement"
+
+
+@pytest.mark.parametrize("name, dims", [("c31sq", (2400, 960, 480)),
+                                        ("c61sq", (9300, 3720, 1860)),
+                                        ("gf81_c3e8", (16400, 6560, 3280))])
+def test_certificate_reads_block_dimensions(name, dims, config_instance, monkeypatch):
+    # S2 and C(b) stay in block form, so the certificate writes down no rows;
+    # dense rows of c61sq or gf81_c3e8 would take gigabytes
+    def refuse(self, K):
+        raise AssertionError("dense rows built")
+
+    monkeypatch.setattr(GroupAlgebra, "gamma_expand", refuse)
+    cert = counting_certificate(config_instance(name))
+    assert (cert.s2_dim, cert.centralizer_dim, cert.centralizer_skew_dim) == dims
     assert all(cert.checks.values())
     assert cert.verdict == "NoNormalComplement"
 
