@@ -22,12 +22,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-import sympy
 
 from . import _linalg
 from .errors import (BudgetExceeded, CtxMismatch, HypothesisFail, MathDomainError,
                      NotAUnit, NotUnitary, RepeatedProjections)
-from .field import FieldCtx, FieldElem, QDecomp
+from .field import FieldCtx, FieldElem, QDecomp, prime_factors
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -565,7 +564,14 @@ def distinct_projection_unit(n: ProjVec, qd: QDecomp) -> ProjVec:
 
 
 def _divisors(n: int) -> list[int]:
-    return sorted(int(d) for d in sympy.divisors(n))
+    divs = [1]
+    for r in prime_factors(n):
+        power, powers = 1, []
+        while n % (power * r) == 0:
+            power *= r
+            powers.append(power)
+        divs += [d * pw for d in divs for pw in powers]
+    return sorted(divs)
 
 
 def _diag_tuples(N: int, k: int, det: int):
@@ -583,6 +589,7 @@ def _diag_tuples(N: int, k: int, det: int):
 def _hnf_candidates(N: int, k: int, det: int, budget: int):
     """Column-style HNF matrices H (upper triangular, 0 <= H[i][j] < H[i][i]
     for j > i) with diagonal product det and N * H^-1 integral."""
+    import sympy
     count = 0
     for diag in _diag_tuples(N, k, det):
         off_positions = [(i, j) for i in range(k) for j in range(i + 1, k)]

@@ -8,27 +8,48 @@ f > 1, vmul multiplies through log/antilog tables of zeta, built on first
 use from the structure tensor.
 Inversion is by extended Euclid on polynomials (sympy's galoistools, which
 also reduces the structure tensor and tests moduli for irreducibility),
-never by table lookup.
+never by table lookup.  galoistools is imported only when f > 1: a prime
+field needs no polynomial arithmetic, and the integer helpers `is_prime`
+and `prime_factors` below are exact trial division.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import sympy
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_gcdex, gf_irreducible_p, gf_rem, gf_strip
 
 from .errors import (CtxMismatch, MathDomainError, NotPrime, QDoesNotDivide,
                      ReducibleModulus, ZeroInverse)
 
 
+def prime_factors(n: int) -> tuple[int, ...]:
+    """The distinct prime factors of n >= 1 in increasing order, by trial division."""
+    n, out, d = int(n), [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return tuple(out)
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality of an integer by trial division."""
+    return n >= 2 and prime_factors(n) == (n,)
+
+
 def _hi_lo(poly):
     """Low-to-high coefficients -> the high-to-low, trimmed list galoistools takes."""
+    from sympy.polys.galoistools import gf_strip
     return gf_strip([int(c) for c in reversed(poly)])
 
 
 def _is_irreducible(poly, p):
     """Irreducibility over Z_p of a polynomial given low-to-high; constants are not."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
     hl = _hi_lo([c % p for c in poly])
     return len(hl) > 1 and gf_irreducible_p(hl, p, ZZ)
 
@@ -131,14 +152,18 @@ class FieldCtx:
         self.size = p ** f
         self.order = self.size - 1
         self.signature = (p, f, self.modulus)
-        self._order_factors = tuple(sorted(sympy.factorint(self.order)))
-        self._modulus_hl = _hi_lo(self.modulus)
+        self._order_factors = prime_factors(self.order)
         # structure tensor: z^i * z^j = sum_k T[i,j,k] z^k  (mod modulus)
-        T = np.zeros((f, f, f), dtype=np.int64)
-        for i in range(f):
-            for j in range(f):
-                r = gf_rem([1] + [0] * (i + j), self._modulus_hl, p, ZZ)[::-1]
-                T[i, j, :len(r)] = r
+        T = np.ones((1, 1, 1), dtype=np.int64)
+        if f > 1:
+            from sympy.polys.domains import ZZ
+            from sympy.polys.galoistools import gf_rem
+            self._modulus_hl = _hi_lo(self.modulus)
+            T = np.zeros((f, f, f), dtype=np.int64)
+            for i in range(f):
+                for j in range(f):
+                    r = gf_rem([1] + [0] * (i + j), self._modulus_hl, p, ZZ)[::-1]
+                    T[i, j, :len(r)] = r
         self._tensor = T
         self._powers_of_p = p ** np.arange(f, dtype=np.int64)
         self._logs = None
@@ -215,6 +240,8 @@ class FieldCtx:
             raise ZeroInverse("0 has no multiplicative inverse")
         if self.f == 1:
             return pow(a, -1, self.p)
+        from sympy.polys.domains import ZZ
+        from sympy.polys.galoistools import gf_gcdex
         # extended Euclid: s a + t modulus = h, the monic gcd
         s, _, h = gf_gcdex(_hi_lo(FieldElem(self, a).coeffs), self._modulus_hl, self.p, ZZ)
         if h != [1]:
@@ -320,7 +347,7 @@ def make_field(p: int, f: int = 1, modulus=None) -> FieldCtx:
     lists enumerated as base-p integers) is chosen, so results are
     reproducible.  For f = 1 the placeholder modulus is x - 0.
     """
-    if not sympy.isprime(p):
+    if not is_prime(p):
         raise NotPrime(f"p = {p} is not prime")
     if p == 2:
         raise NotPrime("p = 2 is rejected: odd characteristic is assumed throughout")
@@ -354,7 +381,7 @@ class QDecomp:
     """
 
     def __init__(self, field: FieldCtx, q: int):
-        if not sympy.isprime(q) or q == 2:
+        if not is_prime(q) or q == 2:
             raise QDoesNotDivide(f"q = {q} must be an odd prime")
         if field.order % q != 0:
             raise QDoesNotDivide(f"q = {q} does not divide p^f - 1 = {field.order}")

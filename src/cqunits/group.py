@@ -14,11 +14,10 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import sympy
 
 from .errors import (ActionOrderWrong, CtxMismatch, MathDomainError, NotAutomorphism,
                      NotFixedPointFree, NotPrime)
-from .field import FieldCtx
+from .field import FieldCtx, is_prime
 
 
 class AbelianSpec:
@@ -261,7 +260,7 @@ class GroupSpec:
 
 def make_group(field: FieldCtx, q: int, factors, action) -> GroupSpec:
     """Validated A x| C_q; rejects actions of order != q or with fixed points."""
-    if not sympy.isprime(q) or q == 2:
+    if not is_prime(q) or q == 2:
         raise NotPrime(f"q = {q} must be an odd prime")
     if q == field.p:
         raise NotPrime(f"q = {q} must differ from the characteristic p = {field.p}")

@@ -148,9 +148,15 @@ class FactoredInt:
         self.value = cofactor * p ** exp
 
     def recompute_slow(self) -> int:
-        acc = self.cofactor
-        for _ in range(self.exp):
-            acc = acc * self.p
+        """cofactor * p^exp by square-and-multiply over the bits of exp,
+        without `**` or `pow`, so it does not share `value`'s route."""
+        acc, square, e = self.cofactor, self.p, self.exp
+        while e:
+            if e & 1:
+                acc = acc * square
+            e >>= 1
+            if e:
+                square = square * square
         return acc
 
     def as_dict(self) -> dict:

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cqunits
 from cqunits import cli
 from cqunits.cli import main, parse_config, parse_element
 from cqunits.errors import ParseError
@@ -257,3 +262,42 @@ def test_internal_error_exit(capsys, monkeypatch, c7_path):
                               "message": "RuntimeError: boom"}}
     assert main(["orbits", "--config", c7_path]) == 5
     assert "error[internal-error]: RuntimeError: boom" in capsys.readouterr().err
+
+
+# --- the f = 1 path needs no sympy ------------------------------------------
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+NO_SYMPY_RUNS = [["certificate", "c31sq"], ["certificate", "c61sq"],
+                 ["verify", "c7"], ["verify", "f11c5"]]
+
+# Builds c31sq's algebra in a fresh interpreter, checks that sympy was never
+# imported, then blocks it (`import sympy` raises ImportError) and runs the
+# f = 1 commands; prints one [exit code, stdout] pair per run as JSON.
+NO_SYMPY_SCRIPT = """
+import contextlib, io, json, sys
+from cqunits import cli
+configs, runs = sys.argv[1], json.loads(sys.argv[2])
+cli.parse_config(open(configs + "/c31sq.cfg").read()).algebra
+assert "sympy" not in sys.modules, "building c31sq imported sympy"
+sys.modules["sympy"] = None
+out = []
+for command, name in runs:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = cli.main([command, "--config", f"{configs}/{name}.cfg", "--json"])
+    out.append([code, buf.getvalue()])
+print(json.dumps(out))
+"""
+
+
+def test_f1_path_runs_without_sympy(capsys):
+    src = str(Path(cqunits.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SYMPY_SCRIPT, str(CONFIG_DIR), json.dumps(NO_SYMPY_RUNS)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    blocked = json.loads(proc.stdout)
+    assert len(blocked) == len(NO_SYMPY_RUNS)
+    for (command, name), (code, out) in zip(NO_SYMPY_RUNS, blocked):
+        expected = main([command, "--config", str(CONFIG_DIR / f"{name}.cfg"), "--json"])
+        assert (code, out) == (expected, capsys.readouterr().out), (command, name)

@@ -1,10 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from cqunits import make_field, q_decompose
+from cqunits import cli, make_field, q_decompose
+from cqunits.cqstruct import _divisors
 from cqunits.errors import (MathDomainError, NotPrime, QDoesNotDivide,
                             ReducibleModulus, ZeroInverse)
-from cqunits.field import _is_irreducible
+from cqunits.field import _is_irreducible, is_prime, prime_factors
+from conftest import CONFIGS
 
 
 def brute_order(a, one):
@@ -204,3 +208,34 @@ def test_vmul_above_log_table_limit_uses_tensor(monkeypatch):
     a = np.arange(fld.size)
     assert np.array_equal(fld.vmul(a, a[::-1]), fld._vmul_tensor(a, a[::-1]))
     assert fld._logs is None
+
+
+# --- integer helpers against sympy -------------------------------------------
+
+
+def test_integer_helpers_match_sympy():
+    import sympy
+    orders = [cli.parse_config(path.read_text()).field.order
+              for path in sorted(CONFIGS.glob("*.cfg"))]
+    assert 42 in orders and 80 in orders  # c43cube, gf81_c3e8
+    extra = [10009, 999983, 3 ** 4 - 1, 3 ** 8 - 1, 7 ** 2 - 1] + orders
+    for n in list(range(1, 5001)) + extra:
+        assert is_prime(n) == sympy.isprime(n), n
+        assert prime_factors(n) == tuple(sorted(sympy.factorint(n))), n
+        assert _divisors(n) == [int(d) for d in sympy.divisors(n)], n
+    assert not is_prime(0) and not is_prime(-7)
+
+
+@pytest.mark.parametrize("p, q, slug, message", [
+    (6, 3, "not-prime", "p = 6 is not prime"),
+    (2, 3, "not-prime", "p = 2 is rejected: odd characteristic is assumed throughout"),
+    (7, 2, "q-does-not-divide", "q = 2 must be an odd prime"),
+    (7, 9, "q-does-not-divide", "q = 9 must be an odd prime"),
+    (7, 1, "q-does-not-divide", "q = 1 must be an odd prime"),
+])
+def test_prime_rejections_keep_errors_and_exits(tmp_path, capsys, p, q, slug, message):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"p={p}\nf=1\nq={q}\nA=7\naction=2\n")
+    assert cli.main(["verify", "--config", str(path), "--json"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": {"code": slug, "exit": 1, "message": message}}

@@ -107,6 +107,15 @@ def test_factored_int_paths():
     assert len(str(big.value)) > 3500  # ~3600 decimal digits
 
 
+def test_factored_int_recompute_at_large_exponent():
+    # c43cube's L (C_43^3 x| C_7 over GF(43), s2_dim = 278271); the check
+    # must stay cheap at this size, since every certificate runs it twice
+    L = FactoredInt(43, 278271, 6)
+    assert L.recompute_slow() == L.value
+    assert FactoredInt(43, 0, 6).recompute_slow() == 6
+    assert FactoredInt(43, 1, 6).recompute_slow() == 6 * 43
+
+
 def test_q5_specialization_analysis():
     # q = 5, p = (s 5^m + 1) > 11, n >= 2: the hypotheses select a branch
     # p = 41 = 8*5 + 1: m = 1, s + 1 = 9 >= 5, 2n = 4 >= 4 -> counting
