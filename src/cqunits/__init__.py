@@ -4,8 +4,7 @@ from .algebra import AlgElem, GroupAlgebra, Subspace, kernel_of
 from .cqstruct import (CoeffElem, FBCtx, FBElem, Idempotents, ProjVec, UnitClass,
                        b_polynomial, classify_unit, complement_search_B_in_VstarFB,
                        distinct_projection_unit, enumerate_VFB,
-                       from_projections, hall_2prime_decomposition, idempotents,
-                       projections, span_dimension)
+                       from_projections, idempotents, projections)
 from .field import FieldCtx, FieldElem, QDecomp, make_field, q_decompose
 from .group import (AbelianSpec, ActionSpec, GroupElem, GroupSpec, OrbitTable,
                     make_group, orbits)
@@ -24,8 +23,7 @@ __all__ = [
     "AlgElem", "GroupAlgebra", "Subspace", "kernel_of",
     "CoeffElem", "FBCtx", "FBElem", "Idempotents", "ProjVec", "UnitClass",
     "idempotents", "projections", "from_projections", "classify_unit",
-    "b_polynomial", "span_dimension", "enumerate_VFB",
-    "hall_2prime_decomposition", "distinct_projection_unit",
+    "b_polynomial", "enumerate_VFB", "distinct_projection_unit",
     "complement_search_B_in_VstarFB",
     "CentralizerReport", "ClassLength", "centralizer_in_gamma",
     "centralizer_of_b_orbit_form", "class_length", "cayley", "cayley_inv",

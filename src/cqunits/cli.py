@@ -397,7 +397,7 @@ def _cmd_complement_search(args, inst):
     for c in res.complements:
         comps.append({
             "generators": c["hnf"].T.tolist(),  # rows are generators
-            "order": len(c["elements"]),
+            "order": c["order"],
             "witness_exponents": list(map(int, c["witness"])) if c["witness"] else None,
         })
     result = {"vstar_order": res.vstar_order, "s": res.s, "m": res.m,

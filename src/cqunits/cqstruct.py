@@ -11,8 +11,16 @@ For q | p^f - 1, FB splits as F^q through the primitive idempotents e_j,
 with b acting on e_j by the eigenvalue omega^j.  Units are classified by
 their projection vectors (u_0, ..., u_{q-1}); the normalized, symmetric
 and unitary unit groups are enumerated in exponent coordinates (discrete
-logs base zeta of the projections), where subgroup searches reduce to
-lattice arithmetic.
+logs base zeta of the projections).
+
+In those coordinates V*(FB) is H = (Z_N)^k with N = p^f - 1 and
+k = (q-1)/2, and B = <b> has prime order q.  A subgroup of prime order in
+a finite abelian group is a direct summand exactly when it is pure, that
+is when b is not in qH (L. Fuchs, Abelian Groups, Springer 2015).  b's
+coordinates are i N / q, so b lies in qH exactly when q^2 | N (m > 1):
+then B has no complement.  For m = 1 a complement has index q, so it
+contains qH and is the kernel of a functional phi: H/qH = F_q^k -> F_q
+with phi(b) != 0; there are q^(k-1) of them, and none is enumerated.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ import numpy as np
 from . import _linalg
 from .errors import (BudgetExceeded, CtxMismatch, HypothesisFail, MathDomainError,
                      NotAUnit, NotUnitary, RepeatedProjections)
-from .field import FieldCtx, FieldElem, QDecomp, prime_factors
+from .field import FieldCtx, FieldElem, QDecomp
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -404,16 +412,6 @@ def _poly_mul_codes(fld: FieldCtx, a, b):
     return out
 
 
-def span_dimension(u: FBElem) -> int:
-    """dim of F[u] inside FB = rank of {1, u, ..., u^(q-1)}."""
-    rows = []
-    upow = u.ctx.one()
-    for _ in range(u.ctx.q):
-        rows.append(upow.coeffs)
-        upow = upow * u
-    return _linalg.rank(u.ctx.field, np.stack(rows))
-
-
 # ---------------------------------------------------------------------------
 # enumeration of V(FB), V+(FB), V*(FB) in exponent coordinates
 
@@ -480,41 +478,6 @@ def enumerate_VFB(fb: FBCtx, which: str = "V", budget: int = DEFAULT_BUDGET) -> 
     return VFBEnumeration(fb, which, exps.shape[0], exps)
 
 
-@dataclass
-class HallReport:
-    """Hall 2'-parts of V+, V* and V in exponent coordinates."""
-
-    odd_v_order: int
-    odd_plus_order: int
-    odd_star_order: int
-    intersection_trivial: bool
-    product_is_odd_part: bool
-
-
-def hall_2prime_decomposition(fb: FBCtx, budget: int = DEFAULT_BUDGET) -> HallReport:
-    """Check (V)_2' = (V+)_2' x (V*)_2' by explicit set arithmetic."""
-    N = fb.field.order
-    t2 = N & -N  # 2-part of N
-    q = fb.q
-
-    def odd_part(enum):
-        return {tuple(e) for e in enum.exps.tolist() if all(x % t2 == 0 for x in e)}
-
-    odd_v = odd_part(enumerate_VFB(fb, "V", budget))
-    odd_plus = odd_part(enumerate_VFB(fb, "V+", budget))
-    odd_star = odd_part(enumerate_VFB(fb, "V*", budget))
-    inter = odd_plus & odd_star
-    product = {tuple(int(t) for t in (np.array(x) + np.array(y)) % N)
-               for x in odd_plus for y in odd_star}
-    return HallReport(
-        odd_v_order=len(odd_v),
-        odd_plus_order=len(odd_plus),
-        odd_star_order=len(odd_star),
-        intersection_trivial=(inter == {tuple([0] * (q - 1))}),
-        product_is_odd_part=(product == odd_v),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the distinct-projection unitary unit construction
 
@@ -559,84 +522,16 @@ def distinct_projection_unit(n: ProjVec, qd: QDecomp) -> ProjVec:
     return w
 
 
+
+
 # ---------------------------------------------------------------------------
-# subgroup enumeration of Z_N^k and the complement search in V*(FB)
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for r in prime_factors(n):
-        power, powers = 1, []
-        while n % (power * r) == 0:
-            power *= r
-            powers.append(power)
-        divs += [d * pw for d in divs for pw in powers]
-    return sorted(divs)
-
-
-def _diag_tuples(N: int, k: int, det: int):
-    """All tuples (d_1..d_k) of divisors of N with product det."""
-    if k == 0:
-        if det == 1:
-            yield ()
-        return
-    for d in _divisors(N):
-        if det % d == 0:
-            for rest in _diag_tuples(N, k - 1, det // d):
-                yield (d,) + rest
-
-
-def _hnf_candidates(N: int, k: int, det: int, budget: int):
-    """Column-style HNF matrices H (upper triangular, 0 <= H[i][j] < H[i][i]
-    for j > i) with diagonal product det and N * H^-1 integral."""
-    import sympy
-    count = 0
-    for diag in _diag_tuples(N, k, det):
-        off_positions = [(i, j) for i in range(k) for j in range(i + 1, k)]
-        ranges = [range(diag[i]) for i, _ in off_positions]
-        for combo in itertools.product(*ranges):
-            count += 1
-            if count > budget:
-                raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
-            H = sympy.zeros(k, k)
-            for i in range(k):
-                H[i, i] = diag[i]
-            for (i, j), val in zip(off_positions, combo):
-                H[i, j] = val
-            adj = H.adjugate()
-            if all((N * adj[i, j]) % det == 0 for i in range(k) for j in range(k)):
-                yield np.array(H.tolist(), dtype=np.int64)
-
-
-def subgroups_of_order(N: int, k: int, order: int,
-                       budget: int = DEFAULT_BUDGET) -> list[dict]:
-    """All subgroups of Z_N^k of the given order, as element sets.
-
-    Each entry has 'hnf' (generating matrix, columns are generators) and
-    'elements' (frozenset of exponent tuples).
-    """
-    total = N ** k
-    if total % order != 0:
-        return []
-    det = total // order
-    out = []
-    for H in _hnf_candidates(N, k, det, budget):
-        if order > budget:
-            raise BudgetExceeded(f"subgroup of order {order} exceeds budget {budget}")
-        ranges = [np.arange(N // H[j, j]) for j in range(k)]
-        grids = np.meshgrid(*ranges, indexing="ij")
-        ts = np.stack([g.ravel() for g in grids], axis=1)
-        elems = (ts @ H.T) % N
-        elems_set = frozenset(map(tuple, elems.tolist()))
-        if len(elems_set) != order:
-            raise MathDomainError(f"HNF subgroup has {len(elems_set)} elements, not {order}")
-        out.append({"hnf": H, "elements": elems_set})
-    return out
+# complements of B in V*(FB) ~ Z_N^k, decided by q-height
 
 
 @dataclass
 class ComplementSearch:
-    """Result of the exhaustive complement search for B inside V*(FB)."""
+    """The complements of B in V*(FB): HNF generators (columns), order and a
+    witness, the least element with q distinct projections, for each."""
 
     q: int
     s: int
@@ -654,60 +549,52 @@ class ComplementSearch:
 
 def b_exponent_coords(fb: FBCtx) -> tuple[int, ...]:
     """b as an exponent tuple in V*(FB) ~ (Z_N)^((q-1)/2): dlog of omega^i."""
-    N = fb.field.order
-    q = fb.q
-    return tuple((i * (N // q)) % N for i in range(1, (q - 1) // 2 + 1))
+    step = fb.field.order // fb.q
+    return tuple(i * step for i in range(1, (fb.q - 1) // 2 + 1))
+
+
+def _least_witness(N: int, q: int, phi: tuple[int, ...], x=(), used=frozenset({0})):
+    """The least x (lexicographic) extending the prefix with phi . x = 0 mod q
+    and 0, +-x_1, ..., +-x_k distinct mod N, or None."""
+    if len(x) == len(phi):
+        return x if sum(c * e for c, e in zip(phi, x)) % q == 0 else None
+    for e in range(N):
+        pair = {e, -e % N}
+        if len(pair) == 2 and not pair & used:
+            if (found := _least_witness(N, q, phi, x + (e,), used | pair)) is not None:
+                return found
+    return None
 
 
 def complement_search_B_in_VstarFB(fb: FBCtx,
                                    budget: int = DEFAULT_BUDGET) -> ComplementSearch:
-    """Exhaustively find all N <= V*(FB) with N . B = V*(FB) and N ^ B = 1.
+    """All N <= V*(FB) with N . B = V*(FB) and N ^ B = 1: none when m > 1.
 
-    For m > 1 the search provably comes back empty; for m = 1 every
-    complement is scanned for a unit with q distinct projections.
-    """
+    For m = 1, the kernel of phi = e_r - sum_(j>r) h_j e_j for each phi(b) != 0,
+    as the identity HNF with H[r][r] = q and H[r][j] = h_j; r from k-1 down,
+    then h lexicographic."""
     qd = fb.qdecomp
-    N = fb.field.order
-    q = fb.q
-    k = (q - 1) // 2
+    N, q, k = fb.field.order, fb.q, (fb.q - 1) // 2
     vstar_order = N ** k
+    result = ComplementSearch(q=q, s=qd.s, m=qd.m, vstar_order=vstar_order,
+                              b_exps=b_exponent_coords(fb), no_complement=N % q ** 2 == 0)
+    if result.no_complement:
+        return result
     if vstar_order > budget:
         raise BudgetExceeded(f"|V*(FB)| = {vstar_order} exceeds budget {budget}")
-    b_exps = b_exponent_coords(fb)
-    result = ComplementSearch(q=q, s=qd.s, m=qd.m, vstar_order=vstar_order, b_exps=b_exps)
-    for sub in subgroups_of_order(N, k, vstar_order // q, budget):
-        if b_exps in sub["elements"]:
-            continue  # meets B non-trivially, so not a complement
-        witness = None
-        for elem in sorted(sub["elements"]):
-            vals = zeta_powers(fb.field, mirror_exps(elem, N, -1))
-            if len(set(vals.tolist())) == q:
-                witness = elem
-                break
-        result.complements.append({"hnf": sub["hnf"], "elements": sub["elements"],
-                                   "witness": witness})
-    result.no_complement = not result.complements
+    for r in range(k - 1, -1, -1):
+        for h in itertools.product(range(q), repeat=k - 1 - r):
+            phi = (0,) * r + (1,) + tuple(-t % q for t in h)
+            if sum(c * e for c, e in zip(phi, result.b_exps)) % q == 0:
+                continue  # b lies in the kernel, so it meets B
+            H = np.eye(k, dtype=np.int64)
+            H[r, r], H[r, r + 1:] = q, h
+            result.complements.append({"hnf": H, "order": vstar_order // q,
+                                       "witness": _least_witness(N, q, phi)})
     return result
 
 
-def order_q_subgroups_in_cyclic_qm(fb: FBCtx, budget: int = DEFAULT_BUDGET) -> bool:
-    """Check every order-q subgroup of V*(FB) lies in a cyclic subgroup of
-    order q^m (the structural reason B has no complement when m > 1)."""
-    qd = fb.qdecomp
-    N = fb.field.order
-    q, m = fb.q, qd.m
-    k = (q - 1) // 2
-    step = N // q ** m
-    # the Sylow q-subgroup: coordinates are multiples of N / q^m
-    coords = [np.arange(q ** m) * step] * k
-    grids = np.meshgrid(*coords, indexing="ij")
-    sylow = np.stack([g.ravel() for g in grids], axis=1)
-    cyclic_qm = []
-    for z in sylow:
-        order = math.lcm(*(N // math.gcd(N, int(e)) if e else 1 for e in z)) if z.any() else 1
-        if order == q ** m:
-            cyclic_qm.append(frozenset(tuple((t * z) % N) for t in range(q ** m)))
-    for sub in subgroups_of_order(N, k, q, budget):
-        if not any(sub["elements"] <= cyc for cyc in cyclic_qm):
-            return False
-    return True
+def order_q_subgroups_in_cyclic_qm(fb: FBCtx) -> bool:
+    """Every order-q subgroup of V*(FB) lies in a cyclic subgroup of order q^m:
+    the Sylow q-subgroup is (Z_(q^m))^k, so <(N/q) y> lies in <(N/q^m) y>."""
+    return fb.field.order % fb.q ** fb.qdecomp.m == 0

@@ -1,0 +1,204 @@
+"""Reference implementations that the tests compare the package against.
+
+None of this is reached by the CLI or the certificate.  The subgroup
+enumeration of Z_N^k (Hermite normal forms with a sympy adjugate, every
+subgroup an explicit set of exponent tuples) and the scan of the Sylow
+q-subgroup are the exhaustive routes to what `cqstruct` decides in closed
+form; they are only usable for small N.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from cqunits import _linalg
+from cqunits.cqstruct import (DEFAULT_BUDGET, ComplementSearch, FBCtx, FBElem,
+                              b_exponent_coords, enumerate_VFB, mirror_exps,
+                              zeta_powers)
+from cqunits.errors import BudgetExceeded, MathDomainError
+from cqunits.field import prime_factors
+
+
+def span_dimension(u: FBElem) -> int:
+    """dim of F[u] inside FB = rank of {1, u, ..., u^(q-1)}."""
+    rows = []
+    upow = u.ctx.one()
+    for _ in range(u.ctx.q):
+        rows.append(upow.coeffs)
+        upow = upow * u
+    return _linalg.rank(u.ctx.field, np.stack(rows))
+
+
+@dataclass
+class HallReport:
+    """Hall 2'-parts of V+, V* and V in exponent coordinates."""
+
+    odd_v_order: int
+    odd_plus_order: int
+    odd_star_order: int
+    intersection_trivial: bool
+    product_is_odd_part: bool
+
+
+def hall_2prime_decomposition(fb: FBCtx, budget: int = DEFAULT_BUDGET) -> HallReport:
+    """Check (V)_2' = (V+)_2' x (V*)_2' by explicit set arithmetic."""
+    N = fb.field.order
+    t2 = N & -N  # 2-part of N
+    q = fb.q
+
+    def odd_part(enum):
+        return {tuple(e) for e in enum.exps.tolist() if all(x % t2 == 0 for x in e)}
+
+    odd_v = odd_part(enumerate_VFB(fb, "V", budget))
+    odd_plus = odd_part(enumerate_VFB(fb, "V+", budget))
+    odd_star = odd_part(enumerate_VFB(fb, "V*", budget))
+    inter = odd_plus & odd_star
+    product = {tuple(int(t) for t in (np.array(x) + np.array(y)) % N)
+               for x in odd_plus for y in odd_star}
+    return HallReport(
+        odd_v_order=len(odd_v),
+        odd_plus_order=len(odd_plus),
+        odd_star_order=len(odd_star),
+        intersection_trivial=(inter == {tuple([0] * (q - 1))}),
+        product_is_odd_part=(product == odd_v),
+    )
+
+
+# ---------------------------------------------------------------------------
+# subgroup enumeration of Z_N^k
+
+
+def _divisors(n: int) -> list[int]:
+    divs = [1]
+    for r in prime_factors(n):
+        power, powers = 1, []
+        while n % (power * r) == 0:
+            power *= r
+            powers.append(power)
+        divs += [d * pw for d in divs for pw in powers]
+    return sorted(divs)
+
+
+def _diag_tuples(N: int, k: int, det: int):
+    """All tuples (d_1..d_k) of divisors of N with product det."""
+    if k == 0:
+        if det == 1:
+            yield ()
+        return
+    for d in _divisors(N):
+        if det % d == 0:
+            for rest in _diag_tuples(N, k - 1, det // d):
+                yield (d,) + rest
+
+
+def _hnf_candidates(N: int, k: int, det: int, budget: int):
+    """Column-style HNF matrices H (upper triangular, 0 <= H[i][j] < H[i][i]
+    for j > i) with diagonal product det and N * H^-1 integral."""
+    import sympy
+    count = 0
+    for diag in _diag_tuples(N, k, det):
+        off_positions = [(i, j) for i in range(k) for j in range(i + 1, k)]
+        ranges = [range(diag[i]) for i, _ in off_positions]
+        for combo in itertools.product(*ranges):
+            count += 1
+            if count > budget:
+                raise BudgetExceeded(f"subgroup enumeration exceeded budget {budget}")
+            H = sympy.zeros(k, k)
+            for i in range(k):
+                H[i, i] = diag[i]
+            for (i, j), val in zip(off_positions, combo):
+                H[i, j] = val
+            adj = H.adjugate()
+            if all((N * adj[i, j]) % det == 0 for i in range(k) for j in range(k)):
+                yield np.array(H.tolist(), dtype=np.int64)
+
+
+def hnf_elements(H: np.ndarray, N: int) -> frozenset:
+    """The subgroup of Z_N^k generated by the columns of the HNF matrix H."""
+    k = H.shape[0]
+    ranges = [np.arange(N // H[j, j]) for j in range(k)]
+    grids = np.meshgrid(*ranges, indexing="ij")
+    ts = np.stack([g.ravel() for g in grids], axis=1)
+    return frozenset(map(tuple, ((ts @ H.T) % N).tolist()))
+
+
+def subgroups_of_order(N: int, k: int, order: int,
+                       budget: int = DEFAULT_BUDGET) -> list[dict]:
+    """All subgroups of Z_N^k of the given order, as element sets.
+
+    Each entry has 'hnf' (generating matrix, columns are generators) and
+    'elements' (frozenset of exponent tuples).
+    """
+    total = N ** k
+    if total % order != 0:
+        return []
+    det = total // order
+    out = []
+    for H in _hnf_candidates(N, k, det, budget):
+        if order > budget:
+            raise BudgetExceeded(f"subgroup of order {order} exceeds budget {budget}")
+        elems_set = hnf_elements(H, N)
+        if len(elems_set) != order:
+            raise MathDomainError(f"HNF subgroup has {len(elems_set)} elements, not {order}")
+        out.append({"hnf": H, "elements": elems_set})
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the exhaustive complement search in V*(FB) and the Sylow scan
+
+
+def complement_search_B_in_VstarFB(fb: FBCtx,
+                                   budget: int = DEFAULT_BUDGET) -> ComplementSearch:
+    """Exhaustively find all N <= V*(FB) with N . B = V*(FB) and N ^ B = 1,
+    each complement with its element set and the lexicographically least
+    element with q distinct projections."""
+    qd = fb.qdecomp
+    N = fb.field.order
+    q = fb.q
+    k = (q - 1) // 2
+    vstar_order = N ** k
+    if vstar_order > budget:
+        raise BudgetExceeded(f"|V*(FB)| = {vstar_order} exceeds budget {budget}")
+    b_exps = b_exponent_coords(fb)
+    result = ComplementSearch(q=q, s=qd.s, m=qd.m, vstar_order=vstar_order, b_exps=b_exps)
+    for sub in subgroups_of_order(N, k, vstar_order // q, budget):
+        if b_exps in sub["elements"]:
+            continue  # meets B non-trivially, so not a complement
+        witness = None
+        for elem in sorted(sub["elements"]):
+            vals = zeta_powers(fb.field, mirror_exps(elem, N, -1))
+            if len(set(vals.tolist())) == q:
+                witness = elem
+                break
+        result.complements.append({"hnf": sub["hnf"], "elements": sub["elements"],
+                                   "witness": witness})
+    result.no_complement = not result.complements
+    return result
+
+
+def order_q_subgroups_in_cyclic_qm(fb: FBCtx, budget: int = DEFAULT_BUDGET) -> bool:
+    """Check every order-q subgroup of V*(FB) lies in a cyclic subgroup of
+    order q^m (the structural reason B has no complement when m > 1)."""
+    qd = fb.qdecomp
+    N = fb.field.order
+    q, m = fb.q, qd.m
+    k = (q - 1) // 2
+    step = N // q ** m
+    # the Sylow q-subgroup: coordinates are multiples of N / q^m
+    coords = [np.arange(q ** m) * step] * k
+    grids = np.meshgrid(*coords, indexing="ij")
+    sylow = np.stack([g.ravel() for g in grids], axis=1)
+    cyclic_qm = []
+    for z in sylow:
+        order = math.lcm(*(N // math.gcd(N, int(e)) if e else 1 for e in z)) if z.any() else 1
+        if order == q ** m:
+            cyclic_qm.append(frozenset(tuple((t * z) % N) for t in range(q ** m)))
+    for sub in subgroups_of_order(N, k, q, budget):
+        if not any(sub["elements"] <= cyc for cyc in cyclic_qm):
+            return False
+    return True

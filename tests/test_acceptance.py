@@ -17,15 +17,15 @@ from cqunits import make_field
 from cqunits.cqstruct import (FBCtx, ProjVec, b_polynomial,
                               complement_search_B_in_VstarFB,
                               distinct_projection_unit, enumerate_VFB,
-                              from_projections, hall_2prime_decomposition,
-                              idempotents, order_q_subgroups_in_cyclic_qm,
-                              projections)
+                              from_projections, idempotents,
+                              order_q_subgroups_in_cyclic_qm, projections)
 from cqunits.errors import RepeatedProjections
 from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma,
                                centralizer_of_b_orbit_form, class_length,
                                random_gamma, random_skew,
                                sample_disjoint_classes, sqrt_relation_check)
 from cqunits.verifier import counting_certificate, m_gt_1_no_complement
+from oracles import hall_2prime_decomposition
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -268,7 +269,9 @@ def test_internal_error_exit(capsys, monkeypatch, c7_path):
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 NO_SYMPY_RUNS = [["certificate", "c31sq"], ["certificate", "c61sq"],
-                 ["verify", "c7"], ["verify", "f11c5"]]
+                 ["verify", "c7"], ["verify", "f11c5"], ["verify", "c19"],
+                 ["complement-search", "c7"], ["complement-search", "f11c5"],
+                 ["complement-search", "c31sq"]]
 
 # Builds c31sq's algebra in a fresh interpreter, checks that sympy was never
 # imported, then blocks it (`import sympy` raises ImportError) and runs the
@@ -301,3 +304,15 @@ def test_f1_path_runs_without_sympy(capsys):
     for (command, name), (code, out) in zip(NO_SYMPY_RUNS, blocked):
         expected = main([command, "--config", str(CONFIG_DIR / f"{name}.cfg"), "--json"])
         assert (code, out) == (expected, capsys.readouterr().out), (command, name)
+
+
+def test_verify_c197_decides_m_gt_1_without_enumerating(capsys):
+    # |V*(FB)| = 196^3; the q-height decision enumerates no subgroup
+    t0 = time.perf_counter()
+    code, doc = run_json(capsys, ["verify", "--config", str(CONFIG_DIR / "c197.cfg")])
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and doc["result"]["verdict"] == "NoNormalComplement"
+    rep = doc["result"]["m_gt_1"]
+    assert rep["m"] == 2 and rep["vstar_order"] == 196 ** 3
+    assert rep["complements_found"] == 0 and rep["structural_scan_ok"] is True
+    assert elapsed < 2.0, f"verify on c197 took {elapsed:.2f} s"

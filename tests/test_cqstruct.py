@@ -8,11 +8,14 @@ from cqunits import make_field
 from cqunits.cqstruct import (FBCtx, FBElem, ProjVec, b_polynomial, b_exponent_coords,
                               classify_unit, complement_search_B_in_VstarFB,
                               distinct_projection_unit, enumerate_VFB,
-                              from_projections, hall_2prime_decomposition,
-                              idempotents, order_q_subgroups_in_cyclic_qm,
-                              projections, span_dimension, subgroups_of_order)
+                              from_projections, idempotents,
+                              order_q_subgroups_in_cyclic_qm, projections)
 from cqunits.errors import (BudgetExceeded, HypothesisFail, MathDomainError,
                             NotAUnit, QDoesNotDivide, RepeatedProjections)
+
+import oracles
+from oracles import (hall_2prime_decomposition, hnf_elements, span_dimension,
+                     subgroups_of_order)
 
 
 @pytest.fixture(scope="module")
@@ -372,8 +375,9 @@ def test_complement_search_f7(fb7):
     assert res.vstar_order == 6 and res.m == 1
     assert len(res.complements) == 1
     # the complement is the order-2 subgroup of V* ~ C_6
-    elems = res.complements[0]["elements"]
+    elems = hnf_elements(res.complements[0]["hnf"], fb7.field.order)
     assert elems == frozenset({(0,), (3,)})
+    assert res.complements[0]["order"] == 2
 
 
 def test_complement_search_f31(fb31):
@@ -385,13 +389,41 @@ def test_complement_search_f31(fb31):
     b = b_exponent_coords(fb31)
     N = fb31.field.order
     for comp in res.complements:
-        elems = comp["elements"]
-        assert len(elems) == 180
+        elems = hnf_elements(comp["hnf"], N)
+        assert len(elems) == 180 == comp["order"]
         assert b not in elems
         # N . B covers V*: 180 * 5 distinct products
         products = {tuple((np.array(e) + t * np.array(b)) % N)
                     for e in elems for t in range(5)}
         assert len(products) == 900
+
+
+# (p, f, q): m = 2 on GF(19), GF(101), GF(37) and GF(151), m = 1 elsewhere.
+# GF(71) with q = 7 (11 s) and GF(127) with q = 7 (minutes) are left out for
+# time: the oracle builds every index-q subgroup as a set.
+ORACLE_FIELDS = [(7, 1, 3), (19, 1, 3), (11, 1, 5), (7, 2, 3), (31, 1, 5), (41, 1, 5),
+                 (61, 1, 5), (101, 1, 5), (13, 1, 3), (43, 1, 7), (29, 1, 7),
+                 (71, 1, 5), (37, 1, 3), (151, 1, 5), (3, 4, 5)]
+
+
+@pytest.mark.parametrize("p,f,q", ORACLE_FIELDS)
+def test_complements_match_hnf_oracle(p, f, q):
+    fb = FBCtx(make_field(p, f), q)
+    N, k, m = fb.field.order, (q - 1) // 2, fb.qdecomp.m
+    res = complement_search_B_in_VstarFB(fb)
+    ref = oracles.complement_search_B_in_VstarFB(fb)
+    assert res.no_complement == ref.no_complement == (m > 1)
+    assert len(res.complements) == len(ref.complements) == (q ** (k - 1) if m == 1 else 0)
+    for comp, want in zip(res.complements, ref.complements):
+        assert np.array_equal(comp["hnf"], want["hnf"])
+        elems = hnf_elements(comp["hnf"], N)
+        assert elems == want["elements"] and len(elems) == comp["order"]
+        assert res.b_exps not in elems
+        assert comp["witness"] == want["witness"]
+        assert comp["witness"] is None or comp["witness"] in elems
+    assert order_q_subgroups_in_cyclic_qm(fb)
+    if k <= 2:  # the Sylow scan takes 27 s on GF(29) with q = 7
+        assert oracles.order_q_subgroups_in_cyclic_qm(fb)
 
 
 def test_complement_search_budget(fb31):

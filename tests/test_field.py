@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from cqunits import cli, make_field, q_decompose
-from cqunits.cqstruct import _divisors
 from cqunits.errors import (MathDomainError, NotPrime, QDoesNotDivide,
                             ReducibleModulus, ZeroInverse)
 from cqunits.field import _is_irreducible, is_prime, prime_factors
 from conftest import CONFIGS
+from oracles import _divisors
 
 
 def brute_order(a, one):

@@ -92,6 +92,15 @@ def test_m_gt_1_report(inst19):
     assert rep.verdict == "NoNormalComplement"
 
 
+def test_m_gt_1_decides_beyond_the_budget(config_instance):
+    # m > 1 enumerates nothing, so |V*| = 18 > budget = 10 is no refusal
+    inst = config_instance("c19")
+    inst.budget = 10
+    rep = m_gt_1_no_complement(inst)
+    assert rep.search.no_complement and not rep.search.complements
+    assert rep.structural_ok and rep.verdict == "NoNormalComplement"
+
+
 def test_m_gt_1_branch_mismatch(inst7):
     with pytest.raises(BranchMismatch):
         m_gt_1_no_complement(inst7)
@@ -121,7 +130,7 @@ def test_q5_specialization_analysis():
     # p = 41 = 8*5 + 1: m = 1, s + 1 = 9 >= 5, 2n = 4 >= 4 -> counting
     inst41 = make_instance(41, 1, 5, [41, 41], [[10, 0], [0, 18]])
     assert analyze(inst41).branch == "counting"
-    # p = 101 = 4*25 + 1: m = 2 -> exhaustive branch, and it really is empty
+    # p = 101 = 4*25 + 1: m = 2 -> q-height branch, and it really is empty
     inst101 = make_instance(101, 1, 5, [101, 101], [[36, 0], [0, 84]])
     a = analyze(inst101)
     assert a.branch == "m_gt_1" and a.m == 2
