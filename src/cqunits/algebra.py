@@ -3,7 +3,7 @@
 AlgElem is a `CoeffElem`, the element core that `cqstruct` shares with
 FB, of length |G| and indexed by the group element index; this module
 adds what is particular to FG (rho, gamma, the product, the inverse).
-The algebra owns its FB layer as `GroupAlgebra.fb`, whose circulant
+The algebra holds its FB layer as `GroupAlgebra.fb`, whose circulant
 solve inverts rho(x) for `invert` and `is_unit`.  Small groups over a
 prime field multiply through the full multiplication table with one
 exact float64 scatter-add (`_mul_table_path`).  Every other algebra, and every one over GF(p^f)
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _linalg
 from .cqstruct import CoeffElem, FBCtx
-from .errors import BudgetExceeded, MathDomainError, NotAUnit
+from .errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
 from .field import FieldCtx
 from .group import GroupElem, GroupSpec
 
@@ -207,7 +207,7 @@ def fft_error_bound(magnitude: int, axis_lengths, f: int, q: int) -> float:
 class GroupAlgebra:
     """Pairing of a FieldCtx with a GroupSpec, with cached mult machinery."""
 
-    def __init__(self, field: FieldCtx, group: GroupSpec):
+    def __init__(self, field: FieldCtx, group: GroupSpec, fb: FBCtx | None = None):
         """Refuses (BudgetExceeded) an algebra whose products could be inexact.
 
         The route a product takes is checked.  Where a table is built
@@ -216,7 +216,8 @@ class GroupAlgebra:
         `fft_error_bound` on the rounding error of one product must stay
         below 1/4, so that rounding to the nearest integer is exact; it
         depends on p, q, |A|, the axis lengths of A, the field tensor and the
-        float64 unit roundoff.  The algebra also builds its FB layer `fb`.
+        float64 unit roundoff.  The algebra's FB layer is `fb`, built here
+        unless the caller passes the `FBCtx(field, group.q)` it already holds.
         """
         self.field = field
         self.group = group
@@ -224,7 +225,11 @@ class GroupAlgebra:
         self.q = group.q
         self.star_perm = group.inv_perm
         self.inv2 = field.from_code(field.inv(2))
-        self.fb = FBCtx(field, group.q)
+        if fb is None:
+            fb = FBCtx(field, group.q)
+        elif fb.field.signature != field.signature or fb.q != group.q:
+            raise CtxMismatch("the FB layer belongs to another field or q")
+        self.fb = fb
         # for f > 1 the FFT product is faster even at |G| = 147 (gf49), so
         # no table is built
         table = group.mul_table if field.f == 1 else None

@@ -6,11 +6,11 @@ FieldElem; bulk work uses the vectorized code-array helpers on FieldCtx
 (vadd/vsub/vmul/vneg), which the linear-algebra layer builds on; for
 f > 1, vmul multiplies through log/antilog tables of zeta, built on first
 use from the structure tensor.
-Inversion is by extended Euclid on polynomials (sympy's galoistools, which
-also reduces the structure tensor and tests moduli for irreducibility),
-never by table lookup.  galoistools is imported only when f > 1: a prime
-field needs no polynomial arithmetic, and the integer helpers `is_prime`
-and `prime_factors` below are exact trial division.
+Inversion is by extended Euclid on polynomials, never by table lookup.
+The polynomial arithmetic over Z_p behind it, the structure tensor and
+the irreducibility test on moduli are the small list helpers below, and
+the integer helpers `is_prime` and `prime_factors` are exact trial
+division.
 """
 
 from __future__ import annotations
@@ -40,18 +40,79 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factors(n) == (n,)
 
 
-def _hi_lo(poly):
-    """Low-to-high coefficients -> the high-to-low, trimmed list galoistools takes."""
-    from sympy.polys.galoistools import gf_strip
-    return gf_strip([int(c) for c in reversed(poly)])
+# GF(p)[x] helpers: polynomials are lists of ints in [0, p), low to high,
+# trimmed of zero leading coefficients (the zero polynomial is []).
+
+def _trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _poly_sub(a, b, p):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def _poly_mul(a, b, p):
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % p for c in out]  # leading coefficients multiply to nonzero
+
+
+def _poly_divmod(a, m, p):
+    """(quotient, remainder) of a by a nonzero m over Z_p."""
+    r, dm, lead_inv = list(a), len(m) - 1, pow(m[-1], -1, p)
+    quo = [0] * max(len(r) - dm, 0)
+    for k in range(len(quo) - 1, -1, -1):
+        c = quo[k] = r[k + dm] * lead_inv % p
+        for j in range(dm + 1):
+            r[k + j] = (r[k + j] - c * m[j]) % p
+    return _trim(quo), _trim(r[:dm])
+
+
+def _poly_powmod(a, e, m, p):
+    """a^e mod m over Z_p, by square and multiply."""
+    out, base = _poly_divmod([1], m, p)[1], _poly_divmod(a, m, p)[1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(_poly_mul(out, base, p), m, p)[1]
+        base = _poly_divmod(_poly_mul(base, base, p), m, p)[1]
+        e >>= 1
+    return out
+
+
+def _poly_gcdex(a, b, p):
+    """(s, g) for a nonzero b: g the monic gcd of a and b over Z_p, s a = g mod b."""
+    r0, r1, s0, s1 = a, b, [1], []
+    while r1:
+        quo, rem = _poly_divmod(r0, r1, p)
+        r0, r1, s0, s1 = r1, rem, s1, _poly_sub(s0, _poly_mul(quo, s1, p), p)
+    c = pow(r0[-1], -1, p)
+    return [x * c % p for x in s0], [x * c % p for x in r0]
 
 
 def _is_irreducible(poly, p):
-    """Irreducibility over Z_p of a polynomial given low-to-high; constants are not."""
-    from sympy.polys.domains import ZZ
-    from sympy.polys.galoistools import gf_irreducible_p
-    hl = _hi_lo([c % p for c in poly])
-    return len(hl) > 1 and gf_irreducible_p(hl, p, ZZ)
+    """Irreducibility over Z_p of a polynomial given low-to-high; constants are not.
+
+    Rabin's test (SIAM J. Comput. 9, 1980): m of degree n >= 1 is
+    irreducible exactly when x^(p^n) = x mod m and gcd(x^(p^(n/r)) - x, m)
+    = 1 for every prime r | n.
+    """
+    m = _trim([int(c) % p for c in poly])
+    n = len(m) - 1
+    if n < 1:
+        return False
+    x = _poly_divmod([0, 1], m, p)[1]
+    frob = [x]  # frob[k] = x^(p^k) mod m
+    for _ in range(n):
+        frob.append(_poly_powmod(frob[-1], p, m, p))
+    return frob[n] == x and all(
+        _poly_gcdex(_poly_sub(frob[n // r], x, p), m, p)[1] == [1]
+        for r in prime_factors(n))
 
 
 # f > 1 fields up to this size multiply through log tables (5 int64 per element)
@@ -156,13 +217,10 @@ class FieldCtx:
         # structure tensor: z^i * z^j = sum_k T[i,j,k] z^k  (mod modulus)
         T = np.ones((1, 1, 1), dtype=np.int64)
         if f > 1:
-            from sympy.polys.domains import ZZ
-            from sympy.polys.galoistools import gf_rem
-            self._modulus_hl = _hi_lo(self.modulus)
-            T = np.zeros((f, f, f), dtype=np.int64)
+            m, T = _trim(list(self.modulus)), np.zeros((f, f, f), dtype=np.int64)
             for i in range(f):
                 for j in range(f):
-                    r = gf_rem([1] + [0] * (i + j), self._modulus_hl, p, ZZ)[::-1]
+                    r = _poly_divmod([0] * (i + j) + [1], m, p)[1]
                     T[i, j, :len(r)] = r
         self._tensor = T
         self._powers_of_p = p ** np.arange(f, dtype=np.int64)
@@ -240,13 +298,12 @@ class FieldCtx:
             raise ZeroInverse("0 has no multiplicative inverse")
         if self.f == 1:
             return pow(a, -1, self.p)
-        from sympy.polys.domains import ZZ
-        from sympy.polys.galoistools import gf_gcdex
-        # extended Euclid: s a + t modulus = h, the monic gcd
-        s, _, h = gf_gcdex(_hi_lo(FieldElem(self, a).coeffs), self._modulus_hl, self.p, ZZ)
-        if h != [1]:
+        # extended Euclid: s a = g mod modulus, g the monic gcd
+        s, g = _poly_gcdex(_trim(list(FieldElem(self, a).coeffs)),
+                           _trim(list(self.modulus)), self.p)
+        if g != [1]:
             raise ZeroInverse("element is not invertible")
-        return self.from_coeffs(s[::-1]).code
+        return self.from_coeffs(s).code
 
     def pow(self, a: int, e: int) -> int:
         a, e = int(a), int(e)

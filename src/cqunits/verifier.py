@@ -46,12 +46,13 @@ class Instance:
         self.seed = seed
 
     @cached_property
-    def algebra(self) -> GroupAlgebra:
-        return GroupAlgebra(self.field, self.group)
-
-    @property
     def fb(self) -> FBCtx:
-        return self.algebra.fb
+        # FB needs no group algebra: the m > 1 branch reads only this
+        return FBCtx(self.field, self.q)
+
+    @cached_property
+    def algebra(self) -> GroupAlgebra:
+        return GroupAlgebra(self.field, self.group, self.fb)
 
     @cached_property
     def s2_dim(self) -> int:

@@ -202,3 +202,44 @@ def order_q_subgroups_in_cyclic_qm(fb: FBCtx, budget: int = DEFAULT_BUDGET) -> b
         if not any(sub["elements"] <= cyc for cyc in cyclic_qm):
             return False
     return True
+
+
+# --- GF(p)[x] through sympy's galoistools ---------------------------------------
+# The field's own list helpers replaced these calls; they stay here as the
+# independent route the helpers are checked against.
+
+
+def _hi_lo(poly):
+    """Low-to-high coefficients -> the high-to-low, trimmed list galoistools takes."""
+    from sympy.polys.galoistools import gf_strip
+    return gf_strip([int(c) for c in reversed(poly)])
+
+
+def galois_is_irreducible(poly, p: int) -> bool:
+    """Irreducibility over Z_p by `gf_irreducible_p`; constants are not irreducible."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_irreducible_p
+    hl = _hi_lo([c % p for c in poly])
+    return len(hl) > 1 and gf_irreducible_p(hl, p, ZZ)
+
+
+def galois_structure_tensor(field) -> np.ndarray:
+    """T[i, j] = the coefficients of z^(i+j) mod the modulus, by `gf_rem`."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_rem
+    f, m = field.f, _hi_lo(field.modulus)
+    T = np.zeros((f, f, f), dtype=np.int64)
+    for i in range(f):
+        for j in range(f):
+            r = gf_rem([1] + [0] * (i + j), m, field.p, ZZ)[::-1]
+            T[i, j, :len(r)] = r
+    return T
+
+
+def galois_inverse(field, code: int) -> int | None:
+    """The inverse of a field code by `gf_gcdex`, or None when it has none."""
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_gcdex
+    s, _, h = gf_gcdex(_hi_lo(field.from_code(code).coeffs), _hi_lo(field.modulus),
+                       field.p, ZZ)
+    return field.from_coeffs(s[::-1]).code if h == [1] else None

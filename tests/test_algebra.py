@@ -493,3 +493,11 @@ def test_sym_skew_requires_fixed_point_free_involution(f7, g21):
     alg.gamma_star_perm = lambda: np.arange(alg.gamma_dim())
     with pytest.raises(MathDomainError):
         alg.sym_skew_subspaces()
+
+
+def test_algebra_shares_only_its_own_fb(f7, f13, g21):
+    from cqunits import FBCtx
+    fb = FBCtx(f7, 3)
+    assert GroupAlgebra(f7, g21, fb).fb is fb
+    with pytest.raises(CtxMismatch):
+        GroupAlgebra(f7, g21, FBCtx(f13, 3))

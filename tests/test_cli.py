@@ -265,35 +265,40 @@ def test_internal_error_exit(capsys, monkeypatch, c7_path):
     assert "error[internal-error]: RuntimeError: boom" in capsys.readouterr().err
 
 
-# --- the f = 1 path needs no sympy ------------------------------------------
+# --- the runtime needs no sympy -----------------------------------------------
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 NO_SYMPY_RUNS = [["certificate", "c31sq"], ["certificate", "c61sq"],
                  ["verify", "c7"], ["verify", "f11c5"], ["verify", "c19"],
                  ["complement-search", "c7"], ["complement-search", "f11c5"],
-                 ["complement-search", "c31sq"]]
+                 ["complement-search", "c31sq"],
+                 ["verify", "gf49"], ["certificate", "gf49"], ["complement-search", "gf49"],
+                 ["class-length", "gf49", "b + a1"], ["cayley", "gf49", "a1 - a1^6"],
+                 ["project", "gf49", "[0,1]*b + [2,3]*a1"], ["enumerate", "gf49", "V*"],
+                 ["certificate", "gf81_c3e8"]]
 
-# Builds c31sq's algebra in a fresh interpreter, checks that sympy was never
-# imported, then blocks it (`import sympy` raises ImportError) and runs the
-# f = 1 commands; prints one [exit code, stdout] pair per run as JSON.
+# Builds c31sq's and gf49's algebras in a fresh interpreter, checks that sympy
+# was never imported, then blocks it (`import sympy` raises ImportError) and
+# runs the commands; prints one [exit code, stdout] pair per run as JSON.
 NO_SYMPY_SCRIPT = """
 import contextlib, io, json, sys
 from cqunits import cli
 configs, runs = sys.argv[1], json.loads(sys.argv[2])
-cli.parse_config(open(configs + "/c31sq.cfg").read()).algebra
-assert "sympy" not in sys.modules, "building c31sq imported sympy"
+for name in ("c31sq", "gf49"):
+    cli.parse_config(open(f"{configs}/{name}.cfg").read()).algebra
+    assert "sympy" not in sys.modules, f"building {name} imported sympy"
 sys.modules["sympy"] = None
 out = []
-for command, name in runs:
+for command, name, *expr in runs:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = cli.main([command, "--config", f"{configs}/{name}.cfg", "--json"])
+        code = cli.main([command, *expr, "--config", f"{configs}/{name}.cfg", "--json"])
     out.append([code, buf.getvalue()])
 print(json.dumps(out))
 """
 
 
-def test_f1_path_runs_without_sympy(capsys):
+def test_runtime_needs_no_sympy(capsys):
     src = str(Path(cqunits.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", NO_SYMPY_SCRIPT, str(CONFIG_DIR), json.dumps(NO_SYMPY_RUNS)],
@@ -301,9 +306,25 @@ def test_f1_path_runs_without_sympy(capsys):
     assert proc.returncode == 0, proc.stderr
     blocked = json.loads(proc.stdout)
     assert len(blocked) == len(NO_SYMPY_RUNS)
-    for (command, name), (code, out) in zip(NO_SYMPY_RUNS, blocked):
-        expected = main([command, "--config", str(CONFIG_DIR / f"{name}.cfg"), "--json"])
+    for (command, name, *expr), (code, out) in zip(NO_SYMPY_RUNS, blocked):
+        expected = main([command, *expr, "--config", str(CONFIG_DIR / f"{name}.cfg"), "--json"])
         assert (code, out) == (expected, capsys.readouterr().out), (command, name)
+
+
+@pytest.mark.parametrize("name", ["c19", "c197"])
+def test_m_gt_1_verify_builds_no_group_algebra(monkeypatch, capsys, name):
+    # the q-height verdict reads only FB, which the instance holds on its own
+    built = []
+
+    def parse_and_keep(text):
+        built.append(parse_config(text))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "parse_config", parse_and_keep)
+    code, doc = run_json(capsys, ["verify", "--config", str(CONFIG_DIR / f"{name}.cfg")])
+    assert code == 0 and doc["result"]["verdict"] == "NoNormalComplement"
+    assert "fb" in built[0].__dict__ and "algebra" not in built[0].__dict__
+    assert built[0].algebra.fb is built[0].fb
 
 
 def test_verify_c197_decides_m_gt_1_without_enumerating(capsys):

@@ -6,9 +6,10 @@ import pytest
 from cqunits import cli, make_field, q_decompose
 from cqunits.errors import (MathDomainError, NotPrime, QDoesNotDivide,
                             ReducibleModulus, ZeroInverse)
-from cqunits.field import _is_irreducible, is_prime, prime_factors
+from cqunits.field import FieldCtx, _is_irreducible, is_prime, prime_factors
 from conftest import CONFIGS
-from oracles import _divisors
+from oracles import (_divisors, galois_inverse, galois_is_irreducible,
+                     galois_structure_tensor)
 
 
 def brute_order(a, one):
@@ -179,6 +180,14 @@ def test_irreducibility_edge_cases():
     assert _is_irreducible([1, 0, 1, 0, 0], 7)  # trailing zeros are trimmed
 
 
+def test_zero_divisor_has_no_inverse():
+    # a reducible modulus only reaches FieldCtx directly: x^2 - 1 = (x - 1)(x + 1)
+    fld = FieldCtx(7, 2, (6, 0, 1))
+    with pytest.raises(ZeroInverse, match="element is not invertible"):
+        fld.inv(13)  # the code of x - 1
+    assert fld.inv(2) == 4  # a nonzero constant still inverts
+
+
 def test_from_coeffs_rejects_too_many_coefficients(f7, f49):
     # more than f coefficients used to give a code outside [0, p^f)
     for fld in (f7, f49):
@@ -208,6 +217,36 @@ def test_vmul_above_log_table_limit_uses_tensor(monkeypatch):
     a = np.arange(fld.size)
     assert np.array_equal(fld.vmul(a, a[::-1]), fld._vmul_tensor(a, a[::-1]))
     assert fld._logs is None
+
+
+# --- GF(p)[x] helpers against sympy's galoistools ----------------------------
+
+
+def test_irreducibility_matches_galoistools():
+    # every monic polynomial of degree 0-5 over Z_3 and Z_5, <= 3 over Z_7 and Z_11
+    checked = 0
+    for p, top in ((3, 5), (5, 5), (7, 3), (11, 3)):
+        for d in range(top + 1):
+            for c in range(p ** d):
+                poly = [(c // p ** j) % p for j in range(d)] + [1]
+                assert _is_irreducible(poly, p) == galois_is_irreducible(poly, p), (p, poly)
+                checked += 1
+    assert checked == 6134
+
+
+def test_structure_tensor_matches_galoistools():
+    fields = [cli.parse_config(path.read_text()).field for path in sorted(CONFIGS.glob("*.cfg"))]
+    fields = [fld for fld in fields if fld.f > 1] + [make_field(3, 5), make_field(3, 8)]
+    assert [(fld.p, fld.f) for fld in fields] == [(7, 2), (3, 4), (3, 5), (3, 8)]
+    for fld in fields:
+        assert np.array_equal(fld._tensor, galois_structure_tensor(fld)), fld
+
+
+@pytest.mark.parametrize("p,f", [(7, 2), (3, 4), (5, 3), (31, 2)])
+def test_inverse_matches_galoistools(p, f):
+    fld = make_field(p, f)
+    for a in range(1, fld.size):
+        assert fld.inv(a) == galois_inverse(fld, a), a
 
 
 # --- integer helpers against sympy -------------------------------------------
