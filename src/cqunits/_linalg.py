@@ -1,14 +1,18 @@
 """Dense exact linear algebra over GF(p^f) on integer code arrays.
 
-Matrices are int64 arrays of field codes.  There is one per-pivot
-elimination, written in field ops.  For prime fields the row reduction is
-batched: each block of rows is reduced against the established echelon
-rows with one BLAS matmul and then eliminated per pivot, which keeps the
-n^3 work inside matmuls.  Products are computed in float32/float64 only
-when every intermediate value is exactly representable ((p-1)^2 * inner
-< 2^24 or 2^53); above that the inner dimension is chunked.  Extension
-fields run the per-pivot elimination on the whole matrix (they only occur
-at small dimensions here).
+Matrices are int64 arrays of field codes in [0, p^f).  There is one
+product and one rref for every field.  `matmul_mod` decodes both operands
+into their f digit planes over GF(p), stacks them, and multiplies all f^2
+plane pairs with one exact float matmul (`_mm_prime`), then contracts the
+plane products with the field's structure tensor (for f = 1 the plane
+stack is the matrix itself).  Products are computed in float32/float64
+only when every intermediate value is exactly representable
+((p-1)^2 * inner < 2^24 or 2^53); above that the inner dimension is
+chunked.  The row reduction is batched: each block of rows is reduced
+against the established echelon rows with one such product, eliminated per
+pivot in field ops (`_rref_generic`), and the echelon rows are reduced
+against its new rows with another, which keeps the n^3 work inside
+matmuls.
 
 rref pivots on the leftmost column, lowest row index first, independent of
 row batching.  Subspace bases and `right_kernel` use its mirror image, with
@@ -21,7 +25,7 @@ import numpy as np
 
 _F32_LIMIT = 2 ** 24
 _F64_LIMIT = 2 ** 53
-_RREF_BATCH = 160  # rows reduced per BLAS update in _rref_prime
+_RREF_BATCH = 160  # rows reduced per BLAS update in _rref_batched
 
 
 def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -30,12 +34,12 @@ def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     if inner == 0 or A.shape[0] == 0 or B.shape[1] == 0:
         return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     bound = (p - 1) * (p - 1) * inner
-    if bound < _F32_LIMIT:
-        C = A.astype(np.float32) @ B.astype(np.float32)
-        return np.rint(C).astype(np.int64) % p
     if bound < _F64_LIMIT:
-        C = A.astype(np.float64) @ B.astype(np.float64)
-        return np.rint(C).astype(np.int64) % p
+        dtype = np.float32 if bound < _F32_LIMIT else np.float64
+        C = A.astype(dtype) @ B.astype(dtype)
+        out = np.rint(C, out=C).astype(np.int64)  # rounded and reduced in place
+        out %= p
+        return out
     step = max(1, _F64_LIMIT // ((p - 1) * (p - 1)) - 1)
     acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for lo in range(0, inner, step):
@@ -45,30 +49,37 @@ def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def matmul_mod(ctx, A, B) -> np.ndarray:
+    """A @ B over GF(p^f) for code arrays A (m x k) and B (k x n).
+
+    For f > 1 the digit planes of A are stacked as rows and those of B as
+    columns, one `_mm_prime` multiplies every plane pair, and the structure
+    tensor contracts the f^2 plane products to the f digits of the product.
+    """
     A = np.ascontiguousarray(A, dtype=np.int64)
     B = np.ascontiguousarray(B, dtype=np.int64)
-    if ctx.f == 1:
-        return _mm_prime(ctx.p, A % ctx.p, B % ctx.p)
-    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
-    for k in range(A.shape[1]):
-        out = ctx.vadd(out, ctx.vmul(A[:, k][:, None], B[k][None, :]))
-    return out
+    p, f = ctx.p, ctx.f
+    if f == 1:  # the plane stack is the matrix itself
+        return _mm_prime(p, A, B)
+    (m, k), n = A.shape, B.shape[1]
+    planes = _mm_prime(p, np.moveaxis(ctx.decode(A), 2, 0).reshape(f * m, k),
+                       ctx.decode(B).reshape(k, n * f))
+    digits = np.tensordot(planes.reshape(f, m, n, f), ctx._tensor, axes=([0, 3], [0, 1]))
+    return ctx.encode(digits)
 
 
-def _rref_prime(ctx, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    p = ctx.p
+def _rref_batched(ctx, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
     m, n = M.shape
     R = np.zeros((0, n), dtype=np.int64)
     pivots: list[int] = []
     for lo in range(0, m, _RREF_BATCH):
-        U = M[lo:lo + _RREF_BATCH] % p
+        U = M[lo:lo + _RREF_BATCH] % ctx.size
         if pivots:
-            U = (U - _mm_prime(p, U[:, pivots], R)) % p
-        Ur, Upiv = _rref_generic(ctx, np.ascontiguousarray(U))
+            U = reduce_against(ctx, U, R, pivots)
+        Ur, Upiv = _rref_generic(ctx, U)
         if not Upiv:
             continue
         if pivots:
-            R = (R - _mm_prime(p, R[:, Upiv], Ur)) % p
+            R = reduce_against(ctx, R, Ur, Upiv)
         R = np.vstack([R, Ur])
         pivots += Upiv
         order = np.argsort(pivots, kind="stable")
@@ -91,11 +102,11 @@ def _rref_generic(ctx, U: np.ndarray) -> tuple[np.ndarray, list[int]]:
         k = r + int(nz[0])
         if k != r:
             U[[r, k]] = U[[k, r]]
-        U[r] = ctx.vmul(U[r], ctx.inv(int(U[r, c])))
+        U[r, c:] = ctx.vmul(U[r, c:], ctx.inv(int(U[r, c])))  # U[r, :c] is 0
         rows = np.nonzero(U[:, c])[0]
         rows = rows[rows != r]
         if rows.size:
-            U[rows] = ctx.vsub(U[rows], ctx.vmul(U[rows, c][:, None], U[r][None, :]))
+            U[rows, c:] = ctx.vsub(U[rows, c:], ctx.vmul(U[rows, c][:, None], U[r, c:][None, :]))
         piv.append(c)
         r += 1
     return U[:r], piv
@@ -112,9 +123,7 @@ def rref(ctx, M) -> tuple[np.ndarray, list[int]]:
         raise ValueError("rref expects a 2-d array")
     if M.shape[0] == 0:
         return M.copy(), []
-    if ctx.f == 1:
-        return _rref_prime(ctx, M)
-    return _rref_generic(ctx, M.copy())
+    return _rref_batched(ctx, M)
 
 
 def rank(ctx, M) -> int:
@@ -142,15 +151,8 @@ def right_pivots(K: np.ndarray) -> np.ndarray:
 
 def reduce_against(ctx, V, R, pivots) -> np.ndarray:
     """Residue of the rows of V after reduction against rref rows R."""
-    V = np.ascontiguousarray(V, dtype=np.int64)
-    if not pivots or V.shape[0] == 0:
-        return V % ctx.p if ctx.f == 1 else V.copy()
-    if ctx.f == 1:
-        return (V - _mm_prime(ctx.p, V[:, pivots] % ctx.p, R)) % ctx.p
-    out = V.copy()
-    for i, pc in enumerate(pivots):
-        out = ctx.vsub(out, ctx.vmul(out[:, pc][:, None], R[i][None, :]))
-    return out
+    V = np.asarray(V, dtype=np.int64)
+    return ctx.vsub(V, matmul_mod(ctx, V[:, pivots], R))
 
 
 def in_rowspace(ctx, V, R, pivots) -> bool:

@@ -117,6 +117,8 @@ class Subspace:
         return self.contains_rows(np.asarray(vec, dtype=np.int64)[None, :])
 
     def contains_rows(self, rows) -> bool:
+        """Whether every row lies in the subspace; entries are read as codes mod p^f."""
+        rows = np.asarray(rows, dtype=np.int64) % self.field.size
         return _linalg.in_rowspace(self.field, rows, self.basis, self.pivots)
 
     def __eq__(self, other):
@@ -127,33 +129,8 @@ class Subspace:
     def __hash__(self):
         return hash((tuple(self.pivots), self.basis.tobytes()))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus: rref [[A A], [B 0]]; zero-left rows give the meet."""
-        n = self.ambient
-        top = np.hstack([self.basis, self.basis])
-        bot = np.hstack([other.basis, np.zeros_like(other.basis)])
-        R, piv = _linalg.rref(self.field, np.vstack([top, bot]))
-        keep = [i for i, pc in enumerate(piv) if pc >= n]
-        return Subspace(self.field, R[keep][:, n:])
-
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def kernel_of(subspace: Subspace, op) -> Subspace:
-    """Kernel of a linear operator on a subspace, given by its action on basis rows.
-
-    `op` maps an ambient row vector to an ambient row vector and must send
-    the subspace into itself.
-    """
-    B = subspace.basis
-    images = np.stack([np.asarray(op(B[i]), dtype=np.int64) for i in range(B.shape[0])]) \
-        if B.shape[0] else np.zeros((0, subspace.ambient), dtype=np.int64)
-    if images.shape[0] and not subspace.contains_rows(images):
-        raise MathDomainError("operator does not map the subspace into itself")
-    coords = images[:, subspace.pivots] if B.shape[0] else images
-    C = _linalg.right_kernel(subspace.field, coords.T)
-    return Subspace(subspace.field, _linalg.matmul_mod(subspace.field, C, B))
 
 
 class AlgElem(CoeffElem):
@@ -246,7 +223,6 @@ class GroupAlgebra:
         if self._fft_bound >= 0.25:
             raise BudgetExceeded(f"FFT products could be off by {self._fft_bound:.3g}, "
                                  "past the 1/4 that rounding corrects")
-        self._gamma = None
         self._star_pairs = None
         self._sym_skew = None
 
@@ -398,22 +374,6 @@ class GroupAlgebra:
             self._star_pairs = (pi, k[pi < k][::-1])
         return self._star_pairs
 
-    def gamma_basis(self) -> Subspace:
-        """gamma as a canonical Subspace: gamma_expand of the identity, rows (a-1)b^j.
-
-        gamma_expand keeps a canonical gamma-coordinate basis canonical: the
-        a = e slice 0..q-1 that it fills in lies left of every pivot.  The
-        rows are written straight into one |G|-wide array.
-        """
-        if self._gamma is None:
-            dim = self.gamma_dim()
-            rows, c = np.arange(dim), np.arange(dim)[::-1]  # pivots descending
-            basis = np.zeros((dim, self.order), dtype=np.int64)
-            basis[rows, self.q + c] = 1
-            basis[rows, c % self.q] = self.field.neg(1)
-            self._gamma = Subspace(self.field, basis, reduced=True)
-        return self._gamma
-
     def sym_skew_subspaces(self) -> tuple[Subspace, Subspace]:
         """The symmetric and skew slices S1, S2 of gamma, in block form.
 
@@ -439,19 +399,6 @@ class GroupAlgebra:
         prod x_i^(p^e_i - 1) has degree sum_i (p^e_i - 1) (Jennings).
         """
         return 1 + sum(m - 1 for m in self.group.abelian.factors)
-
-    def one_plus_gamma_exponent(self) -> int:
-        """Smallest power p^k that annihilates 1 + gamma elementwise.
-
-        (1 + g)^(p^k) = 1 + g^(p^k) for a single element g, so the group
-        exponent is the least p^k at or above the nilpotency index of gamma.
-        """
-        N = self.nilpotency_index()
-        k, power = 0, 1
-        while power < N:
-            power *= self.field.p
-            k += 1
-        return self.field.p ** k
 
     def __repr__(self):
         return f"GroupAlgebra(GF({self.field.p}^{self.field.f})[{self.group!r}])"

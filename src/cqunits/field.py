@@ -206,10 +206,33 @@ class FieldCtx:
     safe to share across threads.
     """
 
-    def __init__(self, p: int, f: int, modulus: tuple[int, ...], zeta_code: int | None = None):
+    def __init__(self, p: int, f: int = 1, modulus=None):
+        """Refuses a non-prime or even p, f < 1 and a modulus that is not a
+        monic irreducible of degree f (ReducibleModulus).
+
+        Without a modulus the smallest monic irreducible of degree f
+        (coefficient lists enumerated as base-p integers) is taken, so
+        results are reproducible; for f = 1 it is x - 0.
+        """
+        if not is_prime(p):
+            raise NotPrime(f"p = {p} is not prime")
+        if p == 2:
+            raise NotPrime("p = 2 is rejected: odd characteristic is assumed throughout")
+        if f < 1:
+            raise MathDomainError(f"degree f must be >= 1, got {f}")
+        if modulus is None:
+            monics = ([(c // p ** j) % p for j in range(f)] + [1] for c in range(p ** f))
+            modulus = next((m for m in monics if _is_irreducible(m, p)), None)
+            if modulus is None:
+                raise MathDomainError(f"no monic irreducible of degree {f} over Z_{p} was found")
+        modulus = [int(c) % p for c in modulus]
+        if len(modulus) != f + 1 or modulus[-1] != 1:
+            raise ReducibleModulus(f"modulus must be monic of degree {f}")
+        if not _is_irreducible(modulus, p):
+            raise ReducibleModulus("modulus is reducible over Z_p")
         self.p = p
         self.f = f
-        self.modulus = tuple(int(c) % p for c in modulus)
+        self.modulus = tuple(modulus)
         self.size = p ** f
         self.order = self.size - 1
         self.signature = (p, f, self.modulus)
@@ -225,7 +248,7 @@ class FieldCtx:
         self._tensor = T
         self._powers_of_p = p ** np.arange(f, dtype=np.int64)
         self._logs = None
-        self.zeta = FieldElem(self, zeta_code if zeta_code is not None else self._find_zeta())
+        self.zeta = FieldElem(self, self._find_zeta())
 
     # --- scalar ops on codes -----------------------------------------------
 
@@ -338,7 +361,9 @@ class FieldCtx:
 
     def vsub(self, a, b):
         if self.f == 1:
-            return (a - b) % self.p
+            out = a - b  # reduced in place: no second array while b is alive
+            out %= self.p
+            return out
         return self.encode(self.decode(a) - self.decode(b))
 
     def vneg(self, a):
@@ -398,37 +423,8 @@ class FieldCtx:
 
 
 def make_field(p: int, f: int = 1, modulus=None) -> FieldCtx:
-    """Build GF(p^f) with a verified irreducible modulus and primitive zeta.
-
-    Without an explicit modulus the smallest irreducible one (coefficient
-    lists enumerated as base-p integers) is chosen, so results are
-    reproducible.  For f = 1 the placeholder modulus is x - 0.
-    """
-    if not is_prime(p):
-        raise NotPrime(f"p = {p} is not prime")
-    if p == 2:
-        raise NotPrime("p = 2 is rejected: odd characteristic is assumed throughout")
-    if f < 1:
-        raise MathDomainError(f"degree f must be >= 1, got {f}")
-    if modulus is not None:
-        modulus = [int(c) % p for c in modulus]
-        if len(modulus) != f + 1 or modulus[-1] != 1:
-            raise ReducibleModulus(f"modulus must be monic of degree {f}")
-        if f > 1 and not _is_irreducible(modulus, p):
-            raise ReducibleModulus("modulus is reducible over Z_p")
-    else:
-        if f == 1:
-            modulus = [0, 1]
-        else:
-            modulus = None
-            for code in range(p ** f):
-                cand = [(code // p ** j) % p for j in range(f)] + [1]
-                if _is_irreducible(cand, p):
-                    modulus = cand
-                    break
-            if modulus is None:
-                raise MathDomainError(f"no monic irreducible of degree {f} over Z_{p} was found")
-    return FieldCtx(p, f, tuple(modulus))
+    """GF(p^f) with a verified irreducible modulus and primitive zeta (see FieldCtx)."""
+    return FieldCtx(p, f, modulus)
 
 
 class QDecomp:

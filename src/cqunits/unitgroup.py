@@ -99,16 +99,21 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray):
     the operator must map each block into itself.  It is refused up front
     (BudgetExceeded) when its 8 (l + 4) m^2 bytes would not fit in physical
     memory: the l blocks, and the rref's echelon rows, their vstack copy and
-    the matmul and modulo temporaries for one of them.  Each distinct block
+    the matmul and modulo temporaries for one of them.  For f > 1 the rref's
+    batch update also holds the f^2 digit-plane products of the echelon rows
+    twice (the float product and its rounding, or the plane products and the
+    copy the tensor contraction makes) and their f contracted digits, so
+    another 8 (2 f^2 + f) m^2 bytes are counted.  Each distinct block
     is solved once, and the kernel is returned in block form over coords
     (`Subspace`), which builds no rows.  The involution must map every
     block onto a single block; the slices are counted over each block
     together with that one (for the orbit blocks O and O^-1, for one block
     itself alone).
     """
-    fld, dim = alg.field, alg.gamma_dim()
+    fld, dim, f = alg.field, alg.gamma_dim(), alg.field.f
     l, m = coords.shape
-    refuse_past_memory(8 * (l + 4) * m * m, "the commutator blocks")
+    planes = 2 * f * f + f if f > 1 else 0
+    refuse_past_memory(8 * (l + 4 + planes) * m * m, "the commutator blocks")
     block_of = np.empty(dim, dtype=np.int64)
     block_of[coords] = np.arange(l)[:, None]
     local = np.empty(dim, dtype=np.int64)
@@ -180,31 +185,6 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
                              sym_dim=sym_dim, skew_dim=skew_dim)
 
 
-def centralizer_of_b_orbit_form(alg: GroupAlgebra) -> tuple[Subspace, bool]:
-    """Span of {b^t (orbit_sum - orbit_size)} and its equality with the kernel.
-
-    These elements commute with b, and the span has dimension q * l with
-    l the number of non-trivial orbits; equality with the conjugation
-    kernel of b is verified by comparing canonical bases.
-    """
-    G = alg.group
-    q = alg.q
-    table = orbits(G)
-    rows = []
-    neg_q = alg.field.neg(q % alg.field.p)
-    for rep, members in table.nontrivial:
-        for t in range(q):
-            row = np.zeros(alg.order, dtype=np.int64)
-            for a in members:
-                row[a * q + t] = 1
-            row[t] = neg_q  # the -|O| * b^t term sits on the e slot
-            rows.append(row)
-    span = Subspace(alg.field, np.stack(rows)) if rows else Subspace(
-        alg.field, np.zeros((0, alg.order), dtype=np.int64))
-    b_report = centralizer_in_gamma(alg, alg.basis(G.b()))
-    return span, span == b_report.kernel
-
-
 @dataclass
 class ClassLength:
     """|Cl_x| as the exact prime power p^exponent (and the starred variant)."""
@@ -239,20 +219,6 @@ def class_length(alg: GroupAlgebra, x: AlgElem, starred: bool = False,
         raise NotUnitary("starred class length requires a unitary unit")
     s2_dim = alg.gamma_star_pairs()[1].size
     return ClassLength(alg.field.p, f * (s2_dim - report.skew_dim), True)
-
-
-def sqrt_relation_check(alg: GroupAlgebra, x: AlgElem,
-                        report: CentralizerReport | None = None) -> bool:
-    """dim C_gamma(x) = 2 * dim(C ^ S2) for unitary x in FB.
-
-    A failure here would contradict the symmetric/skew centralizer
-    bijection, so the mismatch is reported rather than suppressed.
-    """
-    if (x * x.star()) != alg.one():
-        raise NotUnitary("the square-root law applies to unitary units")
-    if report is None:
-        report = centralizer_in_gamma(alg, x)
-    return report.dim == 2 * report.skew_dim
 
 
 # ---------------------------------------------------------------------------

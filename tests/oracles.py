@@ -4,7 +4,11 @@ None of this is reached by the CLI or the certificate.  The subgroup
 enumeration of Z_N^k (Hermite normal forms with a sympy adjugate, every
 subgroup an explicit set of exponent tuples) and the scan of the Sylow
 q-subgroup are the exhaustive routes to what `cqstruct` decides in closed
-form; they are only usable for small N.
+form; they are only usable for small N.  The dense subspace helpers
+(gamma as a written-down basis, the Zassenhaus meet, kernels of operators
+on a subspace) and the closed forms for C_gamma(b), the exponent of
+1 + gamma and the square-root law are what the block-form solver of
+`unitgroup` is checked against.
 """
 
 from __future__ import annotations
@@ -16,11 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from cqunits import _linalg
+from cqunits.algebra import AlgElem, GroupAlgebra, Subspace
 from cqunits.cqstruct import (DEFAULT_BUDGET, ComplementSearch, FBCtx, FBElem,
                               b_exponent_coords, enumerate_VFB, mirror_exps,
                               zeta_powers)
-from cqunits.errors import BudgetExceeded, MathDomainError
+from cqunits.errors import BudgetExceeded, MathDomainError, NotUnitary
 from cqunits.field import prime_factors
+from cqunits.group import orbits
+from cqunits.unitgroup import CentralizerReport, centralizer_in_gamma
 
 
 def span_dimension(u: FBElem) -> int:
@@ -243,3 +250,98 @@ def galois_inverse(field, code: int) -> int | None:
     s, _, h = gf_gcdex(_hi_lo(field.from_code(code).coeffs), _hi_lo(field.modulus),
                        field.p, ZZ)
     return field.from_coeffs(s[::-1]).code if h == [1] else None
+
+
+# --- dense subspaces of FG and closed forms for centralizers -------------------
+
+
+def gamma_basis(alg: GroupAlgebra) -> Subspace:
+    """gamma as a canonical Subspace: gamma_expand of the identity, rows (a-1)b^j.
+
+    gamma_expand keeps a canonical gamma-coordinate basis canonical: the
+    a = e slice 0..q-1 that it fills in lies left of every pivot.  The
+    rows are written straight into one |G|-wide array.
+    """
+    dim = alg.gamma_dim()
+    rows, c = np.arange(dim), np.arange(dim)[::-1]  # pivots descending
+    basis = np.zeros((dim, alg.order), dtype=np.int64)
+    basis[rows, alg.q + c] = 1
+    basis[rows, c % alg.q] = alg.field.neg(1)
+    return Subspace(alg.field, basis, reduced=True)
+
+
+def intersect(s1: Subspace, s2: Subspace) -> Subspace:
+    """Zassenhaus: rref [[A A], [B 0]]; zero-left rows give the meet."""
+    n = s1.ambient
+    top = np.hstack([s1.basis, s1.basis])
+    bot = np.hstack([s2.basis, np.zeros_like(s2.basis)])
+    R, piv = _linalg.rref(s1.field, np.vstack([top, bot]))
+    keep = [i for i, pc in enumerate(piv) if pc >= n]
+    return Subspace(s1.field, R[keep][:, n:])
+
+
+def kernel_of(subspace: Subspace, op) -> Subspace:
+    """Kernel of a linear operator on a subspace, given by its action on basis rows.
+
+    `op` maps an ambient row vector to an ambient row vector and must send
+    the subspace into itself.
+    """
+    B = subspace.basis
+    images = np.stack([np.asarray(op(B[i]), dtype=np.int64) for i in range(B.shape[0])]) \
+        if B.shape[0] else np.zeros((0, subspace.ambient), dtype=np.int64)
+    if images.shape[0] and not subspace.contains_rows(images):
+        raise MathDomainError("operator does not map the subspace into itself")
+    coords = images[:, subspace.pivots] if B.shape[0] else images
+    C = _linalg.right_kernel(subspace.field, coords.T)
+    return Subspace(subspace.field, _linalg.matmul_mod(subspace.field, C, B))
+
+
+def one_plus_gamma_exponent(alg: GroupAlgebra) -> int:
+    """Smallest power p^k that annihilates 1 + gamma elementwise.
+
+    (1 + g)^(p^k) = 1 + g^(p^k) for a single element g, so the group
+    exponent is the least p^k at or above the nilpotency index of gamma.
+    """
+    N = alg.nilpotency_index()
+    k, power = 0, 1
+    while power < N:
+        power *= alg.field.p
+        k += 1
+    return alg.field.p ** k
+
+
+def centralizer_of_b_orbit_form(alg: GroupAlgebra) -> tuple[Subspace, bool]:
+    """Span of {b^t (orbit_sum - orbit_size)} and its equality with the kernel.
+
+    These elements commute with b, and the span has dimension q * l with
+    l the number of non-trivial orbits; equality with the conjugation
+    kernel of b is verified by comparing canonical bases.
+    """
+    q = alg.q
+    rows = []
+    neg_q = alg.field.neg(q % alg.field.p)
+    for _, members in orbits(alg.group).nontrivial:
+        for t in range(q):
+            row = np.zeros(alg.order, dtype=np.int64)
+            for a in members:
+                row[a * q + t] = 1
+            row[t] = neg_q  # the -|O| * b^t term sits on the e slot
+            rows.append(row)
+    span = Subspace(alg.field, np.stack(rows)) if rows else Subspace(
+        alg.field, np.zeros((0, alg.order), dtype=np.int64))
+    b_report = centralizer_in_gamma(alg, alg.basis(alg.group.b()))
+    return span, span == b_report.kernel
+
+
+def sqrt_relation_check(alg: GroupAlgebra, x: AlgElem,
+                        report: CentralizerReport | None = None) -> bool:
+    """dim C_gamma(x) = 2 * dim(C ^ S2) for unitary x in FB.
+
+    A failure here would contradict the symmetric/skew centralizer
+    bijection, so the mismatch is reported rather than suppressed.
+    """
+    if (x * x.star()) != alg.one():
+        raise NotUnitary("the square-root law applies to unitary units")
+    if report is None:
+        report = centralizer_in_gamma(alg, x)
+    return report.dim == 2 * report.skew_dim

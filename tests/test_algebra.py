@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from cqunits import GroupAlgebra, Subspace, kernel_of, make_field, make_group
+from cqunits import GroupAlgebra, Subspace, make_field, make_group
 from cqunits import _linalg as L
 from cqunits import algebra
 from cqunits.errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
 from cqunits.verifier import make_instance
 
 from conftest import mul_reference
+from oracles import gamma_basis, intersect, kernel_of, one_plus_gamma_exponent
 
 
 def random_elem(alg, rng):
@@ -259,7 +260,7 @@ def test_rho_examples(alg21, rng):
 
 
 def test_gamma_basis(alg21, f31):
-    sub = alg21.gamma_basis()
+    sub = gamma_basis(alg21)
     assert sub.dim == 18  # 21 - 3
     a = alg21.basis(alg21.group.generator(1))
     b = alg21.basis(alg21.group.b())
@@ -267,12 +268,12 @@ def test_gamma_basis(alg21, f31):
     assert not sub.contains(b.coeffs)
     G31 = make_group(f31, 5, [31, 31], [[16, 0], [0, 8]])
     alg31 = GroupAlgebra(f31, G31)
-    assert alg31.gamma_basis().dim == 4800  # 4805 - 5
+    assert gamma_basis(alg31).dim == 4800  # 4805 - 5
 
 
 def test_gamma_ideal_closure(alg21):
     # gamma is star-closed and multiplication-closed, exhaustively at dim 18
-    sub = alg21.gamma_basis()
+    sub = gamma_basis(alg21)
     rows = sub.basis
     assert sub.contains_rows(rows[:, alg21.group.inv_perm])
     prods = []
@@ -369,18 +370,18 @@ def test_nilpotency_index_closed_form(config_instance, inst31):
 
 def test_one_plus_gamma_exponent(alg21, alg49):
     assert alg21.nilpotency_index() == 7  # Aug(F7 C7)^7 = 0, ^6 != 0
-    assert alg21.one_plus_gamma_exponent() == 7
-    assert alg49.one_plus_gamma_exponent() == 7
+    assert one_plus_gamma_exponent(alg21) == 7
+    assert one_plus_gamma_exponent(alg49) == 7
     # exponent divides p^ceil(log_p(dim gamma + 1))
     import math
     bound = 7 ** math.ceil(math.log(alg21.gamma_dim() + 1, 7))
-    assert bound % alg21.one_plus_gamma_exponent() == 0
+    assert bound % one_plus_gamma_exponent(alg21) == 0
 
 
 def test_one_plus_gamma_exponent_sampled(alg21, rng):
     # (1 + g)^(p^k) = 1 for 500 sampled g, and fails at k - 1 for some g
     from cqunits.unitgroup import random_gamma
-    e = alg21.one_plus_gamma_exponent()
+    e = one_plus_gamma_exponent(alg21)
     p = alg21.field.p
     failures_at_lower = 0
     for _ in range(500):
@@ -423,7 +424,7 @@ def test_sym_skew_subspace_dims(alg21):
     s1, s2 = alg21.sym_skew_subspaces()
     assert s1.dim == 9 and s2.dim == 9  # q (p^n - 1) / 2
     # independent oracle: rank of the +/- eigenprojector images of star
-    rows = alg21.gamma_basis().basis
+    rows = gamma_basis(alg21).basis
     starred = rows[:, alg21.group.inv_perm]
     half = np.int64(alg21.inv2.code)
     sym = alg21.field.vmul(alg21.field.vadd(rows, starred), half)
@@ -434,7 +435,7 @@ def test_sym_skew_subspace_dims(alg21):
 
 
 def test_kernel_of(alg21):
-    gamma = alg21.gamma_basis()
+    gamma = gamma_basis(alg21)
     zero_map = lambda row: np.zeros_like(row)
     assert kernel_of(gamma, zero_map).dim == 18
     ident_minus_ident = lambda row: (row - row) % 7
@@ -450,16 +451,28 @@ def test_kernel_of(alg21):
     assert kernel_of(gamma, conj_minus_id).dim == 6
 
 
+def test_contains_reads_integers_as_field_codes(alg21, alg49):
+    # rows are reduced to codes mod p^f before the exact float product,
+    # whose bound holds only for entries below p
+    for alg in (alg21, alg49):
+        size = alg.field.size
+        a, b = alg.basis(alg.group.generator(1)), alg.basis(alg.group.b())
+        sub = gamma_basis(alg)
+        v = (b * (a - alg.one())).coeffs
+        assert sub.contains(v + size * 10 ** 9) and sub.contains(v - size)
+        assert not sub.contains(b.coeffs + size * 10 ** 9)
+
+
 def test_subspace_equality_and_intersection(alg21, rng):
     rows = rng.integers(0, 7, (6, 21)).astype(np.int64)
     s = Subspace(alg21.field, rows)
     shuffled = Subspace(alg21.field, rows[::-1])
     assert s == shuffled  # canonical basis is order independent
     s1, s2 = alg21.sym_skew_subspaces()
-    meet = s1.intersect(s2)
+    meet = intersect(s1, s2)
     assert meet.dim == 0
-    gamma = alg21.gamma_basis()
-    assert s1.intersect(gamma).dim == s1.dim
+    gamma = gamma_basis(alg21)
+    assert intersect(s1, gamma).dim == s1.dim
 
 
 def test_format_roundtrip(alg21, alg49, rng):

@@ -192,6 +192,23 @@ def test_cmd_class_length(capsys, c7_path):
     assert doc["result"]["starred_class_length"]["exp"] == 6
 
 
+def test_class_length_gf49_c7cube_matches_its_gf7_twin(capsys, tmp_path):
+    # the commutator of b + a1 has GF(7) entries, so its kernel keeps its
+    # dimension over GF(7^2); the gf49 rref crosses batch boundaries
+    cube = CONFIG_DIR / "gf49_c7cube.cfg"
+    twin = tmp_path / "c7cube.cfg"
+    twin.write_text(cube.read_text().replace("f = 2", "f = 1"))
+    results = []
+    for path in (cube, twin):
+        code, doc = run_json(capsys, ["class-length", "b + a1", "--config", str(path)])
+        assert code == 0
+        results.append(doc["result"])
+    assert [r["centralizer_dim"] for r in results] == [342, 342]
+    assert [r["class_length"]["exp"] for r in results] == [1368, 684]  # f (1026 - 342)
+    assert results[0]["sym_dim"] == results[1]["sym_dim"]
+    assert results[0]["skew_dim"] == results[1]["skew_dim"]
+
+
 def test_cmd_cayley_roundtrip(capsys, c7_path):
     code, doc = run_json(capsys, ["cayley", "4*a1 - 4*a1^6", "--config", c7_path])
     assert code == 0

@@ -180,9 +180,30 @@ def test_irreducibility_edge_cases():
     assert _is_irreducible([1, 0, 1, 0, 0], 7)  # trailing zeros are trimmed
 
 
+def test_field_ctx_checks_its_modulus():
+    # x^2 - 1 = (x - 1)(x + 1): built directly it used to hand out the zero
+    # divisor 1 + x as zeta, with a reported order of 48
+    with pytest.raises(ReducibleModulus, match="reducible"):
+        FieldCtx(7, 2, (6, 0, 1))
+    with pytest.raises(ReducibleModulus, match="monic of degree 2"):
+        FieldCtx(7, 2, (1, 1))
+    with pytest.raises(ReducibleModulus, match="monic of degree 2"):
+        FieldCtx(7, 2, (1, 0, 2))
+    with pytest.raises(NotPrime):
+        FieldCtx(9, 1, (0, 1))
+    with pytest.raises(MathDomainError, match="f must be >= 1"):
+        FieldCtx(7, 0, (1,))
+    fld = FieldCtx(7, 2, (1, 0, 1))
+    assert fld.signature == make_field(7, 2).signature
+    assert fld.zeta == make_field(7, 2).zeta
+    assert brute_order(fld.zeta, fld.one()) == fld.zeta.order() == 48
+
+
 def test_zero_divisor_has_no_inverse():
-    # a reducible modulus only reaches FieldCtx directly: x^2 - 1 = (x - 1)(x + 1)
-    fld = FieldCtx(7, 2, (6, 0, 1))
+    # the constructor refuses a reducible modulus, so inv's gcd check is
+    # reached by swapping one into a built field: x^2 - 1 = (x - 1)(x + 1)
+    fld = make_field(7, 2)
+    fld.modulus = (6, 0, 1)
     with pytest.raises(ZeroInverse, match="element is not invertible"):
         fld.inv(13)  # the code of x - 1
     assert fld.inv(2) == 4  # a nonzero constant still inverts
@@ -237,7 +258,7 @@ def test_irreducibility_matches_galoistools():
 def test_structure_tensor_matches_galoistools():
     fields = [cli.parse_config(path.read_text()).field for path in sorted(CONFIGS.glob("*.cfg"))]
     fields = [fld for fld in fields if fld.f > 1] + [make_field(3, 5), make_field(3, 8)]
-    assert [(fld.p, fld.f) for fld in fields] == [(7, 2), (3, 4), (3, 5), (3, 8)]
+    assert [(fld.p, fld.f) for fld in fields] == [(7, 2), (7, 2), (3, 4), (3, 5), (3, 8)]
     for fld in fields:
         assert np.array_equal(fld._tensor, galois_structure_tensor(fld)), fld
 

@@ -147,3 +147,66 @@ def test_reduce_against(rng):
     outside[0, piv[0]] = 0  # perturbing a pivot coordinate of a member
     outside[0] = (outside[0] + 1) % 7
     assert not L.in_rowspace(fld, outside, R, piv)
+
+
+# --- one path for every field: digit-plane products and the batched rref -------
+
+
+def scalar_matmul(fld, A, B):
+    """A @ B entry by entry through the scalar field.mul / field.add."""
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for i in range(A.shape[0]):
+        for j in range(B.shape[1]):
+            acc = 0
+            for k in range(A.shape[1]):
+                acc = fld.add(acc, fld.mul(int(A[i, k]), int(B[k, j])))
+            out[i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("p,f", [(7, 2), (3, 4), (5, 3)])
+def test_matmul_mod_extension_field_matches_scalar(p, f, rng, monkeypatch):
+    fld = make_field(p, f)
+    for m, k, n in [(6, 9, 5), (1, 1, 1), (4, 0, 3), (3, 5, 0), (0, 4, 2)]:
+        A = rng.integers(0, fld.size, (m, k)).astype(np.int64)
+        B = rng.integers(0, fld.size, (k, n)).astype(np.int64)
+        C = L.matmul_mod(fld, A, B)
+        assert C.shape == (m, n)
+        assert np.array_equal(C, scalar_matmul(fld, A, B))
+    # the chunked inner dimension: 2 plane columns per exact float64 chunk
+    A = rng.integers(0, fld.size, (5, 9)).astype(np.int64)
+    B = rng.integers(0, fld.size, (9, 4)).astype(np.int64)
+    monkeypatch.setattr(L, "_F64_LIMIT", 3 * (p - 1) ** 2)
+    assert np.array_equal(L.matmul_mod(fld, A, B), scalar_matmul(fld, A, B))
+
+
+@pytest.mark.parametrize("p,f", [(7, 2), (3, 4)])
+def test_rref_extension_field_across_batches(p, f, rng):
+    # rank deficient and taller than two batches: the batched rref equals one
+    # per-pivot elimination of the whole matrix, bit for bit
+    fld = make_field(p, f)
+    rows = 2 * L._RREF_BATCH + 57
+    basis = rng.integers(0, fld.size, (70, 90)).astype(np.int64)
+    M = L.matmul_mod(fld, rng.integers(0, fld.size, (rows, 70)), basis)
+    M[::40] = rng.integers(0, fld.size, (M[::40].shape[0], 90))  # rank at most 80
+    R, piv = L.rref(fld, M)
+    R2, piv2 = L._rref_generic(fld, M.copy())
+    assert piv == piv2 and np.array_equal(R, R2)
+    assert 70 < len(piv) <= 80
+    K = L.right_kernel(fld, M)
+    assert K.shape[0] == 90 - len(piv) and not L.matmul_mod(fld, M, K.T).any()
+
+
+@pytest.mark.parametrize("p,f", [(7, 2), (3, 4)])
+def test_reduce_against_extension_field(p, f, rng):
+    fld = make_field(p, f)
+    M = rng.integers(0, fld.size, (12, 30)).astype(np.int64)
+    R, piv = L.rref(fld, M)
+    combo = L.matmul_mod(fld, rng.integers(0, fld.size, (6, 12)), M)
+    assert not L.reduce_against(fld, combo, R, piv).any()
+    v = rng.integers(0, fld.size, (4, 30)).astype(np.int64)
+    residue = L.reduce_against(fld, v, R, piv)
+    # the residue is zero on the pivots and differs from v by a member
+    assert not residue[:, piv].any()
+    assert L.in_rowspace(fld, fld.vsub(v, residue), R, piv)
+    assert np.array_equal(L.reduce_against(fld, v, R[:0], []), v)

@@ -9,12 +9,12 @@ from cqunits import GroupAlgebra, _linalg, algebra, cli, make_field, make_group,
 from cqunits.cqstruct import FBCtx, ProjVec, from_projections
 from cqunits.errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotAUnit,
                             NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
-from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma,
-                               centralizer_of_b_orbit_form, class_length,
+from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma, class_length,
                                random_gamma, random_skew,
                                random_unit_vfg, random_unitary_vfg,
-                               sample_disjoint_classes, sqrt_relation_check)
+                               sample_disjoint_classes)
 from cqunits.verifier import Instance
+from oracles import centralizer_of_b_orbit_form, sqrt_relation_check
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +295,8 @@ def test_centralizers_never_invert(alg21, b21, rep_b, monkeypatch):
     assert centralizer_in_gamma(alg21, b21 * z).kernel == dense.kernel
 
 
-def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, monkeypatch):
+def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
+                                            monkeypatch):
     # l blocks of size m need 8 (l + 4) m^2 bytes: b z is one block of
     # gamma (m = 18), b the two orbit blocks of size q^2 = 9
     need, need_fb = 8 * (1 + 4) * 18 ** 2, 8 * (2 + 4) * 9 ** 2
@@ -310,6 +311,25 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, monkeypatch):
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need_fb - 1)
     with pytest.raises(BudgetExceeded, match=f"about {need_fb} bytes"):
         centralizer_in_gamma(alg21, b21)
+    # over GF(7^2) the batch update's f^2 = 4 digit-plane products, held
+    # twice, and their f = 2 digits add 8 (2 f^2 + f) m^2 bytes: one block of
+    # gamma (m = 144) on gf49, and its tracemalloc peak stays inside that
+    need = 8 * (1 + 4 + 2 * 4 + 2) * 144 ** 2
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
+    alg = config_instance("gf49").algebra
+    b = alg.basis(alg.group.b())
+    x = b * (alg.one() + alg.elem(centralizer_in_gamma(alg, b).kernel.basis[0]))
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(BudgetExceeded, match=f"about {need} bytes"):
+        centralizer_in_gamma(alg, x)
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
+    tracemalloc.start()
+    try:
+        dim = centralizer_in_gamma(alg, x).dim
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < dim <= 48 and peak <= need
 
 
 def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
