@@ -137,7 +137,7 @@ def right_kernel(ctx, M) -> np.ndarray:
     pivots of rref(M) left of fc_i: already reduced, rows in descending fc_i.
     """
     R, piv = rref(ctx, M)  # R keeps all n columns, even with no rows
-    free = np.setdiff1d(np.arange(R.shape[1]), piv)[::-1]
+    free = np.delete(np.arange(R.shape[1]), piv)[::-1]
     K = np.zeros((free.size, R.shape[1]), dtype=np.int64)
     K[np.arange(free.size), free] = 1
     K[:, piv] = ctx.vneg(R[:, free].T)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import resource
 from functools import cached_property
 
 import numpy as np
@@ -40,11 +41,24 @@ def _physical_memory_bytes() -> int:
 
 
 def refuse_past_memory(need: int, what: str) -> None:
-    """BudgetExceeded when `need` bytes for `what` exceed physical memory."""
-    have = _physical_memory_bytes()
+    """BudgetExceeded when `need` bytes for `what` exceed physical memory, or the
+    soft RLIMIT_AS less the address space mapped so far (/proc/self/statm)."""
+    have, where = _physical_memory_bytes(), "physical memory"
+    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
+    if soft != resource.RLIM_INFINITY and os.path.exists("/proc/self/statm"):
+        with open("/proc/self/statm", encoding="ascii") as fh:
+            left = soft - int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        have, where = min((have, where), (left, "address space left under RLIMIT_AS"))
     if need > have:
-        raise BudgetExceeded(f"{what} need about {need} bytes, "
-                             f"more than the {have} bytes of physical memory")
+        raise BudgetExceeded(f"{what} need about {need} bytes, more than the {have} bytes "
+                             f"of {where}")
+
+
+def rho_images(field: FieldCtx, q: int, K: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """rho of the rows of K placed at the group indices cols, shape (..., m)
+    for K of width m: the entry at a b^j goes to b^j.  Shape (..., rows, q)."""
+    return field.encode(np.einsum("dmf,...mq->...dqf", field.decode(K),
+                                  (cols[..., None] % q == np.arange(q)).astype(np.int64)))
 
 
 class Subspace:
@@ -52,30 +66,26 @@ class Subspace:
 
     Pivots are taken from the right: the basis is rref(rows[:, ::-1]) read
     back in ambient column order, each row 1 at its rightmost nonzero column,
-    rows in descending pivot order.  `reduced=True` passes such a basis as is.
+    rows in descending pivot order.
 
     A subspace of gamma may come in block form, rows None and blocks =
-    (alg, coords, kernels, which): the rows of the canonical kernel
-    kernels[which[t]] placed at coords[t], the rows of coords (ascending)
-    partitioning gamma's coordinates.  `dim` is read off the blocks;
-    `basis` and `pivots` are built on first read, once (`_echelon`).
+    (alg, cols, starts, kernels, which, rank): ker rho (of that rank) on the
+    canonical kernels kernels[which[t]] at the group indices cols[starts[t]:...];
+    `dim` is read off the blocks, `basis` and `pivots` built on first read.
     """
 
-    def __init__(self, field: FieldCtx, rows, reduced: bool = False, blocks=None):
+    def __init__(self, field: FieldCtx, rows, blocks=None):
         self.field = field
         self.blocks = blocks
         if blocks is not None:
-            alg, _, kernels, which = blocks
+            alg, _, _, kernels, which, rank = blocks
             self.ambient = alg.order
-            self.dim = sum(kernels[u].shape[0] for u in which.tolist())
+            self.dim = int(np.array([k.shape[0] for k in kernels])[which].sum()) - rank
             return
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         n = rows.shape[1]
-        if reduced:
-            self._echelon = rows, _linalg.right_pivots(rows).tolist()
-        else:
-            R, piv = _linalg.rref(field, rows[:, ::-1])
-            self._echelon = np.ascontiguousarray(R[:, ::-1]), [n - 1 - c for c in piv]
+        R, piv = _linalg.rref(field, rows[:, ::-1])
+        self._echelon = np.ascontiguousarray(R[:, ::-1]), [n - 1 - c for c in piv]
         self.ambient = n
         self.dim = self.basis.shape[0]
 
@@ -89,37 +99,53 @@ class Subspace:
 
     @cached_property
     def _echelon(self):
-        """The block form's canonical basis and pivots: the kernel rows placed
-        at their blocks' disjoint coordinates, sorted by pivot descending,
-        then `gamma_expand` (whose a = e slice lies left of every pivot).
-        Refused up front (BudgetExceeded) when its arrays for d = dim rows
-        would not fit in physical memory: the placed rows (8 d dim gamma
-        bytes), the |G|-wide copy (8 d |G|) and, for f > 1, the two int64
-        temporaries of `vsum`'s digit decode (16 f d dim gamma).
-        """
-        alg, coords, kernels, which = self.blocks
-        width, f = alg.gamma_dim(), self.field.f
-        refuse_past_memory(8 * self.dim * (alg.order + (1 + (2 * f if f > 1 else 0)) * width),
-                           "the dense basis rows")
-        parts = [(np.flatnonzero(which == u), k) for u, k in kernels.items()]
-        piv = np.concatenate([coords[ts][:, _linalg.right_pivots(k)].ravel() for ts, k in parts])
-        dest = np.empty(piv.size, dtype=np.int64)
-        dest[np.argsort(-piv)] = np.arange(piv.size)
-        K = np.zeros((piv.size, width), dtype=np.int64)
-        r = 0
-        for ts, k in parts:  # block ts[i]'s row j goes to dest[r + i d + j]
-            n = ts.size * k.shape[0]
-            K[dest[r:r + n].reshape(ts.size, -1, 1), coords[ts][:, None, :]] = k
-            r += n
-        return alg.gamma_expand(K), (np.sort(piv)[::-1] + alg.q).tolist()
-
-    def contains(self, vec) -> bool:
-        return self.contains_rows(np.asarray(vec, dtype=np.int64)[None, :])
-
-    def contains_rows(self, rows) -> bool:
-        """Whether every row lies in the subspace; entries are read as codes mod p^f."""
-        rows = np.asarray(rows, dtype=np.int64) % self.field.size
-        return _linalg.in_rowspace(self.field, rows, self.basis, self.pivots)
+        """The block form's canonical basis and pivots: with K the placed block
+        kernel rows in ascending pivot order, (the canonical kernel of
+        c -> c rho(K)) K, that is free row i less E[k, i] times the k-th bound
+        row, E = rref(rho(K)^T).  Refused (BudgetExceeded) past the larger of
+        8 c (dim + rank) |S| bytes for the rows' part on the bound rows'
+        blocks S and its product (c = 5, or 3 + 2 f^2 + 4 f for f > 1) and
+        8 (dim |G| + 2 e) for the rows and their e written entries."""
+        alg, cols, starts, kernels, which, rank = self.blocks
+        fld, q, f, n = self.field, alg.q, self.field.f, alg.order
+        width = np.diff(starts, append=n)
+        off = np.concatenate([[0], np.cumsum([kernels[u].shape[0] for u in which.tolist()])])
+        piv, rho = np.empty(off[-1], dtype=np.int64), np.empty((off[-1], q), dtype=np.int64)
+        for u, k in enumerate(kernels):  # block t's rows are off[t]:off[t + 1]
+            ts = np.flatnonzero(which == u)
+            at = off[ts][:, None] + np.arange(k.shape[0])
+            C = cols[starts[ts][:, None] + np.arange(k.shape[1])]
+            piv[at], rho[at] = C[:, _linalg.right_pivots(k)], rho_images(fld, q, k, C)
+        up = np.argsort(piv)
+        E, bound = _linalg.rref(fld, rho[up].T)
+        if len(bound) != rank:
+            raise MathDomainError(f"rho has rank {len(bound)} on the block kernels, not {rank}")
+        free = np.delete(np.arange(piv.size), bound)
+        d, dest = free.size, np.empty(piv.size, dtype=np.int64)
+        dest[up[free]], dest[up[bound]] = np.arange(d)[::-1], d + np.arange(rank)
+        owner = np.isin(np.arange(which.size), np.searchsorted(off, up[bound], side="right") - 1)
+        S = cols[np.repeat(owner, width)]
+        e = int(np.diff(off)[~owner] @ width[~owner]) + d * S.size
+        c = 5 if f == 1 else 3 + 2 * f * f + 4 * f
+        refuse_past_memory(8 * max(c * (d + rank) * S.size, d * n + 2 * e), "the dense basis rows")
+        KS = np.zeros((d + rank, S.size), dtype=np.int64)
+        for t, lo in zip(np.flatnonzero(owner).tolist(), np.cumsum(width[owner]) - width[owner]):
+            KS[dest[off[t]:off[t + 1], None], lo + np.arange(width[t])] = kernels[which[t]]
+        if rank and d:
+            KS = fld.vsub(KS[:d], _linalg.matmul_mod(fld, E[:, free[::-1]].T, KS[d:]))
+        parts = [(np.arange(d)[:, None] * n + S, KS[:d])]  # the other blocks' rows are free
+        for u, k in enumerate(kernels):
+            ts = np.flatnonzero((which == u) & ~owner)
+            at = dest[off[ts][:, None] + np.arange(k.shape[0])][:, :, None] * n
+            parts.append((at + cols[starts[ts][:, None, None] + np.arange(k.shape[1])],
+                          np.broadcast_to(k, (ts.size, *k.shape))))
+        index, values = (np.concatenate([part[i].ravel() for part in parts]) for i in (0, 1))
+        piv = np.sort(piv[up[free]])[::-1]
+        del rho, E, KS, parts, dest, up, free, at, C, off, width, owner, S  # before the rows
+        K = np.zeros((d, n), dtype=np.int64)
+        np.put(K, index, values)
+        del index, values
+        return K, piv.tolist()
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)
@@ -347,16 +373,6 @@ class GroupAlgebra:
     def gamma_dim(self) -> int:
         return self.order - self.q
 
-    def gamma_expand(self, K: np.ndarray) -> np.ndarray:
-        """Rows of gamma-coordinates -> ambient FG rows (rho of each row is 0)."""
-        K = np.atleast_2d(np.asarray(K, dtype=np.int64))
-        rows = K.shape[0]
-        amb = np.zeros((rows, self.order), dtype=np.int64)
-        amb[:, self.q:] = K
-        sums = self.field.vsum(K.reshape(rows, self.group.abelian.order - 1, self.q), axis=1)
-        amb[:, : self.q] = self.field.vneg(sums)
-        return amb
-
     def gamma_star_perm(self) -> np.ndarray:
         """The involution as a permutation of the gamma basis (a-1)b^j: the
         group's inversion on the indices a b^j with a != e, shifted by q."""
@@ -375,19 +391,20 @@ class GroupAlgebra:
         return self._star_pairs
 
     def sym_skew_subspaces(self) -> tuple[Subspace, Subspace]:
-        """The symmetric and skew slices S1, S2 of gamma, in block form.
-
-        The blocks are the pairs [pi[hi], hi] of gamma_star_pairs(), each
-        with the one kernel row [1, 1] (S1) or [-1, 1] (S2): the canonical
-        bases e_hi +/- e_pi[hi], rows in descending hi.  So dim S2 is the
-        number of pairs, and reading it builds no rows.
-        """
+        """The symmetric and skew slices S1, S2 of gamma, in block form: B,
+        with the symmetric or skew part of FB, and the pairs {g^-1, g} off B
+        (g = hi + q, hi of gamma_star_pairs()) with g^-1 + g or g - g^-1.
+        rho maps them into B's rows' span, so dim S2 is the pair count."""
         if self._sym_skew is None:
             pi, hi = self.gamma_star_pairs()
-            coords, which = np.stack([pi[hi], hi], axis=1), np.zeros(hi.size, dtype=np.int64)
+            q, fld, eye = self.q, self.field, np.eye(self.q, dtype=np.int64)
+            blocks = (self, np.concatenate([np.arange(q), np.stack([pi[hi], hi], 1).ravel() + q]),
+                      np.concatenate([[0], q + 2 * np.arange(hi.size)]))
+            which = np.minimum(np.arange(hi.size + 1), 1)
             self._sym_skew = tuple(
-                Subspace(self.field, None, blocks=(self, coords, {0: np.array([[sign, 1]])}, which))
-                for sign in (1, self.field.neg(1)))
+                Subspace(fld, None, blocks=(*blocks, [fb, np.array([[sign, 1]])], which, len(fb)))
+                for sign in (1, fld.neg(1))
+                for fb in [_linalg.right_kernel(fld, fld.vsub(eye[self.fb.star_perm], sign * eye))])
         return self._sym_skew
 
     def nilpotency_index(self) -> int:

@@ -7,144 +7,131 @@ x g x^-1 = g, so no inverse of x is formed.  Class lengths come out as
 prime powers p^(f * (dim gamma - dim C)), which is the only feasible exact
 route (|1 + gamma| is astronomically large); starred ones use dim S2, the
 number of pairs of the checked involution on gamma.  There is one solver:
-the operator is built from index products over a partition of gamma into
-blocks it maps into themselves, each distinct block is solved once, and
-its symmetric/skew slices are counted over each block and the block the
-involution maps it onto.  For x in FB the blocks are the q^2 x q^2 ones
-over the sigma-orbits of A; any other x is one block of all of gamma.  The
-kernel stays in that block form (`algebra.Subspace`): dimensions are read
-off the blocks, and the dense basis is built only when a caller reads its
-rows.  Blocks, or a dense basis, that would not fit in physical memory are
-refused up front.  All sampling is seeded.
+with H = <supp x>, the commutator maps each F[HgH] into itself (the
+double-coset splitting of FG as an (FH, FH)-bimodule; Curtis and Reiner,
+Methods of Representation Theory I, 1981, section 10), so it is solved on
+each double coset in group coordinates, equal blocks once.  gamma is the
+kernel of rho: a b^j -> b^j, so dim C_gamma(x) is the sum of the block
+kernel dims less the rank of rho on them, and the symmetric/skew slices
+are counted over each pair (D, D^-1) with the same correction.  The kernel
+stays in block form (`algebra.Subspace`); blocks, or a dense basis, that
+would not fit in memory are refused up front.  All sampling is seeded.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _linalg
-from .algebra import AlgElem, GroupAlgebra, Subspace, refuse_past_memory
+from .algebra import AlgElem, GroupAlgebra, Subspace, refuse_past_memory, rho_images
 from .cqstruct import ProjVec, from_projections, mirror_exps, zeta_powers
 from .errors import (BadCentralizerElement, MathDomainError, NotAUnit,
                      NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
-from .group import orbits
 
 
 # ---------------------------------------------------------------------------
 # commutator operators and centralizers
 
 
-def _orbit_blocks(alg: GroupAlgebra) -> np.ndarray:
-    """Gamma indices of the (a-1)b^j with a in each nontrivial sigma-orbit,
-    ascending per orbit: shape (l, q^2), row t = block t's local coordinates."""
-    q = alg.q
-    members = np.array([m for _, m in orbits(alg.group).nontrivial], dtype=np.int64)
-    coords = ((members - 1)[:, :, None] * q + np.arange(q)).reshape(len(members), q * q)
-    return np.sort(coords, axis=1)
+def _multipliers(alg: GroupAlgebra, star: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """h -> g h and h -> h g = (g^-1 h^-1)^-1 as permutations of G's indices."""
+    left = alg.group.mul_idx(g, np.arange(alg.order))
+    return left, star[np.argsort(left)[star]]
 
 
-def _commutator_blocks(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray,
-                       block_of: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """The diagonal blocks of g -> x g - g x on gamma over the partition coords.
+def _double_cosets(alg: GroupAlgebra, x: AlgElem, star: np.ndarray) -> np.ndarray:
+    """The least index of H g H for every g, H = <supp x>, reached by either-side
+    products with generators from supp x (permutations squared each round); a
+    support element outside the block of e, H itself, is the next generator."""
+    label, steps, supp = np.arange(alg.order), [], np.flatnonzero(x.coeffs)
+    while (outside := supp[label[supp] != 0]).size:
+        steps += _multipliers(alg, star, int(outside[0]))
+        old = None
+        while not np.array_equal(label, old):
+            old = label
+            for i, P in enumerate(steps):
+                label, steps[i] = np.minimum(label, label[P]), P[P]
+            label = label[label]
+    return label
 
-    Column t is x e - e x for the gamma basis row e = h - b^j, where h = t + q
-    is the index of a b^j.  For each g in supp x the four index products
-    g h, g b^j, h g and b^j g each give every column one target, so no
-    fancy-indexed update collides.  Rows with a = e are determined by the
-    others and dropped; a kept term outside its column's block raises
-    MathDomainError.
-    """
-    G, fld, q = alg.group, alg.field, alg.q
-    l, m = coords.shape
-    h = coords + q
-    bj = h % q
-    rows, src = np.broadcast_arrays(np.arange(l)[:, None], np.arange(m))
-    blocks = np.zeros((l, m, m), dtype=np.int64)
-    for g in np.flatnonzero(x.coeffs):
-        for tgt, op in ((G.mul_idx(g, h), fld.vadd), (G.mul_idx(g, bj), fld.vsub),
-                        (G.mul_idx(h, g), fld.vsub), (G.mul_idx(bj, g), fld.vadd)):
-            kept = tgt >= q
-            t, r, s = tgt[kept] - q, rows[kept], src[kept]
-            if np.any(block_of[t] != r):
-                raise MathDomainError("a commutator term leaves its orbit block")
-            tl = local[t]
-            blocks[r, tl, s] = op(blocks[r, tl, s], x.coeffs[g])
+
+def _commutator_blocks(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, by_size: dict,
+                       block_of: np.ndarray, local: np.ndarray) -> dict:
+    """Size m -> y -> x y - y x on the F[D] at the indices C[i], (T, C) = by_size[m],
+    stacked; a term outside its column's block raises MathDomainError."""
+    blocks = {m: np.zeros((len(T), m, m), dtype=np.int64) for m, (T, _) in by_size.items()}
+    for g in np.flatnonzero(x.coeffs).tolist():
+        for perm, op in zip(_multipliers(alg, star, g), (alg.field.vadd, alg.field.vsub)):
+            for m, (T, C) in by_size.items():
+                if np.any(block_of[perm[C]] != T[:, None]):
+                    raise MathDomainError("a commutator term leaves its double coset")
+                at = (np.arange(len(T))[:, None], local[perm[C]], np.arange(m))
+                blocks[m][at] = op(blocks[m][at], x.coeffs[g])
     return blocks
 
 
-def _star_slices(field, K: np.ndarray, perm: np.ndarray) -> tuple[int, int, bool]:
-    """(dim of the symmetric slice, dim of the skew slice, star-closed) of the
-    row space of the canonical basis K, whose coordinates the involution
-    permutes by perm: dim - rank(K[:, perm] -/+ K), cross-checked against
-    the direct star-closure test."""
-    dim = K.shape[0]
-    pivots = _linalg.right_pivots(K).tolist()
-    starred = K[:, perm]
-    sym_dim = dim - _linalg.rank(field, field.vsub(starred, K))
-    skew_dim = dim - _linalg.rank(field, field.vadd(starred, K))
-    star_closed = _linalg.in_rowspace(field, starred, K, pivots)
-    if star_closed != (sym_dim + skew_dim == dim):
-        raise MathDomainError(f"star closure {star_closed} contradicts slice "
-                              f"dims {sym_dim} + {skew_dim} of {dim}")
-    return sym_dim, skew_dim, star_closed
-
-
-def _block_centralizer(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray):
-    """Kernel, slice dims and star closure of g -> x g - g x, one block at a time.
-
-    coords partitions the gamma coordinates into l blocks of size m, and
-    the operator must map each block into itself.  It is refused up front
-    (BudgetExceeded) when its 8 (l + 4) m^2 bytes would not fit in physical
-    memory: the l blocks, and the rref's echelon rows, their vstack copy and
-    the matmul and modulo temporaries for one of them.  For f > 1 the rref's
-    batch update also holds the f^2 digit-plane products of the echelon rows
-    twice (the float product and its rounding, or the plane products and the
-    copy the tensor contraction makes) and their f contracted digits, so
-    another 8 (2 f^2 + f) m^2 bytes are counted.  Each distinct block
-    is solved once, and the kernel is returned in block form over coords
-    (`Subspace`), which builds no rows.  The involution must map every
-    block onto a single block; the slices are counted over each block
-    together with that one (for the orbit blocks O and O^-1, for one block
-    itself alone).
-    """
-    fld, dim, f = alg.field, alg.gamma_dim(), alg.field.f
-    l, m = coords.shape
-    planes = 2 * f * f + f if f > 1 else 0
-    refuse_past_memory(8 * (l + 4 + planes) * m * m, "the commutator blocks")
-    block_of = np.empty(dim, dtype=np.int64)
-    block_of[coords] = np.arange(l)[:, None]
-    local = np.empty(dim, dtype=np.int64)
-    local[coords] = np.arange(m)
-    blocks = _commutator_blocks(alg, x, coords, block_of, local)
-    first = {}  # a block's bytes -> the first block equal to it
-    which = np.array([first.setdefault(blk.tobytes(), t) for t, blk in enumerate(blocks)])
-    del first  # a dense block's bytes are as large as the block
-    kernels = {u: _linalg.right_kernel(fld, blocks[u]) for u in np.unique(which).tolist()}
-    del blocks
-    kernel = Subspace(fld, None, blocks=(alg, coords, kernels, which))
-
-    pi = alg.gamma_star_pairs()[0]
-    partner = block_of[pi[coords[:, 0]]]
-    if np.any(block_of[pi[coords]] != partner[:, None]):
+def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: np.ndarray):
+    """Kernel, slice dims and star closure of g -> x g - g x on gamma over the
+    blocks of label, refused (BudgetExceeded) past 16 sum_m l_m m^2 bytes for
+    l_m blocks of size m and the bytes of the distinct ones, and 8 (4 +
+    planes) m^2 for the largest one's rref (planes = 2 f^2 + f for f > 1).
+    C_gamma = ker rho on the sum W of the block kernels; on a pair (D, D^-1)
+    with kernel K, C ^ Sym = N K for N the left kernel of K* - K, and C* = C
+    iff C lies in the sum of the C_P ^ C_P*."""
+    fld, q, n, f = alg.field, alg.q, alg.order, alg.field.f
+    cols = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(np.diff(label[cols], prepend=-1))
+    sizes, at = np.diff(starts, append=n), np.argsort(cols)  # g is cols[at[g]]
+    block_of = np.repeat(np.arange(starts.size), sizes)[at]
+    local = at - starts[block_of]
+    widths, counts = np.unique(sizes, return_counts=True)
+    refuse_past_memory(8 * (2 * int(counts @ widths ** 2) + (4 + (2 * f * f + f) * (f > 1))
+                            * int(widths[-1]) ** 2), "the commutator blocks")
+    partner = block_of[star[cols[starts]]]
+    if np.any(block_of[star] != partner[block_of]):
         raise MathDomainError("the involution does not map each block onto one block")
-    slices, count = {}, Counter()  # blocks with equal kernels and pi are solved once
-    for t in np.nonzero(partner >= np.arange(l))[0]:
-        pair = [t] if partner[t] == t else [t, partner[t]]
-        cols = pi[coords[pair].ravel()]
-        perm = np.where(block_of[cols] == t, 0, m) + local[cols]
-        key = (tuple(which[pair]), perm.tobytes())
-        count[key] += 1
-        if key not in slices:
-            ks = [kernels[u] for u in key[0]]  # block-diagonal over the pair
-            Kc = np.vstack([np.pad(k, ((0, 0), (i * m, (len(ks) - 1 - i) * m)))
-                            for i, k in enumerate(ks)])
-            slices[key] = _star_slices(fld, Kc, perm)
-    sym_dim = sum(count[key] * sym for key, (sym, _, _) in slices.items())
-    skew_dim = sum(count[key] * skew for key, (_, skew, _) in slices.items())
-    star_closed = all(closed for _, _, closed in slices.values())
+    by_size = {m: (T, cols[starts[T][:, None] + np.arange(m)])
+               for m in widths.tolist() for T in [np.flatnonzero(sizes == m)]}
+    blocks = _commutator_blocks(alg, x, star, by_size, block_of, local)
+    kernels, which, first = [], np.empty(starts.size, dtype=np.int64), {}  # bytes -> kernel
+    for m, (T, _) in by_size.items():
+        for t, blk in zip(T.tolist(), blocks.pop(m)):
+            which[t] = first.setdefault(blk.tobytes(), len(kernels))
+            if which[t] == len(kernels):
+                kernels.append(_linalg.right_kernel(fld, blk))
+    del first, blk  # a copy of each distinct block; a view keeping its size's blocks alive
+    sym, skew, stable, images = [], [], [], []  # per distinct pair: (count * dim, rho of it)
+    for m, (T, C) in by_size.items():
+        P = partner[T]
+        for Tp, L in ((T[P == T], C[P == T]),
+                      (T[P > T], np.hstack([C[P > T], C[np.searchsorted(T, P[P > T])]]))):
+            perm = local[star[L]] + np.where(block_of[star[L]] == Tp[:, None], 0, m)
+            # a pair is known by its kernels, star's permutation and the b-exponents
+            w, keys = L.shape[1], np.column_stack([which[Tp], which[partner[Tp]], perm, L % q])
+            _, once, count = np.unique(keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel(),
+                                       return_index=True, return_counts=True)
+            for key, c in zip(keys[once], count.tolist()):
+                ks = [kernels[u] for u in key[:1 + (w > m)]]
+                K = np.vstack([np.pad(k, ((0, 0), (i * m, (len(ks) - 1 - i) * m)))
+                               for i, k in enumerate(ks)])  # block-diagonal over the pair
+                R, starred = rho_images(fld, q, K, key[2 + w:]), K[:, key[2:2 + w]]
+                resid = _linalg.reduce_against(fld, starred, K, _linalg.right_pivots(K).tolist())
+                for A, out in ((fld.vsub(starred, K), sym), (fld.vadd(starred, K), skew),
+                               (resid, stable)):  # {c K : c A = 0} and its rho
+                    N = _linalg.right_kernel(fld, A.T)
+                    out.append((c * N.shape[0], _linalg.matmul_mod(fld, N, R)))
+                images.append(R)
+    rank = len(_linalg.rref(fld, np.vstack(images))[1])
+    kernel = Subspace(fld, None, blocks=(alg, cols, starts, kernels, which, rank))
+    sym_dim, skew_dim = (sum(d for d, _ in out) - _linalg.rank(fld, np.vstack([i for _, i in out]))
+                         for out in (sym, skew))
+    star_closed = kernel.dim == (sum(d for d, _ in stable)
+                                 - len(_linalg.rref(fld, np.vstack([i for _, i in stable]))[1]))
+    if star_closed != (sym_dim + skew_dim == kernel.dim):
+        raise MathDomainError(f"star closure {star_closed} contradicts slice "
+                              f"dims {sym_dim} + {skew_dim} of {kernel.dim}")
     return kernel, sym_dim, skew_dim, star_closed
 
 
@@ -166,21 +153,16 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
 
     1 + g commutes with x iff g does, so this also describes
     C_(1+gamma)(x).  The operator is linear in x and needs no inverse; x
-    must still be a unit (NotAUnit otherwise).  The support of x picks the
-    block partition for `_block_centralizer`: for x in FB (supported on B)
-    the operator is block-diagonal over the sigma-orbits of A, so it is
-    solved as (|A|-1)/q blocks of size q^2; any other x is one block of all
-    of gamma.  The kernel basis K, canonical in gamma coordinates, is kept
-    as its blocks.  The involution permutes the coordinates by pi, so the
-    slices C ^ S1 and C ^ S2 have dimensions dim - rank(K[:, pi] - K) and
-    dim - rank(K[:, pi] + K), counted block by block.  They sum to dim iff
-    C is star-closed, which is cross-checked directly.
+    must still be a unit (NotAUnit otherwise).  The involution is read once,
+    through the checked `gamma_star_pairs`, as g -> g^-1 on G.  The slices
+    C ^ S1 and C ^ S2 sum to dim iff C is star-closed, which is
+    cross-checked by another route.
     """
     if not x.is_unit():
         raise NotAUnit("rho(x) is not invertible in FB")
-    coords = (_orbit_blocks(alg) if not x.coeffs[alg.q:].any()
-              else np.arange(alg.gamma_dim())[None, :])
-    kernel, sym_dim, skew_dim, star_closed = _block_centralizer(alg, x, coords)
+    star = np.concatenate([alg.fb.star_perm, alg.gamma_star_pairs()[0] + alg.q])
+    kernel, sym_dim, skew_dim, star_closed = _block_centralizer(
+        alg, x, star, _double_cosets(alg, x, star))
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,
                              sym_dim=sym_dim, skew_dim=skew_dim)
 

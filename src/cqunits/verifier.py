@@ -10,10 +10,10 @@ so it has no complement; see `cqstruct`), and m = 1 with s + 1 >= q and
 whose two sides are carried both as factored prime powers and as full
 arbitrary-precision integers (recomputed by a log-free product chain as a
 cross-check).  Dimensions entering the certificate are exact, not formula
-shortcuts: kernel dimensions from the unitgroup layer's orbit-block
-solve, and dim S2 from S2 in block form over the pairs of the checked
-involution on gamma.  Both are read off their blocks; no dense row of
-either subspace is built.
+shortcuts: kernel dimensions from the unitgroup layer's solve over the
+double cosets of <supp b> = B, and dim S2 from S2 in block form over the
+pairs of the checked involution.  Both are read off their blocks; no
+dense row of either subspace is built.
 """
 
 from __future__ import annotations

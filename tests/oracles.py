@@ -8,7 +8,10 @@ form; they are only usable for small N.  The dense subspace helpers
 (gamma as a written-down basis, the Zassenhaus meet, kernels of operators
 on a subspace) and the closed forms for C_gamma(b), the exponent of
 1 + gamma and the square-root law are what the block-form solver of
-`unitgroup` is checked against.
+`unitgroup` is checked against.  So is `reference_centralizer`, the solver
+it replaced: the commutator in gamma coordinates, over the q^2 x q^2
+sigma-orbit blocks for x in FB and over one block of all of gamma
+otherwise.
 """
 
 from __future__ import annotations
@@ -16,11 +19,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from cqunits import _linalg
-from cqunits.algebra import AlgElem, GroupAlgebra, Subspace
+from cqunits.algebra import AlgElem, GroupAlgebra, Subspace, refuse_past_memory
 from cqunits.cqstruct import (DEFAULT_BUDGET, ComplementSearch, FBCtx, FBElem,
                               b_exponent_coords, enumerate_VFB, mirror_exps,
                               zeta_powers)
@@ -255,6 +259,30 @@ def galois_inverse(field, code: int) -> int | None:
 # --- dense subspaces of FG and closed forms for centralizers -------------------
 
 
+def written_down(field, rows: np.ndarray) -> Subspace:
+    """A Subspace of rows already in its canonical form (right pivots, rows in
+    descending pivot order), taken as they are instead of row reduced."""
+    sub = Subspace(field, rows[:0])
+    sub._echelon = rows, _linalg.right_pivots(rows).tolist()
+    sub.dim = rows.shape[0]
+    return sub
+
+
+def gamma_expand(alg: GroupAlgebra, K: np.ndarray) -> np.ndarray:
+    """Rows of gamma-coordinates -> ambient FG rows (rho of each row is 0).
+
+    Column t of K is the gamma basis element (a-1)b^j with a b^j at index
+    t + q; the a = e slice gets minus the sum over a of each b^j's entries.
+    """
+    K = np.atleast_2d(np.asarray(K, dtype=np.int64))
+    rows = K.shape[0]
+    amb = np.zeros((rows, alg.order), dtype=np.int64)
+    amb[:, alg.q:] = K
+    sums = alg.field.vsum(K.reshape(rows, alg.group.abelian.order - 1, alg.q), axis=1)
+    amb[:, : alg.q] = alg.field.vneg(sums)
+    return amb
+
+
 def gamma_basis(alg: GroupAlgebra) -> Subspace:
     """gamma as a canonical Subspace: gamma_expand of the identity, rows (a-1)b^j.
 
@@ -267,7 +295,14 @@ def gamma_basis(alg: GroupAlgebra) -> Subspace:
     basis = np.zeros((dim, alg.order), dtype=np.int64)
     basis[rows, alg.q + c] = 1
     basis[rows, c % alg.q] = alg.field.neg(1)
-    return Subspace(alg.field, basis, reduced=True)
+    return written_down(alg.field, basis)
+
+
+def contains_rows(sub: Subspace, rows) -> bool:
+    """Whether every row (or the one vector) lies in sub; entries are read as
+    codes mod p^f."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % sub.field.size
+    return _linalg.in_rowspace(sub.field, rows, sub.basis, sub.pivots)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -289,7 +324,7 @@ def kernel_of(subspace: Subspace, op) -> Subspace:
     B = subspace.basis
     images = np.stack([np.asarray(op(B[i]), dtype=np.int64) for i in range(B.shape[0])]) \
         if B.shape[0] else np.zeros((0, subspace.ambient), dtype=np.int64)
-    if images.shape[0] and not subspace.contains_rows(images):
+    if images.shape[0] and not contains_rows(subspace, images):
         raise MathDomainError("operator does not map the subspace into itself")
     coords = images[:, subspace.pivots] if B.shape[0] else images
     C = _linalg.right_kernel(subspace.field, coords.T)
@@ -345,3 +380,117 @@ def sqrt_relation_check(alg: GroupAlgebra, x: AlgElem,
     if report is None:
         report = centralizer_in_gamma(alg, x)
     return report.dim == 2 * report.skew_dim
+
+
+# --- the gamma-coordinate centralizer solver ------------------------------------
+
+
+def orbit_blocks(alg: GroupAlgebra) -> np.ndarray:
+    """Gamma indices of the (a-1)b^j with a in each nontrivial sigma-orbit,
+    ascending per orbit: shape (l, q^2), row t = block t's local coordinates."""
+    q = alg.q
+    members = np.array([m for _, m in orbits(alg.group).nontrivial], dtype=np.int64)
+    coords = ((members - 1)[:, :, None] * q + np.arange(q)).reshape(len(members), q * q)
+    return np.sort(coords, axis=1)
+
+
+def gamma_commutator_blocks(alg: GroupAlgebra, x: AlgElem, coords: np.ndarray) -> np.ndarray:
+    """The diagonal blocks of g -> x g - g x on gamma over the partition coords.
+
+    Column t is x e - e x for the gamma basis row e = h - b^j, where h = t + q
+    is the index of a b^j.  For each g in supp x the four index products
+    g h, g b^j, h g and b^j g each give every column one target.  Rows with
+    a = e are determined by the others and dropped; a kept term outside its
+    column's block raises MathDomainError.
+    """
+    G, fld, q = alg.group, alg.field, alg.q
+    l, m = coords.shape
+    block_of = np.empty(alg.gamma_dim(), dtype=np.int64)
+    block_of[coords] = np.arange(l)[:, None]
+    local = np.empty(alg.gamma_dim(), dtype=np.int64)
+    local[coords] = np.arange(m)
+    h = coords + q
+    bj = h % q
+    rows, src = np.broadcast_arrays(np.arange(l)[:, None], np.arange(m))
+    blocks = np.zeros((l, m, m), dtype=np.int64)
+    for g in np.flatnonzero(x.coeffs):
+        for tgt, op in ((G.mul_idx(g, h), fld.vadd), (G.mul_idx(g, bj), fld.vsub),
+                        (G.mul_idx(h, g), fld.vsub), (G.mul_idx(bj, g), fld.vadd)):
+            kept = tgt >= q
+            t, r, src_k = tgt[kept] - q, rows[kept], src[kept]
+            if np.any(block_of[t] != r):
+                raise MathDomainError("a commutator term leaves its orbit block")
+            tl = local[t]
+            blocks[r, tl, src_k] = op(blocks[r, tl, src_k], x.coeffs[g])
+    return blocks
+
+
+def _star_slices(field, K: np.ndarray, perm: np.ndarray) -> tuple[int, int, bool]:
+    """(dim - rank(K[:, perm] - K), dim - rank(K[:, perm] + K), whether the
+    row space of K is closed under the column permutation perm)."""
+    dim = K.shape[0]
+    starred = K[:, perm]
+    sym_dim = dim - _linalg.rank(field, field.vsub(starred, K))
+    skew_dim = dim - _linalg.rank(field, field.vadd(starred, K))
+    star_closed = _linalg.in_rowspace(field, starred, K, _linalg.right_pivots(K).tolist())
+    return sym_dim, skew_dim, star_closed
+
+
+class ReferenceCentralizer:
+    """C_gamma(x) in gamma coordinates, block by block over coords (default:
+    `orbit_blocks` for x in FB, one block of all of gamma otherwise).
+
+    Each block's kernel is solved with `right_kernel`.  The involution
+    permutes the gamma coordinates (`gamma_star_pairs`) and must map every
+    block onto one block; the slices are counted over each block together
+    with that one.  `kernel` places the kernel rows at their blocks'
+    coordinates, sorts them by pivot and expands them to FG, on first read.
+    """
+
+    def __init__(self, alg: GroupAlgebra, x: AlgElem, coords: np.ndarray | None = None):
+        fld, dim = alg.field, alg.gamma_dim()
+        if coords is None:
+            coords = (orbit_blocks(alg) if not x.coeffs[alg.q:].any()
+                      else np.arange(dim)[None, :])
+        l, m = coords.shape
+        refuse_past_memory(8 * (l + 4) * m * m, "the reference commutator blocks")
+        blocks = gamma_commutator_blocks(alg, x, coords)
+        first = {}  # equal blocks are solved once
+        kernels = [first[b] if b in first else first.setdefault(b, _linalg.right_kernel(fld, blk))
+                   for blk in blocks for b in [blk.tobytes()]]
+        del blocks, first
+        self.alg, self.coords, self.kernels = alg, coords, kernels
+        self.dim = sum(k.shape[0] for k in kernels)
+
+        block_of = np.empty(dim, dtype=np.int64)
+        block_of[coords] = np.arange(l)[:, None]
+        local = np.empty(dim, dtype=np.int64)
+        local[coords] = np.arange(m)
+        pi = alg.gamma_star_pairs()[0]
+        partner = block_of[pi[coords[:, 0]]]
+        if np.any(block_of[pi[coords]] != partner[:, None]):
+            raise MathDomainError("the involution does not map each block onto one block")
+        self.sym_dim = self.skew_dim = 0
+        self.star_closed = True
+        for t in np.flatnonzero(partner >= np.arange(l)).tolist():
+            pair = [t] if partner[t] == t else [t, partner[t]]
+            cols = pi[coords[pair].ravel()]
+            perm = np.where(block_of[cols] == t, 0, m) + local[cols]
+            Kc = np.vstack([np.pad(kernels[u], ((0, 0), (i * m, (len(pair) - 1 - i) * m)))
+                            for i, u in enumerate(pair)])
+            sym, skew, closed = _star_slices(fld, Kc, perm)
+            self.sym_dim += sym
+            self.skew_dim += skew
+            self.star_closed = self.star_closed and closed
+
+    @cached_property
+    def kernel(self) -> Subspace:
+        alg, coords, kernels = self.alg, self.coords, self.kernels
+        piv = np.concatenate([coords[t][_linalg.right_pivots(k)] for t, k in enumerate(kernels)])
+        order = np.argsort(-piv)
+        rows = np.concatenate([np.full(k.shape[0], t) for t, k in enumerate(kernels)])[order]
+        within = np.concatenate([np.arange(k.shape[0]) for k in kernels])[order]
+        K = np.zeros((piv.size, alg.gamma_dim()), dtype=np.int64)
+        for r, (t, i) in enumerate(zip(rows.tolist(), within.tolist())):
+            K[r, coords[t]] = kernels[t][i]
+        return written_down(alg.field, gamma_expand(alg, K))

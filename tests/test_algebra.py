@@ -8,7 +8,8 @@ from cqunits.errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUni
 from cqunits.verifier import make_instance
 
 from conftest import mul_reference
-from oracles import gamma_basis, intersect, kernel_of, one_plus_gamma_exponent
+from oracles import (contains_rows, gamma_basis, intersect, kernel_of,
+                     one_plus_gamma_exponent)
 
 
 def random_elem(alg, rng):
@@ -264,8 +265,8 @@ def test_gamma_basis(alg21, f31):
     assert sub.dim == 18  # 21 - 3
     a = alg21.basis(alg21.group.generator(1))
     b = alg21.basis(alg21.group.b())
-    assert sub.contains((b * (a - alg21.one())).coeffs)
-    assert not sub.contains(b.coeffs)
+    assert contains_rows(sub, (b * (a - alg21.one())).coeffs)
+    assert not contains_rows(sub, b.coeffs)
     G31 = make_group(f31, 5, [31, 31], [[16, 0], [0, 8]])
     alg31 = GroupAlgebra(f31, G31)
     assert gamma_basis(alg31).dim == 4800  # 4805 - 5
@@ -275,18 +276,18 @@ def test_gamma_ideal_closure(alg21):
     # gamma is star-closed and multiplication-closed, exhaustively at dim 18
     sub = gamma_basis(alg21)
     rows = sub.basis
-    assert sub.contains_rows(rows[:, alg21.group.inv_perm])
+    assert contains_rows(sub, rows[:, alg21.group.inv_perm])
     prods = []
     for i in range(rows.shape[0]):
         for j in range(rows.shape[0]):
             prods.append(alg21.mul_coeffs(rows[i], rows[j]))
-    assert sub.contains_rows(np.stack(prods))
+    assert contains_rows(sub, np.stack(prods))
     # and it is a two-sided ideal: closed under multiplication by G
     for g in range(21):
         eg = alg21.basis(g).coeffs
         left = np.stack([alg21.mul_coeffs(eg, rows[i]) for i in range(rows.shape[0])])
         right = np.stack([alg21.mul_coeffs(rows[i], eg) for i in range(rows.shape[0])])
-        assert sub.contains_rows(left) and sub.contains_rows(right)
+        assert contains_rows(sub, left) and contains_rows(sub, right)
 
 
 def test_invert_examples(alg21):
@@ -431,7 +432,7 @@ def test_sym_skew_subspace_dims(alg21):
     skew = alg21.field.vmul(alg21.field.vsub(rows, starred), half)
     assert L.rank(alg21.field, sym) == 9
     assert L.rank(alg21.field, skew) == 9
-    assert s1.contains_rows(sym) and s2.contains_rows(skew)
+    assert contains_rows(s1, sym) and contains_rows(s2, skew)
 
 
 def test_kernel_of(alg21):
@@ -459,8 +460,8 @@ def test_contains_reads_integers_as_field_codes(alg21, alg49):
         a, b = alg.basis(alg.group.generator(1)), alg.basis(alg.group.b())
         sub = gamma_basis(alg)
         v = (b * (a - alg.one())).coeffs
-        assert sub.contains(v + size * 10 ** 9) and sub.contains(v - size)
-        assert not sub.contains(b.coeffs + size * 10 ** 9)
+        assert contains_rows(sub, v + size * 10 ** 9) and contains_rows(sub, v - size)
+        assert not contains_rows(sub, b.coeffs + size * 10 ** 9)
 
 
 def test_subspace_equality_and_intersection(alg21, rng):

@@ -5,16 +5,20 @@ without row reduction, and the involution on gamma is checked against
 `AlgElem.star`; the reference is `Subspace(field, rows)`, which
 row reduces whatever rows it is given.  S1, S2 and the kernels are kept
 in block form: their `dim` is checked before any rows exist, and the rows
-built on first read against the same subspaces written down densely
-(`slice_rows`, `eager_rows`).  Kernels of units in FB come from
-the orbit blocks; they are also compared with the kernel of the same
-builder over one block of all of gamma, and each orbit block entrywise
-with that one block.  The FFT product is checked against the full-table
-product, or against `mul_reference` over GF(p^f) with f > 1, which has no
-table.  Instances are drawn with p <= 13, q | p - 1, A = C_p, C_p^2 or
-(for p = 7) C_49 x C_7, and an upper-triangular action whose diagonal
-entries have order q; so sigma need not act on the characters of A
-coordinate by coordinate.
+built on first read against the same subspaces written down densely by
+another route (`slice_rows`, `eager_rows`: the block kernels placed one
+block at a time and met with gamma).  Kernels come from the double cosets
+of H = <supp x>; they are also compared with the kernel of the same solver
+over one block of all of G, each double-coset block entrywise with that
+one block, and dims, slices, star closure and rows with the gamma-coordinate
+solver the double cosets replaced (`ReferenceCentralizer`).  The units
+drawn include 1 + a1, supported in A, and b + a1 and b + a_r, which on
+C_p^2 lie in a proper subgroup containing b.  The FFT product is checked
+against the full-table product, or against `mul_reference` over GF(p^f)
+with f > 1, which has no table.  Instances are drawn with p <= 13,
+q | p - 1, A = C_p, C_p^2 or (for p = 7) C_49 x C_7, and an
+upper-triangular action whose diagonal entries have order q; so sigma need
+not act on the characters of A coordinate by coordinate.
 """
 
 
@@ -26,16 +30,16 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import mul_reference
 
-from cqunits import _linalg as L
 from cqunits.algebra import Subspace
 from cqunits.group import orbits
-from cqunits.unitgroup import (_block_centralizer, _commutator_blocks, _orbit_blocks,
+from cqunits.unitgroup import (_block_centralizer, _commutator_blocks, _double_cosets,
                                centralizer_in_gamma, random_fb_unit_coeffs,
                                random_unit_vfg, random_unitary_vfg)
 from cqunits.verifier import make_instance
-from oracles import gamma_basis, intersect, sqrt_relation_check
+from oracles import (ReferenceCentralizer, gamma_basis, gamma_expand, intersect,
+                     sqrt_relation_check, written_down)
 
-# full-support units are one block of all of gamma: its commutator
+# full-support units are one block of all of G: its commutator
 # g -> x g - g x (no inverse) costs |G|^2, but its rref costs |G|^3; they
 # are only drawn on the small instances
 FULL_SUPPORT_MAX_COST = 150
@@ -59,30 +63,32 @@ def assert_lazy_rows(sub: Subspace, ref: Subspace):
 
 
 def eager_rows(sub: Subspace) -> Subspace:
-    """The block form's rows placed one block at a time (`np.ix_`), sorted by
-    pivot descending and expanded to FG, as the centralizer solver wrote
-    them down before the rows were built lazily."""
-    alg, coords, kernels, which = sub.blocks
-    piv = np.concatenate([coords[t][L.right_pivots(kernels[u])] for t, u in enumerate(which)])
-    dest = np.empty(piv.size, dtype=np.int64)
-    dest[np.argsort(-piv)] = np.arange(piv.size)
-    K = np.zeros((piv.size, alg.gamma_dim()), dtype=np.int64)
-    r = 0
-    for t, u in enumerate(which):
-        d = kernels[u].shape[0]
-        K[np.ix_(dest[r:r + d], coords[t])] = kernels[u]
-        r += d
-    return Subspace(alg.field, alg.gamma_expand(K), reduced=True)
+    """The block form written down densely by another route: the block
+    kernels placed one block at a time (their sum W must be direct), then
+    the meet of W with gamma (`intersect`) instead of the rho correction."""
+    alg, cols, starts, kernels, which, rank = sub.blocks
+    ends = np.append(starts[1:], alg.order)
+    rows = []
+    for t, u in enumerate(which.tolist()):
+        W = np.zeros((kernels[u].shape[0], alg.order), dtype=np.int64)
+        W[:, cols[starts[t]:ends[t]]] = kernels[u]
+        rows.append(W)
+    W = Subspace(alg.field, np.vstack(rows))
+    assert W.dim == sum(kernels[u].shape[0] for u in which.tolist())
+    meet = intersect(W, gamma_basis(alg))
+    assert meet.dim == W.dim - rank
+    return meet
 
 
 def slice_rows(alg, sign) -> Subspace:
     """S1 (sign 1) or S2 (sign the code of -1) written down densely over the pairs
-    (hi, pi[hi]), as `sym_skew_subspaces` did before its block form."""
+    (hi, pi[hi]) of gamma coordinates, as `sym_skew_subspaces` did before its
+    block form."""
     pi, hi = alg.gamma_star_pairs()
     K = np.zeros((hi.size, pi.size), dtype=np.int64)
     K[np.arange(hi.size), hi] = 1
     K[np.arange(hi.size), pi[hi]] = sign
-    return Subspace(alg.field, alg.gamma_expand(K), reduced=True)
+    return written_down(alg.field, gamma_expand(alg, K))
 
 
 def check_gamma_slices(alg):
@@ -106,36 +112,46 @@ def check_gamma_slices(alg):
     return s1, s2
 
 
+def involution(alg) -> np.ndarray:
+    """g -> g^-1 on the indices of G, as the solver reads it."""
+    return np.concatenate([-np.arange(alg.q) % alg.q, alg.gamma_star_pairs()[0] + alg.q])
+
+
 def one_block(alg) -> np.ndarray:
-    """The partition of gamma into one block, the layout for any unit."""
-    return np.arange(alg.gamma_dim())[None, :]
+    """The labels of one block of all of G, a partition every unit respects."""
+    return np.zeros(alg.order, dtype=np.int64)
 
 
-def placed_operator(alg, x, coords) -> np.ndarray:
-    """The blocks of g -> x g - g x over the partition coords, placed at
-    their coordinates in one gamma x gamma matrix."""
-    dim = alg.gamma_dim()
-    l, m = coords.shape
-    block_of = np.empty(dim, dtype=np.int64)
-    block_of[coords] = np.arange(l)[:, None]
-    local = np.empty(dim, dtype=np.int64)
-    local[coords] = np.arange(m)
-    blocks = _commutator_blocks(alg, x, coords, block_of, local)
-    placed = np.zeros((dim, dim), dtype=np.int64)
-    for t in range(l):
-        placed[np.ix_(coords[t], coords[t])] = blocks[t]
+def placed_operator(alg, x, label) -> np.ndarray:
+    """The blocks of y -> x y - y x over the blocks of label (each at its
+    ascending group indices), placed in one |G| x |G| matrix."""
+    block_of = np.unique(label, return_inverse=True)[1]
+    local = np.empty(alg.order, dtype=np.int64)
+    by_size = {}
+    for t in range(block_of.max() + 1):
+        C = np.flatnonzero(block_of == t)
+        local[C] = np.arange(C.size)
+        by_size.setdefault(C.size, ([], []))
+        by_size[C.size][0].append(t)
+        by_size[C.size][1].append(C)
+    by_size = {m: (np.array(T), np.array(C)) for m, (T, C) in by_size.items()}
+    blocks = _commutator_blocks(alg, x, involution(alg), by_size, block_of, local)
+    placed = np.zeros((alg.order, alg.order), dtype=np.int64)
+    for m, (_, C) in by_size.items():
+        for Ci, blk in zip(C, blocks[m]):
+            placed[np.ix_(Ci, Ci)] = blk
     return placed
 
 
 def dense_kernel(alg, x) -> Subspace:
-    """The centralizer kernel from one block of all of gamma, for any unit x."""
-    return _block_centralizer(alg, x, one_block(alg))[0]
+    """The centralizer kernel from one block of all of G, for any unit x."""
+    return _block_centralizer(alg, x, involution(alg), one_block(alg))[0]
 
 
 def assert_blocks_match_dense(alg, x):
-    """The orbit blocks of x in FB, placed at their coordinates, are the
+    """The double-coset blocks of x, placed at their group indices, are the
     one-block operator entry for entry, with nothing off the blocks."""
-    assert np.array_equal(placed_operator(alg, x, _orbit_blocks(alg)),
+    assert np.array_equal(placed_operator(alg, x, _double_cosets(alg, x, involution(alg))),
                           placed_operator(alg, x, one_block(alg)))
 
 
@@ -144,9 +160,12 @@ def check_kernel(alg, x, s1, s2):
     assert rep.dim == rep.kernel.dim
     assert_lazy_rows(rep.kernel, eager_rows(rep.kernel))
     assert_reference(rep.kernel)
-    if not x.coeffs[alg.q:].any():  # the orbit blocks against one block
-        assert_blocks_match_dense(alg, x)
-        assert rep.kernel == dense_kernel(alg, x)  # basis and pivots
+    assert_blocks_match_dense(alg, x)
+    assert rep.kernel == dense_kernel(alg, x)  # basis and pivots
+    ref = ReferenceCentralizer(alg, x)
+    assert ((rep.dim, rep.sym_dim, rep.skew_dim, rep.star_closed)
+            == (ref.dim, ref.sym_dim, ref.skew_dim, ref.star_closed))
+    assert rep.kernel == ref.kernel
     assert rep.sym_dim == intersect(rep.kernel, s1).dim
     assert rep.skew_dim == intersect(rep.kernel, s2).dim
     return rep
@@ -174,12 +193,16 @@ def instances(draw):
 
 
 def sample_units(alg, rng):
-    """1, b, b^2, a random and a random unitary unit: lifted from FB, and on
-    small instances also with full support in V(FG) and V*(FG)."""
-    units = {"one": alg.one(), "b": alg.basis(alg.group.b()),
-             "b2": alg.basis(alg.group.b(2)),
+    """1, b, b^2, a random and a random unitary unit lifted from FB; 1 + a1,
+    supported in A; b + a1 and b + a_r, which on C_p^2 lie in a proper
+    subgroup containing b; and on small instances also units with full
+    support in V(FG) and V*(FG)."""
+    b = alg.basis(alg.group.b())
+    gens = [alg.basis(alg.group.generator(k + 1)) for k in range(len(alg.group.abelian.factors))]
+    units = {"one": alg.one(), "b": b, "b2": alg.basis(alg.group.b(2)),
              "fb": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng)),
-             "fb_unitary": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng, unitary=True))}
+             "fb_unitary": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng, unitary=True)),
+             "one_a1": alg.one() + gens[0], "b_a1": b + gens[0], "b_ar": b + gens[-1]}
     if alg.order * alg.field.f <= FULL_SUPPORT_MAX_COST:
         units["vfg"] = random_unit_vfg(alg, rng)
         units["vfg_unitary"] = random_unitary_vfg(alg, rng)
@@ -249,31 +272,30 @@ def test_gf49_block_weights_leave_the_prime_field(config_instance):
 
 @pytest.mark.parametrize("name", ["c7", "gf49"])
 def test_dense_operator_matches_products(name, config_instance):
-    # column t of the operator is x e - e x for the gamma basis row e at
-    # coordinate t, read off its a != e coefficients; every unit in the
-    # one-block layout, the units in FB also in the orbit-block layout
+    # column h of the operator is x h - h x for the group element h; every
+    # unit in the one-block layout and in the layout of its double cosets
     alg = config_instance(name).algebra
     rng = np.random.default_rng(7)
     b = alg.basis(alg.group.b())
+    a1 = alg.basis(alg.group.generator(1))
     z = alg.one() + alg.elem(centralizer_in_gamma(alg, b).kernel.basis[0])
     units = {"vfg": random_unit_vfg(alg, rng), "vfg_unitary": random_unitary_vfg(alg, rng),
-             "bz": b * z}
-    in_fb = {"one": alg.one(), "b": b, "b2": b * b,
-             "fb": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng))}
-    gamma = gamma_basis(alg)
-    coords = np.array(gamma.pivots) - alg.q
-    for tag, x in {**units, **in_fb}.items():
-        expect = np.zeros((alg.gamma_dim(), alg.gamma_dim()), dtype=np.int64)
-        for t, row in zip(coords, gamma.basis):
-            e = alg.elem(row)
-            expect[:, t] = (x * e - e * x).coeffs[alg.q:]
+             "bz": b * z, "one": alg.one(), "b": b, "b2": b * b,
+             "fb": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng)),
+             "one_a1": alg.one() + a1, "b_a1": b + a1}
+    for tag, x in units.items():
+        expect = np.zeros((alg.order, alg.order), dtype=np.int64)
+        for h in range(alg.order):
+            e = alg.basis(h)
+            expect[:, h] = (x * e - e * x).coeffs
         assert np.array_equal(placed_operator(alg, x, one_block(alg)), expect), tag
-        if tag in in_fb:
-            assert np.array_equal(placed_operator(alg, x, _orbit_blocks(alg)), expect), tag
+        label = _double_cosets(alg, x, involution(alg))
+        assert np.array_equal(placed_operator(alg, x, label), expect), tag
 
 
 def test_inst31_block_kernel_of_b_matches_dense(inst31):
-    # the 192 orbit blocks of b against one 4800 x 4800 block
+    # the 192 double cosets orbit(a) B of size q^2 and B itself against one
+    # 4805 x 4805 block
     alg = inst31.algebra
     b = alg.basis(alg.group.b())
     rep = inst31.b_centralizer

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -13,8 +17,10 @@ from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma, class_l
                                random_gamma, random_skew,
                                random_unit_vfg, random_unitary_vfg,
                                sample_disjoint_classes)
-from cqunits.verifier import Instance
-from oracles import centralizer_of_b_orbit_form, sqrt_relation_check
+from cqunits.cli import parse_element
+from cqunits.verifier import Instance, analyze
+from oracles import (ReferenceCentralizer, centralizer_of_b_orbit_form, contains_rows,
+                     sqrt_relation_check)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +63,7 @@ def test_centralizer_membership(alg21, b21, rep_b, rng):
     misses = 0
     for _ in range(50):
         g = random_gamma(alg21, rng)
-        if not rep_b.kernel.contains(g.coeffs):
+        if not contains_rows(rep_b.kernel, g.coeffs):
             misses += 1
             assert (alg21.one() + g) * b21 != b21 * (alg21.one() + g)
     assert misses > 0
@@ -69,8 +75,8 @@ def test_orbit_form_matches_kernel(alg21):
     assert equal
     # double inclusion, explicitly
     rep = centralizer_in_gamma(alg21, alg21.basis(alg21.group.b()))
-    assert span.contains_rows(rep.kernel.basis)
-    assert rep.kernel.contains_rows(span.basis)
+    assert contains_rows(span, rep.kernel.basis)
+    assert contains_rows(rep.kernel, span.basis)
 
 
 def test_centralizer_of_b_abelian(alg21):
@@ -264,22 +270,28 @@ def test_star_closure_cross_check_raises(alg21, b21, monkeypatch):
 
 
 def test_fb_units_skip_the_dense_operator(alg21, b21, rep_b, monkeypatch):
-    # x in FB never asks for a block wider than q^2; b z is one block of gamma
+    # x in FB never asks for a block wider than q^2: when supp x generates
+    # H = B its double cosets are B (width q) and the orbit(a) B (width
+    # q^2), and 1 has H = 1 (width 1); b z generates G, one block of |G|
     widths = []
-    solve = unitgroup._block_centralizer
+    build = unitgroup._commutator_blocks
 
-    def record(alg, x, coords):
-        widths.append(coords.shape[1])
-        return solve(alg, x, coords)
+    def record(alg, x, star, by_size, *rest):
+        widths.extend(by_size)
+        return build(alg, x, star, by_size, *rest)
 
-    monkeypatch.setattr(unitgroup, "_block_centralizer", record)
+    monkeypatch.setattr(unitgroup, "_commutator_blocks", record)
     assert centralizer_in_gamma(alg21, b21).kernel == rep_b.kernel
-    for x in (alg21.one(), b21 * b21, b21.scale(2) + alg21.one()):
+    for x in (b21 * b21, b21.scale(2) + alg21.one()):
         centralizer_in_gamma(alg21, x)
-    assert widths == [alg21.q ** 2] * 4
+    assert widths == [alg21.q, alg21.q ** 2] * 3
+    widths.clear()
+    centralizer_in_gamma(alg21, alg21.one())
+    assert widths == [1]
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
+    widths.clear()
     centralizer_in_gamma(alg21, b21 * z)
-    assert widths[-1] == alg21.gamma_dim()
+    assert widths == [alg21.order]
 
 
 def test_centralizers_never_invert(alg21, b21, rep_b, monkeypatch):
@@ -297,15 +309,17 @@ def test_centralizers_never_invert(alg21, b21, rep_b, monkeypatch):
 
 def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
                                             monkeypatch):
-    # l blocks of size m need 8 (l + 4) m^2 bytes: b z is one block of
-    # gamma (m = 18), b the two orbit blocks of size q^2 = 9
-    need, need_fb = 8 * (1 + 4) * 18 ** 2, 8 * (2 + 4) * 9 ** 2
+    # blocks of sizes m, l_m of each, need 8 (2 sum l_m m^2 + 4 max m^2) bytes
+    # (the blocks, a copy of each distinct one, the largest one's rref): b z
+    # is one block of G (m = 21), b the block B (m = q = 3) and two
+    # orbit(a) B of size q^2 = 9
+    need, need_fb = 8 * (2 + 4) * 21 ** 2, 8 * (2 * (3 ** 2 + 2 * 9 ** 2) + 4 * 9 ** 2)
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
     with pytest.raises(BudgetExceeded, match=f"about {need} bytes") as err:
         centralizer_in_gamma(alg21, b21 * z)
     assert err.value.exit_code == 4
-    assert centralizer_in_gamma(alg21, b21).dim == 6  # the orbit blocks still fit
+    assert centralizer_in_gamma(alg21, b21).dim == 6  # the double cosets of B still fit
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
     assert centralizer_in_gamma(alg21, b21 * z).dim <= 6
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need_fb - 1)
@@ -313,8 +327,8 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
         centralizer_in_gamma(alg21, b21)
     # over GF(7^2) the batch update's f^2 = 4 digit-plane products, held
     # twice, and their f = 2 digits add 8 (2 f^2 + f) m^2 bytes: one block of
-    # gamma (m = 144) on gf49, and its tracemalloc peak stays inside that
-    need = 8 * (1 + 4 + 2 * 4 + 2) * 144 ** 2
+    # G (m = 147) on gf49, and its tracemalloc peak stays inside that
+    need = 8 * (2 + 4 + 2 * 4 + 2) * 147 ** 2
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
     alg = config_instance("gf49").algebra
     b = alg.basis(alg.group.b())
@@ -333,10 +347,12 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
 
 
 def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
-    # on gf49 (|G| = 147, f = 2) the 16 orbit blocks of 9 need 8 (16 + 4) 9^2
-    # bytes, the 48 dense rows of C(b) 8 * 48 (147 + (1 + 2 * 2) 144): the
-    # placed rows, the |G|-wide copy and vsum's two digit-decode temporaries
-    need = 8 * 48 * (147 + 5 * 144)
+    # on gf49 (|G| = 147, f = 2) the 48 dense rows of C(b) need
+    # 8 (48 * 147 + 2 e) bytes: the rows, and the flat index and values of
+    # their e = 16 * 3 * 9 + 48 * 3 entries (the 16 orbit(a) B blocks with
+    # 3 kernel rows each, and every row on the columns of B, where rho is
+    # corrected); the blocks themselves need 8 (2 (3^2 + 16 * 9^2) + 14 * 9^2)
+    need = 8 * (48 * 147 + 2 * (16 * 3 * 9 + 48 * 3))
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
     alg = config_instance("gf49").algebra
     rep = centralizer_in_gamma(alg, alg.basis(alg.group.b()))
@@ -348,6 +364,29 @@ def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
                      "--trials", "1"]) == 4
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
     assert rep.kernel.basis.shape == (48, 147)
+
+
+def test_address_space_limit_is_refused_up_front():
+    # a soft RLIMIT_AS a little above what the process has mapped leaves too
+    # little for the c31sq blocks of b + a1 (one of 155, six of 775):
+    # exit 4 with the estimate, not a MemoryError deep in the solver
+    need = 8 * (2 * (155 ** 2 + 6 * 775 ** 2) + 4 * 775 ** 2)
+    child = textwrap.dedent(f"""
+        import resource, sys
+        from cqunits import cli
+        argv = ["class-length", "b + a1", "--config", {str(CONFIGS / "c31sq.cfg")!r}, "--json"]
+        with open("/proc/self/statm") as fh:
+            mapped = int(fh.read().split()[0]) * resource.getpagesize()
+        resource.setrlimit(resource.RLIMIT_AS, (mapped + {need // 2}, resource.RLIM_INFINITY))
+        sys.exit(cli.main(argv))
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 4, run.stderr + run.stdout
+    assert f"about {need} bytes" in run.stdout + run.stderr
+    assert "RLIMIT_AS" in run.stdout + run.stderr
 
 
 @pytest.mark.parametrize("name", ["gf49", "c31sq"])
@@ -371,10 +410,11 @@ def test_lazy_basis_estimate_covers_its_build(name, config_instance, monkeypatch
 
 
 def test_block_leak_is_an_error(alg21, b21, monkeypatch):
-    # a term that leaves its orbit block means the block structure is wrong
-    monkeypatch.setattr(unitgroup, "_orbit_blocks",
-                        lambda alg: np.arange(alg.gamma_dim()).reshape(-1, alg.q ** 2))
-    with pytest.raises(MathDomainError, match="leaves its orbit block"):
+    # a term that leaves its double coset means the block structure is wrong:
+    # every element its own block is closed under the involution, but b h
+    # leaves the block of h
+    monkeypatch.setattr(unitgroup, "_double_cosets", lambda alg, x, star: np.arange(alg.order))
+    with pytest.raises(MathDomainError, match="leaves its double coset"):
         centralizer_in_gamma(alg21, b21)
 
 
@@ -407,3 +447,37 @@ def test_starred_class_length_counts_pairs(name, config_instance, monkeypatch):
     monkeypatch.setattr(GroupAlgebra, "sym_skew_subspaces", refuse)
     alg = config_instance(name).algebra
     assert class_length(alg, alg.basis(alg.group.b()), starred=True).exponent == expect
+
+
+def assert_matches_reference(alg, x, max_entries=None):
+    """dims, slices and star closure against the gamma-coordinate solver, and
+    the lazy basis bit for bit with its pivots when it has at most
+    max_entries entries (default: always)."""
+    rep, ref = centralizer_in_gamma(alg, x), ReferenceCentralizer(alg, x)
+    assert ((rep.dim, rep.sym_dim, rep.skew_dim, rep.star_closed)
+            == (ref.dim, ref.sym_dim, ref.skew_dim, ref.star_closed))
+    if max_entries is None or rep.dim * alg.order <= max_entries:
+        assert rep.kernel == ref.kernel
+
+
+@pytest.mark.parametrize("name", ["c7", "c31sq", "c61sq", "gf49", "gf49_c7cube",
+                                  "gf81_c3e8", "c43cube"])
+def test_b_matches_the_gamma_coordinate_solver(name, config_instance):
+    # C(b) on every counting config against the orbit-block solver that the
+    # double cosets replaced; rows where C(b) has at most 5 * 10^6 entries
+    # (c7, c31sq, gf49, gf49_c7cube)
+    inst = config_instance(name)
+    assert analyze(inst).branch == "counting"
+    alg = inst.algebra
+    b = alg.basis(alg.group.b())
+    assert_matches_reference(alg, b, max_entries=5 * 10 ** 6)
+
+
+@pytest.mark.parametrize("name", ["c7", "c19", "f11c5", "gf49", "gf49_c7cube"])
+@pytest.mark.parametrize("expr", ["b + a1", "1 + a1"])
+def test_units_off_fb_match_the_gamma_coordinate_solver(name, expr, config_instance):
+    # b + a1 generates a proper subgroup on the C_p^2 and C_p^3 configs and
+    # G on the cyclic ones; 1 + a1 generates <a1>, so B is not in H and the
+    # rho correction couples the blocks
+    inst = config_instance(name)
+    assert_matches_reference(inst.algebra, parse_element(expr, inst))
