@@ -7,12 +7,13 @@ The algebra holds its FB layer as `GroupAlgebra.fb`, whose circulant
 solve inverts rho(x) for `invert` and `is_unit`.  Small groups over a
 prime field multiply through the full multiplication table with one
 exact float64 scatter-add (`_mul_table_path`).  Every other algebra, and every one over GF(p^f)
-with f > 1, uses the FFT: A is indexed row-major over its invariant
-factors, so a product in FA is a multi-dimensional cyclic convolution;
-sigma acts on spectra by permuting the characters of A, so each product
-takes one inverse transform (`_mul_fft`).
+with f > 1, uses discrete Fourier transforms: A is indexed row-major over
+its invariant factors, so a product in FA is a multi-dimensional cyclic
+convolution, transformed by one gemm per axis with the group's DFT
+matrices; sigma acts on spectra by permuting the characters of A, so each
+product takes one inverse transform (`_mul_fft`).
 Both routes carry exactness bounds checked when the algebra is built, and
-every FFT product also checks its rounding distances against its bound.
+every transform product also checks its rounding distances against its bound.
 
 The ideal generated by {a - 1 : a in A} is called gamma throughout; it
 is the kernel of the projection rho onto FB and is nilpotent, with an
@@ -40,14 +41,31 @@ def _physical_memory_bytes() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
+def _mapped_bytes() -> int:
+    with open("/proc/self/statm", encoding="ascii") as fh:
+        return int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+
+
+_BLAS_BUFFER = 32 << 20  # the address space OpenBLAS maps at its first gemm
+
+
 def refuse_past_memory(need: int, what: str) -> None:
     """BudgetExceeded when `need` bytes for `what` exceed physical memory, or the
-    soft RLIMIT_AS less the address space mapped so far (/proc/self/statm)."""
+    soft RLIMIT_AS less the address space mapped so far (/proc/self/statm).
+
+    Under such a limit the buffer OpenBLAS maps at its first gemm is counted too:
+    where it fits, a 2 x 2 complex gemm maps it (if no gemm has yet) before statm
+    is read; where it does not, it is taken off what is left.
+    """
     have, where = _physical_memory_bytes(), "physical memory"
     soft = resource.getrlimit(resource.RLIMIT_AS)[0]
     if soft != resource.RLIM_INFINITY and os.path.exists("/proc/self/statm"):
-        with open("/proc/self/statm", encoding="ascii") as fh:
-            left = soft - int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
+        left = soft - _mapped_bytes()
+        if left > _BLAS_BUFFER:
+            np.ones((2, 2), dtype=np.complex128) @ np.ones((2, 2), dtype=np.complex128)
+            left = soft - _mapped_bytes()
+        else:
+            left -= _BLAS_BUFFER
         have, where = min((have, where), (left, "address space left under RLIMIT_AS"))
     if need > have:
         raise BudgetExceeded(f"{what} need about {need} bytes, more than the {have} bytes "
@@ -183,27 +201,44 @@ class AlgElem(CoeffElem):
 
 
 _EPS = 2.0 ** -53  # float64 unit roundoff
+_GATHER_BYTES = 1 << 22  # `_mul_fft` gathers y's spectra for this many bytes of slots at once
 
 
 def fft_error_bound(magnitude: int, axis_lengths, f: int, q: int) -> float:
     """A-priori bound on the rounding error of one `_mul_fft` product.
 
-    After Percival (Math. Comp. 72, 2003): a length-2^n FFT convolution
-    of x and y in float64 is off by less than
-    |x| |y| ((1 + e)^3n (1 + e sqrt 5)^(3n+1) (1 + b)^3n - 1) in the
-    Euclidean norm, e the unit roundoff and b the error of the twiddle
-    factors (b = e: pocketfft computes them to within an ulp).  n is taken
-    as the sum of the axis lengths, not of their logs, because pocketfft
-    runs prime-radix passes as direct DFTs.  A slot of the product sums q
-    such convolutions x_i * (y_j o sigma^i) before one inverse transform;
-    the gather by sigma^i is exact and keeps |y_j|, so their errors add,
-    and `magnitude` = (p - 1)^2 |A| q times the largest tensor column sum
-    bounds sum_i |x_i| |y_j|.  q + f^2 more factors (1 + e) cover the sum
-    over the slots and the tensor sum between the transforms.
+    Each transform is a direct DFT, one gemm per axis of A: every real part of
+    its outputs is a dot product of at most 2n real terms, so an axis of
+    length n is off by at most beta(n) sum|w||v| at each output, with
+    beta(n) = mu + (1 + mu) sqrt 2 gamma(2n), gamma(k) = k e / (1 - k e), e
+    the unit roundoff (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, sections 3.1 and 3.6), and mu a bound on
+    |w^ - w| for the twiddles, computed as cos and sin of the reduced angle
+    2 pi (jk mod n) / n to within gamma(3) 2 pi + 8 e (and, on the inverse
+    last axis, times 2 / |A| to within gamma(2) more).  As |w| = 1, an axis
+    is off by at most sqrt(n) beta(n) times the exact norm, so x's and y's
+    spectra are off by at most d = prod_axes (1 + sqrt(n) beta(n)) - 1
+    times theirs in the Euclidean norm.  Cauchy-Schwarz over the characters
+    (sigma's gather permutes them, conjugation keeps moduli) bounds the l1
+    norm of the exact slot products by |A| `magnitude`, and of their error
+    by ((1 + d)^2 - 1) |A| `magnitude`; `magnitude` = (p - 1)^2 |A| q times
+    the largest tensor column sum bounds sum_i sum_ab T_abc |x_ia| |y_jb|.
+    The tensor contraction (f terms) and the sum over the q slots and f
+    digits (2 f q real terms) add factors (1 + gamma(f)) and
+    (1 + sqrt 2 gamma(2 f q)).  The inverse maps an l1 norm of the spectrum
+    over |A| to each output and is off by prod_axes (1 + beta(n)) - 1 of
+    that, so one product is off by at most
+
+      magnitude ((1 + d)^2 prod_axes (1 + beta(n)) (1 + gamma(f)) (1 + sqrt 2 gamma(2 f q)) - 1).
     """
-    n = sum(axis_lengths)
-    log_growth = ((6 * n + f * f + q) * math.log1p(_EPS)
-                  + (3 * n + 1) * math.log1p(_EPS * 5 ** 0.5))
+    def gamma(k):
+        return k * _EPS / (1 - k * _EPS)
+
+    mu = 2 ** 0.5 * ((2 * math.pi * gamma(3) + 8 * _EPS) * (1 + gamma(2)) + gamma(2))
+    beta = [mu + (1 + mu) * 2 ** 0.5 * gamma(2 * n) for n in axis_lengths]
+    log_growth = (sum(math.log1p(b) + 2 * math.log1p(n ** 0.5 * b)
+                      for n, b in zip(axis_lengths, beta))
+                  + math.log1p(gamma(f)) + math.log1p(2 ** 0.5 * gamma(2 * f * q)))
     return magnitude * math.expm1(log_growth)
 
 
@@ -233,7 +268,7 @@ class GroupAlgebra:
         elif fb.field.signature != field.signature or fb.q != group.q:
             raise CtxMismatch("the FB layer belongs to another field or q")
         self.fb = fb
-        # for f > 1 the FFT product is faster even at |G| = 147 (gf49), so
+        # for f > 1 the transform product is faster even at |G| = 147 (gf49), so
         # no table is built
         table = group.mul_table if field.f == 1 else None
         self._mul_flat = table.ravel() if table is not None else None
@@ -241,7 +276,7 @@ class GroupAlgebra:
         bound = (field.p - 1) ** 2 * self.order
         if self._mul_flat is not None and bound >= _linalg._F64_LIMIT:
             raise BudgetExceeded(f"FG products would sum up to {bound}, past exact float64")
-        # each FFT product digit sums q |A| products of digits < p, each spread
+        # each transform product digit sums q |A| products of digits < p, each spread
         # over the field tensor's entries (a single 1 when f = 1)
         spread = int(field._tensor.sum(axis=(0, 1)).max())
         magnitude = (field.p - 1) ** 2 * group.abelian.order * self.q * spread
@@ -251,6 +286,19 @@ class GroupAlgebra:
                                  "past the 1/4 that rounding corrects")
         self._star_pairs = None
         self._sym_skew = None
+
+    @cached_property
+    def _dft(self):
+        """The group's `dft` matrices, built with its `slot_gather` on the first
+        `_mul_fft`.  Refused (BudgetExceeded) past 32 sum_lead m^2 + 32 n h for the
+        matrices, 8 q^2 H for the gather index and 8 spectra of 16 f q H bytes for a
+        product (n the last axis, h = n // 2 + 1, H = h prod_lead m characters)."""
+        *lead, n = self.group.abelian.factors
+        H = math.prod(lead) * (n // 2 + 1)
+        refuse_past_memory(32 * sum(m * m for m in lead) + 32 * n * (n // 2 + 1)
+                           + 8 * self.q ** 2 * H + 8 * 16 * self.field.f * self.q * H,
+                           "the DFT matrices and the slot gather")
+        return self.group.dft, self.group.slot_gather
 
     # --- element constructors ------------------------------------------------
 
@@ -302,38 +350,57 @@ class GroupAlgebra:
         return np.rint(sums).astype(np.int64) % self.field.p
 
     def _mul_fft(self, x, y):
-        """x y with one batched inverse FFT over A's invariant-factor axes.
+        """x y through the group's per-axis DFT matrices over A's invariant-factor axes.
 
         x_i a b^i * y_j c b^j = (a + sigma^-i(c)) b^(i+j): slot i + j gains
         x_i * (y_j o sigma^i) in FA, whose spectrum is x_i's times a gather
         of y_j's (`GroupSpec.char_gather`).  x and y are transformed once
-        each (once in all for a square, y is x), the products of the nonzero
-        slots of x are summed per slot in the frequency domain, the f^2
-        digit-plane products combined with the field tensor, and one irfftn
-        of q slices inverts them.  The rounding distances are checked
-        against the a-priori bound of __init__ (MathDomainError past it).
+        each (once in all for a square, y is x): one real gemm takes the
+        last axis of their digit planes to the stored half spectrum, one
+        complex gemm per other axis does the rest (`GroupSpec.dft`).  The
+        field tensor is contracted into x's spectra; `GroupSpec.slot_gather`
+        reads every y_j o sigma^i off [y's spectra | their conjugates], and
+        an einsum sums the products over the nonzero slots of x per slot of
+        the result, gathering about `_GATHER_BYTES` of slots at a time (all
+        q at once unless |A| q^2 f is large).  The inverse gemms take the q
+        slices back to integers; the rounding distances are checked against
+        the a-priori bound of __init__ (MathDomainError past it).
         """
-        q, f = self.q, self.field.f
-        shape = self.group.abelian.factors
-        half = (*shape[:-1], shape[-1] // 2 + 1)  # the characters rfftn stores
-        na, axes = self.group.abelian.order, tuple(range(2, 2 + len(shape)))
-        idx, conj = self.group.char_gather
+        q, f, na = self.q, self.field.f, self.group.abelian.order
+        *lead, n = self.group.abelian.factors
+        (forward, inverse), gather = self._dft
+        H = gather.shape[2]
 
-        def spectrum(c):  # (q, f, H): slot, digit, stored character of A
-            planes = np.moveaxis(self.field.decode(c.reshape(na, q)), 0, -1)
-            return np.fft.rfftn(planes.reshape(q, f, *shape), axes=axes).reshape(q, f, -1)
+        def along_lead(S, mats):  # the DFT mats[a] along lead axis a of (f q, *lead, ...)
+            for a, W in enumerate(mats[:-1]):
+                S = np.matmul(W, S.reshape(f * q * math.prod(lead[:a]), lead[a], -1))
+            return S
+
+        def spectrum(c):  # (f, q, H): digit, slot, stored character of A
+            planes = np.ascontiguousarray(self.field.decode(c.reshape(na, q)).T, dtype=np.float64)
+            half = (planes.reshape(-1, n) @ forward[-1]).view(np.complex128)
+            return along_lead(half, forward).reshape(f, q, H)
 
         FX = spectrum(x)
         FY = FX if y is x else spectrum(y)
-        acc = np.zeros((q, f, f, FY.shape[2]), dtype=FY.dtype)  # slot, digit pair, character
-        for i in np.flatnonzero(x.reshape(na, q).any(axis=0)):
-            G = FY[(np.arange(q) - i) % q][..., idx[i]]  # at slot i + j: y_j o sigma^i
-            G[..., conj[i]] = G[..., conj[i]].conj()
-            acc += FX[i][:, None] * G[:, None]
-        P = self.field._tensor.reshape(f * f, f).T @ acc.reshape(q, f * f, -1)
-        R = np.fft.irfftn(P.reshape(q, f, *half), s=shape, axes=axes).reshape(q, f, na)
+        nz = np.flatnonzero(x.reshape(na, q).any(axis=0))
+        T = np.ascontiguousarray(self.field._tensor.transpose(1, 2, 0).reshape(f * f, f),
+                                 dtype=np.float64)
+        FXT = (T @ FX[:, nz].view(np.float64).reshape(f, -1)).view(np.complex128)
+        FXT = FXT.reshape(f, f, nz.size, H)  # [b, c, i, k]: sum_a T[a, b, c] FX[a, i, k]
+        FYc = np.concatenate([FY, FY.conj()], axis=-1).reshape(f, -1)
+        del FX, FY
+        step = max(1, _GATHER_BYTES // (16 * f * q * H))  # slots of x per gather
+        P = np.zeros((q, f, H), dtype=np.complex128)
+        for lo in range(0, nz.size, step):
+            P += np.einsum("bcik,bisk->sck", FXT[:, :, lo:lo + step],
+                           np.take(FYc, gather[nz[lo:lo + step]], axis=1))
+        del FXT, FYc
+        R = along_lead(P.reshape(q * f, *lead, -1), inverse).reshape(-1, n // 2 + 1)
+        R = (R.view(np.float64) @ inverse[-1]).reshape(q, f, na)
+        del P
         Z = np.rint(R)
-        worst = float(np.abs(R - Z).max())
+        worst = float(np.abs(np.subtract(R, Z, out=R), out=R).max())
         if worst > self._fft_bound:
             raise MathDomainError(f"FFT product rounding distance {worst:.3g} exceeds "
                                   f"its bound {self._fft_bound:.3g}")
@@ -348,13 +415,15 @@ class GroupAlgebra:
         x is a unit of FG iff rho(x) is a unit of FB, because 1 + gamma
         consists of units.  g = 1 - x W lies in gamma, so g^(2^k) = 0 once
         2^k >= nilpotency_index(), and (1 - g)^-1 = prod_k (1 + g^(2^k)):
-        about 2 log2(N) products instead of N.
+        about 2 log2(N) products instead of N.  A scalar W (as rho(1 + l) = 1
+        for l in gamma) scales instead of multiplying.
         """
         winv = self.fb.inverse_coeffs(x.rho_coeffs())
         if winv is None:
             raise NotAUnit("rho(x) is not invertible in FB")
         W = self.from_b_coeffs(winv)
-        g = self.one() - x * W
+        c = None if winv[1:].any() else self.field.from_code(int(winv[0]))  # W is the scalar c
+        g = self.one() - (x * W if c is None else x.scale(c))
         inv_u = self.one()
         for _ in range(self.nilpotency_index().bit_length()):
             if g.is_zero():
@@ -363,7 +432,7 @@ class GroupAlgebra:
             g = g * g
         if not g.is_zero():
             raise MathDomainError("1 - x rho(x)^-1 is not nilpotent within the index of gamma")
-        result = W * inv_u
+        result = W * inv_u if c is None else inv_u.scale(c)
         if (x * result) != self.one():
             raise MathDomainError("computed inverse fails x * x^-1 = 1")
         return result

@@ -224,6 +224,44 @@ class GroupSpec:
         kt[conj] = -kt[conj] % facs
         return np.ravel_multi_index(tuple(np.moveaxis(kt, -1, 0)), half), conj
 
+    @cached_property
+    def slot_gather(self):
+        """(q, q, H) index into a (q, 2H) array [spectra of y_j | their conjugates]: at
+        [i, s] it reads y_(s - i) o sigma^i, the factor slot s takes from x's slot i."""
+        idx, conj = self.char_gather
+        q, H = idx.shape
+        shift = (np.arange(q) - np.arange(q)[:, None]) % q  # [i, s] -> s - i
+        return np.add(shift[:, :, None] * (2 * H), (idx + conj * H)[:, None, :],
+                      out=np.empty((q, q, H), dtype=np.int64))
+
+    @cached_property
+    def dft(self):
+        """(forward, inverse) DFT matrices over A's invariant-factor axes, all C-contiguous.
+
+        For each axis but the last, of length n: W[j, k] = exp(-2 pi i (jk mod n) / n)
+        (complex, symmetric) and its conjugate.  For the last axis, of odd length n with
+        h = (n + 1) / 2 stored characters: the real (n, 2h) matrix whose columns 2k, 2k + 1
+        are cos and -sin of 2 pi (tk mod n) / n, so real rows times it are their half
+        spectra as interleaved complex pairs; and the real (2h, n) matrix with rows
+        c_k cos and -c_k sin of the same angles over |A| (c_0 = 1, else 2), which takes
+        an interleaved Hermitian half spectrum, already inverted on the other axes, back
+        to real rows and divides by |A|.
+        """
+        def angles(rows, cols, n):
+            return 2 * np.pi / n * (np.outer(np.arange(rows), np.arange(cols)) % n)
+
+        *lead, n = self.abelian.factors
+        h = n // 2 + 1
+        forward = [np.cos(t) - 1j * np.sin(t) for t in (angles(m, m, m) for m in lead)]
+        inverse = [W.conj() for W in forward]
+        theta = angles(n, h, n)
+        last = np.empty((n, 2 * h))
+        last[:, 0::2], last[:, 1::2] = np.cos(theta), -np.sin(theta)
+        weight = np.where(np.arange(h) == 0, 1.0, 2.0)[:, None] / self.abelian.order
+        back = np.empty((2 * h, n))
+        back[0::2], back[1::2] = weight * np.cos(theta.T), -weight * np.sin(theta.T)
+        return forward + [last], inverse + [back]
+
     def mul_idx(self, g1, g2):
         """Index of g1 g2, for two indices or elementwise over broadcast index arrays."""
         q = self.q

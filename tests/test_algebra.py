@@ -5,9 +5,10 @@ from cqunits import GroupAlgebra, Subspace, make_field, make_group
 from cqunits import _linalg as L
 from cqunits import algebra
 from cqunits.errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
+from cqunits.unitgroup import random_gamma
 from cqunits.verifier import make_instance
 
-from conftest import mul_reference
+from conftest import CONFIGS, mul_reference
 from oracles import (contains_rows, gamma_basis, intersect, kernel_of,
                      one_plus_gamma_exponent)
 
@@ -121,6 +122,28 @@ def alg_gf81_c3e8():
     return make_instance(3, 4, 5, [3] * 8, np.kron(np.eye(2, dtype=np.int64), C)).algebra
 
 
+@pytest.fixture(scope="module")
+def alg_c7x49():
+    # A = C_7 x C_49: the p^2 axis is the last one, the one transformed to its half spectrum
+    return make_instance(7, 1, 3, [7, 49], [[2, 0], [0, 18]]).algebra
+
+
+@pytest.fixture(scope="module")
+def alg_c61sq(config_instance):
+    return config_instance("c61sq").algebra
+
+
+@pytest.fixture(scope="module")
+def alg_c197(config_instance):
+    # one axis of 197, the longest a config transforms
+    return config_instance("c197").algebra
+
+
+@pytest.fixture(scope="module")
+def alg_inst101():
+    return make_instance(101, 1, 5, [101, 101], [[36, 0], [0, 84]]).algebra
+
+
 @pytest.mark.parametrize("name", ["alg_c31sq", "alg_gf49_c7e4"])
 def test_mul_fft_against_index_reference(name, request, rng):
     alg = request.getfixturevalue(name)
@@ -134,12 +157,16 @@ def test_mul_fft_against_index_reference(name, request, rng):
         assert x * alg.one() == x and alg.one() * x == x
 
 
-@pytest.mark.parametrize("name", ["alg_c49x7", "alg_gf81_c3e8"])
+@pytest.mark.parametrize("name", ["alg_c49x7", "alg_c7x49", "alg_gf81_c3e8", "alg_c61sq",
+                                  "alg_c197", "alg_inst101"])
 def test_mul_fft_sparse_x_against_index_reference(name, request, rng):
     # only the nonzero slots of x enter the frequency-domain sum
     alg = request.getfixturevalue(name)
-    for size in (1, 12):
-        x, y = sparse_elem(alg, rng, size).coeffs, random_elem(alg, rng).coeffs
+    slots = np.zeros(alg.order, dtype=np.int64)  # x on the slots b^0 and b^2 only
+    slots[rng.choice(alg.order // alg.q, 12, replace=False) * alg.q + [0, 2] * 6] = 1
+    for x in (sparse_elem(alg, rng, 1).coeffs, sparse_elem(alg, rng, 12).coeffs,
+              alg.field.vmul(slots, rng.integers(1, alg.field.size, alg.order))):
+        y = random_elem(alg, rng).coeffs
         assert np.array_equal(alg._mul_fft(x, y), mul_reference(alg, x, y))
         assert np.array_equal(alg._mul_fft(x, x), mul_reference(alg, x, x))
     if alg._mul_flat is not None:
@@ -147,23 +174,53 @@ def test_mul_fft_sparse_x_against_index_reference(name, request, rng):
         assert np.array_equal(alg._mul_fft(x, y), alg._mul_table_path(x, y))
 
 
-def test_fft_bound_admits_configs_and_large_instances(config_instance, alg_gf81_c3e8):
+def test_fft_bound_admits_configs_and_large_instances(config_instance, alg_gf81_c3e8, alg_inst101):
     # the bound covers q slot products summed before one inverse transform;
     # every algebra built here must still pass it
-    for name in ("c7", "c19", "f11c5", "c31sq", "gf49"):
-        assert config_instance(name).algebra._fft_bound < 0.25
-    c61sq = make_instance(61, 1, 5, [61, 61], [[9, 0], [0, 20]]).algebra
-    assert c61sq.order == 18605 and c61sq._fft_bound < 0.25
+    for cfg in sorted(CONFIGS.glob("*.cfg")):
+        assert config_instance(cfg.stem).algebra._fft_bound < 0.25
     assert alg_gf81_c3e8._fft_bound < 0.25
+    assert alg_inst101.order == 51005 and alg_inst101._fft_bound < 0.25
 
 
 def test_mul_fft_checks_rounding(alg21, monkeypatch):
-    # a transform off by 0.4 is caught by the per-product distance check
+    # an inverse transform off by 0.4 is caught by the per-product distance check:
+    # a1 a1 has digit sum 1 on slot b^0, so its constant row adds 0.4 there
     x = alg21.basis(alg21.group.generator(1)).coeffs
-    irfftn = np.fft.irfftn
-    monkeypatch.setattr(np.fft, "irfftn", lambda *a, **kw: irfftn(*a, **kw) + 0.4)
+    assert np.array_equal(alg21._mul_fft(x, x), alg21._mul_table_path(x, x))
+    (forward, inverse), gather = alg21._dft
+    back = inverse[-1].copy()
+    back[0] += 0.4
+    monkeypatch.setitem(alg21.__dict__, "_dft", ((forward, inverse[:-1] + [back]), gather))
     with pytest.raises(MathDomainError, match="rounding distance"):
         alg21._mul_fft(x, x)
+
+
+def test_algebra_builds_no_dft_matrix(f49):
+    # the matrices and the gather index come with the first product, not with
+    # the algebra (whose construction the benchmark's setup times)
+    group = make_group(f49, 3, [7, 7], [[2, 0], [0, 4]])
+    alg = GroupAlgebra(f49, group)
+    assert not {"dft", "slot_gather", "char_gather"} & group.__dict__.keys()
+    assert "_dft" not in alg.__dict__
+    x = alg.basis(group.generator(1)) + alg.basis(group.b())
+    assert x * x == x * alg.basis(group.generator(1)) + x * alg.basis(group.b())
+    assert {"dft", "slot_gather"} <= group.__dict__.keys()
+
+
+def test_dft_memory_is_refused_up_front(f7, monkeypatch):
+    # the matrices, the gather index and a product's spectra pass the memory
+    # refusal before any of them is built
+    group = make_group(f7, 3, [7, 7], [[2, 0], [0, 4]])
+    alg = GroupAlgebra(f7, group)
+    one = alg.one().coeffs
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: 1000)
+    with pytest.raises(BudgetExceeded, match="DFT matrices"):
+        alg._mul_fft(one, one)
+    assert not {"dft", "slot_gather"} & group.__dict__.keys()
+    monkeypatch.undo()
+    assert np.array_equal(alg._mul_fft(one, one), one)
+    assert group.slot_gather.shape == (3, 3, 7 * 4)
 
 
 def test_fft_exactness_bound(f7, monkeypatch):
@@ -339,6 +396,25 @@ def test_invert_is_log_depth(inst19, config_instance, rng, monkeypatch):
             calls.clear()
             alg.invert(x)  # checks x x^-1 = 1 itself
             assert 0 < len(calls) <= bound
+
+
+def test_invert_scales_by_a_scalar_rho_inverse(inst19, monkeypatch, rng):
+    # rho(2 + l) = 2 for l in gamma, so W = 1/2: x W and W (1 - g)^-1 are
+    # scalings, and no product takes W as an operand
+    alg = inst19.algebra
+    W = alg.scalar(alg.field.from_code(alg.field.inv(2))).coeffs
+    x = alg.scalar(2) + random_gamma(alg, rng)
+    operands = []
+    mul = alg.mul_coeffs
+
+    def recording_mul(a, b):
+        operands.extend([a, b])
+        return mul(a, b)
+
+    monkeypatch.setattr(alg, "mul_coeffs", recording_mul)
+    inv = alg.invert(x)  # checks x x^-1 = 1 itself
+    assert operands and not any(np.array_equal(a, W) for a in operands)
+    assert inv.rho_coeffs().tolist() == W[:alg.q].tolist()
 
 
 def test_invert_reports_non_nilpotent_gamma(alg21, monkeypatch):

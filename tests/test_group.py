@@ -182,3 +182,26 @@ def test_char_gather_is_the_spectrum_of_sigma_t(name, config_instance):
         gathered = np.where(conj[t], FY[idx[t]].conj(), FY[idx[t]])
         expect = np.fft.rfftn(y[G.sigma_pows[t]].reshape(shape)).ravel()
         assert np.abs(gathered - expect).max() <= 1e-9 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("name", ["c7", "c31sq", "gf49_c7cube", "c49x7"])
+def test_dft_matrices_give_rfftn_and_back(name, config_instance):
+    # the forward gemms give rfftn's stored half spectrum, and the inverse gemms
+    # take it back; c49x7 has a lead axis of 49
+    G = (make_group(make_field(7), 3, [49, 7], [[18, 7], [0, 2]]) if name == "c49x7"
+         else config_instance(name).group)
+    *lead, n = shape = G.abelian.factors
+    forward, inverse = G.dft
+    assert all(W.flags.c_contiguous for W in forward + inverse)
+
+    def along_lead(S, mats):
+        for a, W in enumerate(mats[:-1]):
+            S = np.matmul(W, S.reshape(int(np.prod(lead[:a])), lead[a], -1))
+        return S.reshape(-1, n // 2 + 1)
+
+    y = np.random.default_rng(5).random(G.abelian.order)
+    S = along_lead((y.reshape(-1, n) @ forward[-1]).view(np.complex128), forward)
+    expect = np.fft.rfftn(y.reshape(shape)).reshape(S.shape)
+    assert np.abs(S - expect).max() <= 1e-12 * G.abelian.order
+    back = along_lead(S, inverse).view(np.float64) @ inverse[-1]
+    assert np.abs(back.ravel() - y).max() <= 1e-12 * G.abelian.order

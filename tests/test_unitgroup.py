@@ -389,6 +389,25 @@ def test_address_space_limit_is_refused_up_front():
     assert "RLIMIT_AS" in run.stdout + run.stderr
 
 
+@pytest.mark.parametrize("cap_kib", [240000, 250000])
+def test_address_space_cap_never_ends_in_a_memory_error(cap_kib):
+    # caps in the band where the 32 MB OpenBLAS maps at its first gemm decides
+    # between room and none (with two BLAS threads, as the benchmark runs):
+    # the run finishes or is refused up front (exit 0 or 4), never exit 5
+    child = textwrap.dedent(f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, ({cap_kib * 1024}, resource.RLIM_INFINITY))
+        from cqunits import cli
+        argv = ["class-length", "b + a1", "--config", {str(CONFIGS / "c31sq.cfg")!r}, "--json"]
+        sys.exit(cli.main(argv))
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(filter(None, [
+        str(CONFIGS.parent / "src"), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode in (0, 4), run.stderr + run.stdout
+
+
 @pytest.mark.parametrize("name", ["gf49", "c31sq"])
 def test_lazy_basis_estimate_covers_its_build(name, config_instance, monkeypatch):
     # tracemalloc sees numpy's buffers: one build of C(b) or S2 peaks at the
