@@ -356,15 +356,23 @@ class GroupAlgebra:
         x_i * (y_j o sigma^i) in FA, whose spectrum is x_i's times a gather
         of y_j's (`GroupSpec.char_gather`).  x and y are transformed once
         each (once in all for a square, y is x): one real gemm takes the
-        last axis of their digit planes to the stored half spectrum, one
-        complex gemm per other axis does the rest (`GroupSpec.dft`).  The
-        field tensor is contracted into x's spectra; `GroupSpec.slot_gather`
-        reads every y_j o sigma^i off [y's spectra | their conjugates], and
-        an einsum sums the products over the nonzero slots of x per slot of
-        the result, gathering about `_GATHER_BYTES` of slots at a time (all
-        q at once unless |A| q^2 f is large).  The inverse gemms take the q
+        last axis of their float digit planes to the stored half spectrum,
+        one complex gemm per other axis does the rest (`GroupSpec.dft`).
+        The nonzero slots of x are read off its planes.  The field tensor is
+        contracted into x's spectra; `GroupSpec.slot_gather` reads every
+        y_j o sigma^i off [y's spectra | their conjugates], and an einsum
+        sums the products over the nonzero slots of x per slot of the
+        result, gathering about `_GATHER_BYTES` of slots at a time (all q at
+        once unless |A| q^2 f is large).  The inverse gemms take the q
         slices back to integers; the rounding distances are checked against
-        the a-priori bound of __init__ (MathDomainError past it).
+        the a-priori bound of __init__ (MathDomainError past it).  Over a
+        prime field (f = 1) the codes are the digits: the plane is the code
+        array itself, the tensor [[1]] is not contracted, and the rounded
+        sums are reduced by one `% p`, with no `FieldCtx.decode` or `encode`.
+        Temporaries are dropped as soon as they are read, and x's spectra and
+        gather rows are views when x fills every slot: a c31sq product that
+        held about 100 KB more made glibc trim and regrow its heap, some 80
+        minor page faults a product.
         """
         q, f, na = self.q, self.field.f, self.group.abelian.order
         *lead, n = self.group.abelian.factors
@@ -376,25 +384,33 @@ class GroupAlgebra:
                 S = np.matmul(W, S.reshape(f * q * math.prod(lead[:a]), lead[a], -1))
             return S
 
-        def spectrum(c):  # (f, q, H): digit, slot, stored character of A
-            planes = np.ascontiguousarray(self.field.decode(c.reshape(na, q)).T, dtype=np.float64)
+        def spectrum(c):  # (f, q, H): digit, slot, stored character of A; c's nonzero slots
+            c = c.reshape(na, q)
+            planes = np.ascontiguousarray((c if f == 1 else self.field.decode(c)).T,
+                                          dtype=np.float64)  # for f = 1 the codes themselves
             half = (planes.reshape(-1, n) @ forward[-1]).view(np.complex128)
-            return along_lead(half, forward).reshape(f, q, H)
+            slots = np.flatnonzero(planes.reshape(f, q, na).any(axis=(0, 2)))
+            return along_lead(half, forward).reshape(f, q, H), slots
 
-        FX = spectrum(x)
-        FY = FX if y is x else spectrum(y)
-        nz = np.flatnonzero(x.reshape(na, q).any(axis=0))
-        T = np.ascontiguousarray(self.field._tensor.transpose(1, 2, 0).reshape(f * f, f),
-                                 dtype=np.float64)
-        FXT = (T @ FX[:, nz].view(np.float64).reshape(f, -1)).view(np.complex128)
-        FXT = FXT.reshape(f, f, nz.size, H)  # [b, c, i, k]: sum_a T[a, b, c] FX[a, i, k]
+        FX, nz = spectrum(x)
+        FY = FX if y is x else spectrum(y)[0]
+        whole = nz.size == q  # x on every slot: its spectra and gather rows are read as views
+        FXn = FX if whole else FX[:, nz]
+        if f == 1:  # the field tensor is [[1]]
+            FXT = FXn.reshape(1, 1, nz.size, H)
+        else:
+            T = np.ascontiguousarray(self.field._tensor.transpose(1, 2, 0).reshape(f * f, f),
+                                     dtype=np.float64)
+            FXT = (T @ FXn.view(np.float64).reshape(f, -1)).view(np.complex128)
+            FXT = FXT.reshape(f, f, nz.size, H)  # [b, c, i, k]: sum_a T[a, b, c] FX[a, i, k]
         FYc = np.concatenate([FY, FY.conj()], axis=-1).reshape(f, -1)
-        del FX, FY
+        del FX, FY, FXn
         step = max(1, _GATHER_BYTES // (16 * f * q * H))  # slots of x per gather
         P = np.zeros((q, f, H), dtype=np.complex128)
         for lo in range(0, nz.size, step):
             P += np.einsum("bcik,bisk->sck", FXT[:, :, lo:lo + step],
-                           np.take(FYc, gather[nz[lo:lo + step]], axis=1))
+                           np.take(FYc, gather[lo:lo + step] if whole else gather[nz[lo:lo + step]],
+                                   axis=1))
         del FXT, FYc
         R = along_lead(P.reshape(q * f, *lead, -1), inverse).reshape(-1, n // 2 + 1)
         R = (R.view(np.float64) @ inverse[-1]).reshape(q, f, na)
@@ -404,6 +420,10 @@ class GroupAlgebra:
         if worst > self._fft_bound:
             raise MathDomainError(f"FFT product rounding distance {worst:.3g} exceeds "
                                   f"its bound {self._fft_bound:.3g}")
+        if f == 1:  # the rounded sums are the codes, less multiples of p
+            codes = np.ascontiguousarray(Z.reshape(q, na).T, dtype=np.int64).reshape(self.order)
+            codes %= self.field.p
+            return codes
         codes = self.field.encode(np.moveaxis(Z.astype(np.int64), 1, -1))  # (q, |A|)
         return codes.T.reshape(self.order)
 
@@ -415,21 +435,29 @@ class GroupAlgebra:
         x is a unit of FG iff rho(x) is a unit of FB, because 1 + gamma
         consists of units.  g = 1 - x W lies in gamma, so g^(2^k) = 0 once
         2^k >= nilpotency_index(), and (1 - g)^-1 = prod_k (1 + g^(2^k)):
-        about 2 log2(N) products instead of N.  A scalar W (as rho(1 + l) = 1
-        for l in gamma) scales instead of multiplying.
+        the loop starts from the factor 1 + g and takes two products per
+        further factor, about 2 log2(N) in all instead of N.  A scalar
+        rho(x) (as rho(1 + l) = 1 for l in gamma) is inverted in F, with no
+        circulant solve, and W = rho(x)^-1 scales instead of multiplying.
         """
-        winv = self.fb.inverse_coeffs(x.rho_coeffs())
-        if winv is None:
+        rho = x.rho_coeffs()
+        if rho[1:].any():
+            winv = self.fb.inverse_coeffs(rho)
+            if winv is None:
+                raise NotAUnit("rho(x) is not invertible in FB")
+            W, c = self.from_b_coeffs(winv), None
+        elif rho[0]:
+            W, c = None, self.field.from_code(self.field.inv(int(rho[0])))  # W is the scalar c
+        else:
             raise NotAUnit("rho(x) is not invertible in FB")
-        W = self.from_b_coeffs(winv)
-        c = None if winv[1:].any() else self.field.from_code(int(winv[0]))  # W is the scalar c
         g = self.one() - (x * W if c is None else x.scale(c))
-        inv_u = self.one()
+        inv_u = self.one() + g
         for _ in range(self.nilpotency_index().bit_length()):
             if g.is_zero():
                 break
-            inv_u = inv_u + inv_u * g
             g = g * g
+            if not g.is_zero():
+                inv_u = inv_u + inv_u * g
         if not g.is_zero():
             raise MathDomainError("1 - x rho(x)^-1 is not nilpotent within the index of gamma")
         result = W * inv_u if c is None else inv_u.scale(c)

@@ -199,9 +199,7 @@ class FBCtx:
     def inverse_coeffs(self, w: np.ndarray):
         """Inverse of sum w_j b^j inside FB, or None if it is not a unit."""
         q = self.q
-        M = np.empty((q, q), dtype=np.int64)
-        for k in range(q):
-            M[:, k] = np.roll(w, k)  # column k = coefficients of b^k * w
+        M = w[self._shift.T]  # column k = coefficients of b^k * w = np.roll(w, k)
         e0 = np.zeros(q, dtype=np.int64)
         e0[0] = 1
         return _linalg.solve_right(self.field, M, e0)

@@ -127,9 +127,44 @@ def analyze(inst: Instance) -> Analysis:
                     s=qd.s, m=qd.m, conditions=conds, branch=branch, note=note)
 
 
+_STR_BITS = 1 << 16  # to_decimal's str() base case: integers of up to this many bits
+
+
 def to_decimal(n: int) -> str:
-    """str(n) with Python's int_max_str_digits cap (4300 digits by default)
-    lifted for this one conversion and restored afterwards."""
+    """str(n), for integers of any size, in about linear time.
+
+    Up to `_STR_BITS` bits this is str(n), with Python's int_max_str_digits
+    cap (4300 digits by default) lifted for the one conversion and restored
+    afterwards.  CPython 3.11's str() is quadratic beyond that (about 3.4 s
+    for 454 548 digits), so a larger n is split in binary halves,
+    n = hi 2^w + lo, down to pieces of at most 128 bits, which are joined
+    back as exact Decimals: libmpdec multiplies large Decimals by
+    number-theoretic transforms and prints them in linear time.  The
+    powers 2^w are built once each (w takes two values per level).
+    """
+    if n < 0:
+        return "-" + to_decimal(-n)
+    if n.bit_length() > _STR_BITS:
+        import decimal
+        powers = {}
+
+        def pow2(w):
+            if w not in powers:
+                powers[w] = (decimal.Decimal(2) ** w if w <= 128
+                             else pow2(w >> 1) * pow2(w - (w >> 1)))
+            return powers[w]
+
+        def join(m, w):  # m < 2^w as an exact Decimal
+            if w <= 128:
+                return decimal.Decimal(m)
+            half = w >> 1
+            hi = m >> half
+            return join(m - (hi << half), half) + join(hi, w - half) * pow2(half)
+
+        with decimal.localcontext() as ctx:
+            ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
+            ctx.traps[decimal.Inexact] = True
+            return str(join(n, n.bit_length()))
     if not hasattr(sys, "set_int_max_str_digits"):
         return str(n)
     old = sys.get_int_max_str_digits()

@@ -5,6 +5,7 @@ from cqunits import GroupAlgebra, Subspace, make_field, make_group
 from cqunits import _linalg as L
 from cqunits import algebra
 from cqunits.errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
+from cqunits.field import FieldCtx
 from cqunits.unitgroup import random_gamma
 from cqunits.verifier import make_instance
 
@@ -172,6 +173,28 @@ def test_mul_fft_sparse_x_against_index_reference(name, request, rng):
     if alg._mul_flat is not None:
         x, y = random_elem(alg, rng).coeffs, random_elem(alg, rng).coeffs
         assert np.array_equal(alg._mul_fft(x, y), alg._mul_table_path(x, y))
+
+
+@pytest.mark.parametrize("name", ["alg_c31sq", "alg_c197"])
+def test_mul_fft_over_a_prime_field_skips_the_digit_planes(name, request, rng, monkeypatch):
+    # for f = 1 the codes are the digits: no decode before the transforms and no
+    # encode after them (c197's single axis has no lead DFT)
+    alg = request.getfixturevalue(name)
+    one_slot = np.zeros(alg.order, dtype=np.int64)  # x on the slot b^2 only
+    one_slot[rng.choice(alg.order // alg.q, 6, replace=False) * alg.q + 2] = 3
+    cases = []
+    for x in (one_slot, sparse_elem(alg, rng, 12).coeffs, random_elem(alg, rng).coeffs):
+        y = random_elem(alg, rng).coeffs
+        cases.append((x, y, mul_reference(alg, x, y), mul_reference(alg, x, x)))
+
+    def refuse(*args):
+        raise AssertionError("the product decoded or encoded digit planes")
+
+    monkeypatch.setattr(FieldCtx, "decode", refuse)
+    monkeypatch.setattr(FieldCtx, "encode", refuse)
+    for x, y, xy, xx in cases:
+        assert np.array_equal(alg._mul_fft(x, y), xy)
+        assert np.array_equal(alg._mul_fft(x, x), xx)
 
 
 def test_fft_bound_admits_configs_and_large_instances(config_instance, alg_gf81_c3e8, alg_inst101):
@@ -415,6 +438,31 @@ def test_invert_scales_by_a_scalar_rho_inverse(inst19, monkeypatch, rng):
     inv = alg.invert(x)  # checks x x^-1 = 1 itself
     assert operands and not any(np.array_equal(a, W) for a in operands)
     assert inv.rho_coeffs().tolist() == W[:alg.q].tolist()
+
+
+@pytest.mark.parametrize("name", ["c7", "c31sq", "gf49"])
+def test_invert_solves_no_circulant_for_a_scalar_rho(name, config_instance, rng, monkeypatch):
+    # rho(1 + l) = 1 and rho(2 + l) = 2 are inverted in F; b + a1 still takes the
+    # circulant solve, and rho(x) = 0 is no unit (c7 multiplies by its table)
+    alg = config_instance(name).algebra
+    solves = []
+    solve = alg.fb.inverse_coeffs
+
+    def recording_solve(w):
+        solves.append(w)
+        return solve(w)
+
+    monkeypatch.setattr(alg.fb, "inverse_coeffs", recording_solve)
+    for x in (alg.one() + random_gamma(alg, rng), alg.scalar(2) + random_gamma(alg, rng)):
+        inv = alg.invert(x)  # checks x x^-1 = 1 itself
+        assert x * inv == alg.one() and not solves
+    a1, b = alg.basis(alg.group.generator(1)), alg.basis(alg.group.b())
+    with pytest.raises(NotAUnit):
+        alg.invert(a1 - alg.one())
+    assert not solves
+    x = b + a1
+    inv = alg.invert(x)
+    assert x * inv == alg.one() and inv * x == alg.one() and len(solves) == 1
 
 
 def test_invert_reports_non_nilpotent_gamma(alg21, monkeypatch):

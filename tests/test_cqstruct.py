@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from cqunits import make_field
+from cqunits import _linalg, make_field
 from cqunits.cqstruct import (FBCtx, FBElem, ProjVec, b_polynomial, b_exponent_coords,
                               classify_unit, complement_search_B_in_VstarFB,
                               distinct_projection_unit, enumerate_VFB,
@@ -60,6 +60,23 @@ def test_fb_inverse_matches_projections(name, config_instance):
             continue
         assert u.inverse() == from_projections(pv.inverse())
         assert u * u.inverse() == fb.one() and u ** -2 == (u * u).inverse()
+
+
+@pytest.mark.parametrize("p, q", [(7, 3), (11, 5), (29, 7)])
+def test_fb_inverse_circulant_is_the_roll_construction(p, q, monkeypatch):
+    # the circulant inverse_coeffs solves has column k = b^k w = np.roll(w, k)
+    fb = FBCtx(make_field(p), q)
+    w = np.random.default_rng(q).integers(1, p, q)
+    matrices = []
+    solve = _linalg.solve_right
+
+    def recording_solve(ctx, M, b):
+        matrices.append(np.array(M))
+        return solve(ctx, M, b)
+
+    monkeypatch.setattr(_linalg, "solve_right", recording_solve)
+    fb.inverse_coeffs(w)
+    assert np.array_equal(matrices[0], np.stack([np.roll(w, k) for k in range(q)], axis=1))
 
 
 @pytest.fixture(scope="module")

@@ -171,6 +171,24 @@ def test_cayley_roundtrip_sampling(alg21, rng):
         assert (u - alg21.one()).in_gamma()
 
 
+def test_cayley_round_trip_takes_28_products(config_instance, monkeypatch):
+    # on c31sq (N = 61) each inverse squares 6 times, multiplies 5 factors in and
+    # checks x x^-1 = 1: 12 products; cayley and cayley_inv add one product and
+    # one u u* = 1 check each
+    alg = config_instance("c31sq").algebra
+    l = random_skew(alg, np.random.default_rng(1))
+    calls = []
+    mul = alg.mul_coeffs
+
+    def counting_mul(x, y):
+        calls.append(1)
+        return mul(x, y)
+
+    monkeypatch.setattr(alg, "mul_coeffs", counting_mul)
+    assert cayley_inv(cayley(l)) == l
+    assert len(calls) == 28
+
+
 def test_unitary_count_equals_skew_space(alg21):
     # |(1+gamma)_*| = |S2| = p^(f * dim S2) = 7^9; spot-verify the bijection:
     # random 1 + g is unitary iff its Cayley preimage path applies, and every

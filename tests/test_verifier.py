@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -163,6 +164,20 @@ def test_to_decimal_lifts_and_restores_limit():
     finally:
         sys.set_int_max_str_digits(before)
     assert len(dec) == 5727 and dec[-6:] == str(big % 10 ** 6).zfill(6)
+
+
+def test_to_decimal_is_str_on_large_integers():
+    # the decimal route above the str() base case gives str(n) digit for digit
+    rng = random.Random(20)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for bits in (1, 127, 128, 129, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 90_000, 166_000):
+            for n in (rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1, 1 << bits):
+                assert to_decimal(n) == str(n) and to_decimal(-n) == str(-n)
+        assert to_decimal(0) == "0" and to_decimal(10 ** 50_000) == "1" + "0" * 50_000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_factored_int_beyond_decimal_limit():
