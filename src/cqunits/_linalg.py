@@ -155,10 +155,6 @@ def reduce_against(ctx, V, R, pivots) -> np.ndarray:
     return ctx.vsub(V, matmul_mod(ctx, V[:, pivots], R))
 
 
-def in_rowspace(ctx, V, R, pivots) -> bool:
-    return not np.any(reduce_against(ctx, V, R, pivots))
-
-
 def solve_right(ctx, A, b):
     """One solution x of A @ x = b, or None if the system is inconsistent."""
     A = np.ascontiguousarray(A, dtype=np.int64)

@@ -79,6 +79,41 @@ def rho_images(field: FieldCtx, q: int, K: np.ndarray, cols: np.ndarray) -> np.n
                                   (cols[..., None] % q == np.arange(q)).astype(np.int64)))
 
 
+def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first, inverse) over the distinct rows of the 2-d int64 array keys, numbered
+    in order of first occurrence: the index of each one's first occurrence, and
+    the number of every row's."""
+    keys = np.ascontiguousarray(keys, dtype=np.int64)
+    _, first, inverse = np.unique(keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel(),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    return first[order], number[inverse.ravel()]
+
+
+def _ascending(field: FieldCtx, n: int, cols: np.ndarray, starts: np.ndarray, kernels: list,
+               which: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
+    """(cols, kernels, which) of a block form with every block's columns in ascending
+    group order and its kernel re-echeloned there, pivots from the right: one rref per
+    distinct kernel and column order, none where the order is already ascending."""
+    width = np.diff(starts, append=n)
+    cols, up, which_up = cols.copy(), [], np.empty_like(which)
+    for m in np.unique(width).tolist():
+        T = np.flatnonzero(width == m)
+        at = starts[T][:, None] + np.arange(m)
+        order = np.argsort(cols[at], axis=1)
+        cols[at] = np.take_along_axis(cols[at], order, axis=1)
+        first, which_up[T] = distinct_rows(np.column_stack([which[T], order]))
+        which_up[T] += len(up)
+        for r in first.tolist():
+            k = kernels[which[T[r]]]
+            if np.any(order[r] != np.arange(m)):
+                k = np.ascontiguousarray(_linalg.rref(field, k[:, order[r][::-1]])[0][:, ::-1])
+            up.append(k)
+    return cols, up, which_up
+
+
 class Subspace:
     """A row space over GF(p^f), stored as its canonical reduced echelon basis.
 
@@ -88,8 +123,12 @@ class Subspace:
 
     A subspace of gamma may come in block form, rows None and blocks =
     (alg, cols, starts, kernels, which, rank): ker rho (of that rank) on the
-    canonical kernels kernels[which[t]] at the group indices cols[starts[t]:...];
-    `dim` is read off the blocks, `basis` and `pivots` built on first read.
+    kernels kernels[which[t]] at the group indices cols[starts[t]:...], in
+    whatever column order the blocks were solved in (for a centralizer, the
+    canonical coordinates of its double cosets); `dim` is read off the kernel
+    shapes.  `basis` and `pivots` are built on first read, after each block's
+    kernel is re-echeloned in ascending group order (`_ascending`); that form
+    then replaces the solved one in `blocks`.
     """
 
     def __init__(self, field: FieldCtx, rows, blocks=None):
@@ -120,12 +159,15 @@ class Subspace:
         """The block form's canonical basis and pivots: with K the placed block
         kernel rows in ascending pivot order, (the canonical kernel of
         c -> c rho(K)) K, that is free row i less E[k, i] times the k-th bound
-        row, E = rref(rho(K)^T).  Refused (BudgetExceeded) past the larger of
-        8 c (dim + rank) |S| bytes for the rows' part on the bound rows'
-        blocks S and its product (c = 5, or 3 + 2 f^2 + 4 f for f > 1) and
-        8 (dim |G| + 2 e) for the rows and their e written entries."""
+        row, E = rref(rho(K)^T).  Refused (BudgetExceeded) past 8 |G| bytes for
+        the ascending column order plus the larger of 8 c (dim + rank) |S|
+        bytes for the rows' part on the bound rows' blocks S and its product
+        (c = 5, or 3 + 2 f^2 + 4 f for f > 1) and 8 (dim |G| + 2 e) for the
+        rows and their e written entries."""
         alg, cols, starts, kernels, which, rank = self.blocks
         fld, q, f, n = self.field, alg.q, self.field.f, alg.order
+        cols, kernels, which = _ascending(fld, n, cols, starts, kernels, which)
+        self.blocks = alg, cols, starts, kernels, which, rank  # frees the solved order
         width = np.diff(starts, append=n)
         off = np.concatenate([[0], np.cumsum([kernels[u].shape[0] for u in which.tolist()])])
         piv, rho = np.empty(off[-1], dtype=np.int64), np.empty((off[-1], q), dtype=np.int64)
@@ -145,7 +187,8 @@ class Subspace:
         S = cols[np.repeat(owner, width)]
         e = int(np.diff(off)[~owner] @ width[~owner]) + d * S.size
         c = 5 if f == 1 else 3 + 2 * f * f + 4 * f
-        refuse_past_memory(8 * max(c * (d + rank) * S.size, d * n + 2 * e), "the dense basis rows")
+        refuse_past_memory(8 * (max(c * (d + rank) * S.size, d * n + 2 * e) + n),
+                           "the dense basis rows")
         KS = np.zeros((d + rank, S.size), dtype=np.int64)
         for t, lo in zip(np.flatnonzero(owner).tolist(), np.cumsum(width[owner]) - width[owner]):
             KS[dest[off[t]:off[t + 1], None], lo + np.arange(width[t])] = kernels[which[t]]

@@ -11,6 +11,7 @@ exponent tuples directly; there is no |A| x |A| addition table.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
@@ -156,6 +157,7 @@ class GroupSpec:
     """
 
     _FULL_TABLE_LIMIT = 1500
+    _TABLE_ROW_CELLS = 1 << 16
 
     def __init__(self, abelian: AbelianSpec, q: int, action: ActionSpec):
         self.abelian = abelian
@@ -202,12 +204,16 @@ class GroupSpec:
 
     @cached_property
     def mul_table(self):
-        """Full |G| x |G| index table for small groups, None above the cutoff."""
+        """Full |G| x |G| index table for small groups, None above the cutoff; built
+        `_TABLE_ROW_CELLS` cells of rows at a time, so its temporaries stay small."""
         if self.order > self._FULL_TABLE_LIMIT:
             return None
         g = np.arange(self.order, dtype=np.int64)
-        x, y = np.meshgrid(g, g, indexing="ij")
-        return self.mul_idx(x, y)
+        table = np.empty((self.order, self.order), dtype=np.int64)
+        step = max(1, self._TABLE_ROW_CELLS // self.order)
+        for lo in range(0, self.order, step):
+            table[lo:lo + step] = self.mul_idx(g[lo:lo + step, None], g)
+        return table
 
     @cached_property
     def char_gather(self):
@@ -263,12 +269,20 @@ class GroupSpec:
         return forward + [last], inverse + [back]
 
     def mul_idx(self, g1, g2):
-        """Index of g1 g2, for two indices or elementwise over broadcast index arrays."""
-        q = self.q
-        a1, i = g1 // q, g1 % q
-        a2, j = g2 // q, g2 % q
+        """Index of g1 g2, for two indices or elementwise over broadcast index arrays,
+        summed one invariant factor of A at a time (no temporary of rank x size)."""
+        q, facs = self.q, self.abelian.factors
+        a1, i = np.divmod(g1, q)
+        a2, j = np.divmod(g2, q)
         c = self.sigma_pows[(q - i) % q, a2]  # sigma^-i applied to the A part
-        return self._encode_a(self.a_exps[a1] + self.a_exps[c]) * q + (i + j) % q
+        out = (i + j) % q
+        for k, m in enumerate(facs):
+            e = self.a_exps[c, k]  # c has the broadcast shape
+            e += self.a_exps[a1, k]
+            e %= m
+            e *= q * math.prod(facs[k + 1:])
+            out += e
+        return out
 
     def elem(self, a_exps=None, b_exp: int = 0) -> GroupElem:
         if a_exps is None:

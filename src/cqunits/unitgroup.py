@@ -9,13 +9,17 @@ route (|1 + gamma| is astronomically large); starred ones use dim S2, the
 number of pairs of the checked involution on gamma.  There is one solver:
 with H = <supp x>, the commutator maps each F[HgH] into itself (the
 double-coset splitting of FG as an (FH, FH)-bimodule; Curtis and Reiner,
-Methods of Representation Theory I, 1981, section 10), so it is solved on
-each double coset in group coordinates, equal blocks once.  gamma is the
-kernel of rho: a b^j -> b^j, so dim C_gamma(x) is the sum of the block
-kernel dims less the rank of rho on them, and the symmetric/skew slices
-are counted over each pair (D, D^-1) with the same correction.  The kernel
-stays in block form (`algebra.Subspace`); blocks, or a dense basis, that
-would not fit in memory are refused up front.  All sampling is seeded.
+Methods of Representation Theory I, 1981, section 10).  Each double coset
+D = H g H is written in canonical coordinates (i, j) -> h_i g h_j, with g^-1
+for D^-1, and the commutator's matrix on D depends only on how H acts on
+those coordinates, so one block is built and solved per such pattern: with
+C_A(b) = e, every B a B is a regular B x B-set, and C(b) is B and one q^2
+block whatever |A| is.  gamma is the kernel of rho: a b^j -> b^j, so
+dim C_gamma(x) is the sum of the block kernel dims less the rank of rho on
+them, and the symmetric/skew slices are counted over each pair (D, D^-1)
+with the same correction.  The kernel stays in block form
+(`algebra.Subspace`); blocks, or a dense basis, that would not fit in
+memory are refused up front.  All sampling is seeded.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .algebra import AlgElem, GroupAlgebra, Subspace, refuse_past_memory, rho_images
+from .algebra import (AlgElem, GroupAlgebra, Subspace, distinct_rows, refuse_past_memory,
+                      rho_images)
 from .cqstruct import ProjVec, from_projections, mirror_exps, zeta_powers
 from .errors import (BadCentralizerElement, MathDomainError, NotAUnit,
                      NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
@@ -41,86 +46,136 @@ def _multipliers(alg: GroupAlgebra, star: np.ndarray, g: int) -> tuple[np.ndarra
     return left, star[np.argsort(left)[star]]
 
 
-def _double_cosets(alg: GroupAlgebra, x: AlgElem, star: np.ndarray) -> np.ndarray:
-    """The least index of H g H for every g, H = <supp x>, reached by either-side
-    products with generators from supp x (permutations squared each round); a
-    support element outside the block of e, H itself, is the next generator."""
-    label, steps, supp = np.arange(alg.order), [], np.flatnonzero(x.coeffs)
-    while (outside := supp[label[supp] != 0]).size:
-        steps += _multipliers(alg, star, int(outside[0]))
-        old = None
-        while not np.array_equal(label, old):
-            old = label
-            for i, P in enumerate(steps):
-                label, steps[i] = np.minimum(label, label[P]), P[P]
-            label = label[label]
+def _least_in_orbits(label: np.ndarray, steps: list) -> np.ndarray:
+    """label lowered to the least index of each orbit of the group the permutations
+    steps generate, squaring each step every round; |G| is odd, so a squared step
+    keeps its cycles, and label stops changing only when it is constant on them."""
+    old = None
+    while not np.array_equal(label, old):
+        old = label
+        for i, P in enumerate(steps):
+            label, steps[i] = np.minimum(label, label[P]), P[P]
+        label = label[label]
     return label
 
 
-def _commutator_blocks(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, by_size: dict,
-                       block_of: np.ndarray, local: np.ndarray) -> dict:
-    """Size m -> y -> x y - y x on the F[D] at the indices C[i], (T, C) = by_size[m],
-    stacked; a term outside its column's block raises MathDomainError."""
-    blocks = {m: np.zeros((len(T), m, m), dtype=np.int64) for m, (T, _) in by_size.items()}
-    for g in np.flatnonzero(x.coeffs).tolist():
-        for perm, op in zip(_multipliers(alg, star, g), (alg.field.vadd, alg.field.vsub)):
-            for m, (T, C) in by_size.items():
-                if np.any(block_of[perm[C]] != T[:, None]):
-                    raise MathDomainError("a commutator term leaves its double coset")
-                at = (np.arange(len(T))[:, None], local[perm[C]], np.arange(m))
-                blocks[m][at] = op(blocks[m][at], x.coeffs[g])
+def _double_cosets(alg: GroupAlgebra, x: AlgElem,
+                   star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(least index of H g H, least index of g H) for every g, H = <supp x>, reached
+    by products with generators from supp x; a support element outside the block of
+    e, H itself, is the next generator."""
+    label, steps, right, supp = np.arange(alg.order), [], [], np.flatnonzero(x.coeffs)
+    while (outside := supp[label[supp] != 0]).size:
+        steps += _multipliers(alg, star, int(outside[0]))
+        right.append(steps[-1])
+        label = _least_in_orbits(label, steps)
+    return label, _least_in_orbits(np.arange(alg.order), right)
+
+
+def _canonical_blocks(alg: GroupAlgebra, star: np.ndarray, label: np.ndarray,
+                      cosets: np.ndarray):
+    """(cols, starts, local, block_of, partner, which): the blocks of label, H = the
+    block of e, in canonical coordinates, and the pattern of each.
+
+    With h_0 < h_1 < ... the elements of H, block t lists the first occurrences of
+    h_i g_t h_j over (i, j) in lexicographic order at cols[starts[t]:...], and
+    local[g] is g's place there: its new left cosets h_i g_t H in order of i, each
+    in order of j (cosets[g] = least index of g H).  g_t is the block's least
+    element, or the inverse of its partner's where the partner (the block of
+    g_t^-1) comes first, so star is one coordinate map on every regular pair.
+    Blocks come by size, then least element; H, the smallest, is block 0.
+    h_i g_t h_j is (h_i g_t) h_j, and h_i g_t = g' h_u for the lead g' of its
+    coset, so H acts on block t's coordinates on the left through the k = |H|
+    places local[h_i g_t] and on the right the same way in every block: blocks
+    with equal places have one matrix for every x in FH, and share a pattern
+    which[t].  (As supp x generates H, these are the blocks whose index
+    patterns local[s C] and local[C s] agree for every s in supp x.)"""
+    n, H = alg.order, np.flatnonzero(label == 0)
+    least, block_of = np.unique(label, return_inverse=True)
+    sizes = np.bincount(block_of)
+    order = np.lexsort((least, sizes))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    least, sizes, block_of = least[order], sizes[order], rank[block_of]
+    partner = block_of[star[least]]
+    if np.any(block_of[star] != partner[block_of]):
+        raise MathDomainError("the involution does not map each block onto one block")
+    rep, first = least.copy(), np.flatnonzero(partner > np.arange(least.size))
+    rep[partner[first]] = star[least[first]]
+    lead = alg.group.mul_idx(H, rep[:, None]).ravel()  # h_i g_t; each g H lies in one row
+    new = lead[np.sort(np.unique(cosets[lead], return_index=True)[1])]
+    cols = alg.group.mul_idx(new[:, None], H).ravel()
+    starts = np.cumsum(sizes) - sizes
+    local = np.full(n, -1)
+    local[cols] = np.arange(n) - np.repeat(starts, sizes)
+    if np.any(local < 0) or np.any(block_of[cols] != np.repeat(np.arange(starts.size), sizes)):
+        raise MathDomainError("the canonical coordinates do not number each block")
+    which = distinct_rows(local[lead].reshape(starts.size, H.size))[1]
+    return cols, starts, local, block_of, partner, which
+
+
+def _commutator_blocks(alg: GroupAlgebra, x: AlgElem, C: np.ndarray,
+                       local: np.ndarray) -> np.ndarray:
+    """y -> x y - y x on the F[D] whose elements are the rows of C, column c at
+    C[:, c] and row local[g] at g: shape (len(C), m, m) for C of width m."""
+    fld, m = alg.field, C.shape[1]
+    blocks = np.zeros((len(C), m, m), dtype=np.int64)
+    for s in np.flatnonzero(x.coeffs).tolist():
+        for image, op in ((alg.group.mul_idx(s, C), fld.vadd), (alg.group.mul_idx(C, s), fld.vsub)):
+            at = (np.arange(len(C))[:, None], local[image], np.arange(m))
+            blocks[at] = op(blocks[at], x.coeffs[s])
     return blocks
 
 
-def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: np.ndarray):
+def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: np.ndarray,
+                       cosets: np.ndarray):
     """Kernel, slice dims and star closure of g -> x g - g x on gamma over the
-    blocks of label, refused (BudgetExceeded) past 16 sum_m l_m m^2 bytes for
-    l_m blocks of size m and the bytes of the distinct ones, and 8 (4 +
-    planes) m^2 for the largest one's rref (planes = 2 f^2 + f for f > 1).
-    C_gamma = ker rho on the sum W of the block kernels; on a pair (D, D^-1)
-    with kernel K, C ^ Sym = N K for N the left kernel of K* - K, and C* = C
-    iff C lies in the sum of the C_P ^ C_P*."""
+    blocks of label, H g H with supp x in H, in canonical coordinates
+    (`_canonical_blocks`).  One block per pattern is built and solved, one at a
+    time, so this is refused (BudgetExceeded) past 8 (11 |G| + (5 + planes) m^2)
+    bytes for the index arrays, the largest block (width m) and its rref (planes
+    = 2 f^2 + f for f > 1).  C_gamma = ker rho on the sum W of the block kernels;
+    on a pair (D, D^-1) with kernel K, C ^ Sym = N K for N the left kernel of
+    K* - K, and C* = C iff C lies in the sum of the C_P ^ C_P*."""
     fld, q, n, f = alg.field, alg.q, alg.order, alg.field.f
-    cols = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(np.diff(label[cols], prepend=-1))
-    sizes, at = np.diff(starts, append=n), np.argsort(cols)  # g is cols[at[g]]
-    block_of = np.repeat(np.arange(starts.size), sizes)[at]
-    local = at - starts[block_of]
-    widths, counts = np.unique(sizes, return_counts=True)
-    refuse_past_memory(8 * (2 * int(counts @ widths ** 2) + (4 + (2 * f * f + f) * (f > 1))
-                            * int(widths[-1]) ** 2), "the commutator blocks")
-    partner = block_of[star[cols[starts]]]
-    if np.any(block_of[star] != partner[block_of]):
-        raise MathDomainError("the involution does not map each block onto one block")
-    by_size = {m: (T, cols[starts[T][:, None] + np.arange(m)])
-               for m in widths.tolist() for T in [np.flatnonzero(sizes == m)]}
-    blocks = _commutator_blocks(alg, x, star, by_size, block_of, local)
-    kernels, which, first = [], np.empty(starts.size, dtype=np.int64), {}  # bytes -> kernel
-    for m, (T, _) in by_size.items():
-        for t, blk in zip(T.tolist(), blocks.pop(m)):
-            which[t] = first.setdefault(blk.tobytes(), len(kernels))
-            if which[t] == len(kernels):
-                kernels.append(_linalg.right_kernel(fld, blk))
-    del first, blk  # a copy of each distinct block; a view keeping its size's blocks alive
+    if np.any(label[np.flatnonzero(x.coeffs)] != 0):
+        raise MathDomainError("a commutator term leaves its double coset")
+    cols, starts, local, block_of, partner, which = _canonical_blocks(alg, star, label, cosets)
+    sizes = np.diff(starts, append=n)
+    refuse_past_memory(8 * (11 * n + (5 + (2 * f * f + f) * (f > 1)) * int(sizes[-1]) ** 2),
+                       "the commutator blocks")
+    kernels = [_linalg.right_kernel(fld, _commutator_blocks(
+        alg, x, cols[starts[t]:starts[t] + sizes[t]][None], local)[0])
+        for t in np.unique(which, return_index=True)[1].tolist()]  # each pattern's first
+    by_size = {m: (T, cols[starts[T[0]]:starts[T[-1]] + m].reshape(-1, m))  # a view
+               for m in np.unique(sizes).tolist() for T in [np.flatnonzero(sizes == m)]}
     sym, skew, stable, images = [], [], [], []  # per distinct pair: (count * dim, rho of it)
     for m, (T, C) in by_size.items():
         P = partner[T]
-        for Tp, L in ((T[P == T], C[P == T]),
-                      (T[P > T], np.hstack([C[P > T], C[np.searchsorted(T, P[P > T])]]))):
-            perm = local[star[L]] + np.where(block_of[star[L]] == Tp[:, None], 0, m)
-            # a pair is known by its kernels, star's permutation and the b-exponents
-            w, keys = L.shape[1], np.column_stack([which[Tp], which[partner[Tp]], perm, L % q])
-            _, once, count = np.unique(keys.view(np.dtype((np.void, 8 * keys.shape[1]))).ravel(),
-                                       return_index=True, return_counts=True)
-            for key, c in zip(keys[once], count.tolist()):
+        for Tp, w in ((T[P == T], m), (T[P > T], 2 * m)):  # self-paired blocks, then pairs
+            L = C[Tp - T[0]]
+            if w > m:
+                L = np.hstack([L, C[partner[Tp] - T[0]]])
+            # a pair is known by its kernels and, per column, star's permutation and
+            # the b-exponent, as perm q + exponent
+            code = local[star[L]]
+            code[block_of[star[L]] != Tp[:, None]] += m
+            code *= q
+            code += L % q
+            del L
+            keys = np.column_stack([which[Tp], which[partner[Tp]], code])
+            del code
+            once, key_of = distinct_rows(keys)
+            for key, c in zip(keys[once], np.bincount(key_of, minlength=once.size).tolist()):
                 ks = [kernels[u] for u in key[:1 + (w > m)]]
                 K = np.vstack([np.pad(k, ((0, 0), (i * m, (len(ks) - 1 - i) * m)))
                                for i, k in enumerate(ks)])  # block-diagonal over the pair
-                R, starred = rho_images(fld, q, K, key[2 + w:]), K[:, key[2:2 + w]]
-                resid = _linalg.reduce_against(fld, starred, K, _linalg.right_pivots(K).tolist())
-                for A, out in ((fld.vsub(starred, K), sym), (fld.vadd(starred, K), skew),
-                               (resid, stable)):  # {c K : c A = 0} and its rho
-                    N = _linalg.right_kernel(fld, A.T)
+                R, starred = rho_images(fld, q, K, key[2:] % q), K[:, key[2:] // q]
+                for out, A in ((sym, lambda: fld.vsub(starred, K)),
+                               (skew, lambda: fld.vadd(starred, K)),
+                               (stable, lambda: _linalg.reduce_against(
+                                   fld, starred, K, _linalg.right_pivots(K).tolist()))):
+                    N = _linalg.right_kernel(fld, A().T)  # {c K : c A = 0} and its rho
                     out.append((c * N.shape[0], _linalg.matmul_mod(fld, N, R)))
                 images.append(R)
     rank = len(_linalg.rref(fld, np.vstack(images))[1])
@@ -162,7 +217,7 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
         raise NotAUnit("rho(x) is not invertible in FB")
     star = np.concatenate([alg.fb.star_perm, alg.gamma_star_pairs()[0] + alg.q])
     kernel, sym_dim, skew_dim, star_closed = _block_centralizer(
-        alg, x, star, _double_cosets(alg, x, star))
+        alg, x, star, *_double_cosets(alg, x, star))
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,
                              sym_dim=sym_dim, skew_dim=skew_dim)
 

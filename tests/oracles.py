@@ -298,11 +298,16 @@ def gamma_basis(alg: GroupAlgebra) -> Subspace:
     return written_down(alg.field, basis)
 
 
+def in_rowspace(ctx, V, R, pivots) -> bool:
+    """Whether every row of V lies in the span of the rref rows R."""
+    return not np.any(_linalg.reduce_against(ctx, V, R, pivots))
+
+
 def contains_rows(sub: Subspace, rows) -> bool:
     """Whether every row (or the one vector) lies in sub; entries are read as
     codes mod p^f."""
     rows = np.atleast_2d(np.asarray(rows, dtype=np.int64)) % sub.field.size
-    return _linalg.in_rowspace(sub.field, rows, sub.basis, sub.pivots)
+    return in_rowspace(sub.field, rows, sub.basis, sub.pivots)
 
 
 def intersect(s1: Subspace, s2: Subspace) -> Subspace:
@@ -432,7 +437,7 @@ def _star_slices(field, K: np.ndarray, perm: np.ndarray) -> tuple[int, int, bool
     starred = K[:, perm]
     sym_dim = dim - _linalg.rank(field, field.vsub(starred, K))
     skew_dim = dim - _linalg.rank(field, field.vadd(starred, K))
-    star_closed = _linalg.in_rowspace(field, starred, K, _linalg.right_pivots(K).tolist())
+    star_closed = in_rowspace(field, starred, K, _linalg.right_pivots(K).tolist())
     return sym_dim, skew_dim, star_closed
 
 

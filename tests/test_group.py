@@ -205,3 +205,20 @@ def test_dft_matrices_give_rfftn_and_back(name, config_instance):
     assert np.abs(S - expect).max() <= 1e-12 * G.abelian.order
     back = along_lead(S, inverse).view(np.float64) @ inverse[-1]
     assert np.abs(back.ravel() - y).max() <= 1e-12 * G.abelian.order
+
+
+@pytest.mark.parametrize("name", ["c7", "c19", "f11c5", "c197"])
+def test_row_block_table_matches_the_broadcast_table(name, config_instance, monkeypatch):
+    # the table built a few rows at a time (here also one row at a time) is the
+    # one whole broadcast of exponent rows built, entry for entry; mul_idx sums
+    # one axis of A at a time, the reference whole exponent rows
+    G = config_instance(name).group
+    q = G.q
+    g = np.arange(G.order)
+    x, y = np.meshgrid(g, g, indexing="ij")
+    a1, i, a2, j = x // q, x % q, y // q, y % q
+    c = G.sigma_pows[(q - i) % q, a2]
+    expect = G._encode_a(G.a_exps[a1] + G.a_exps[c]) * q + (i + j) % q
+    assert np.array_equal(G.mul_table, expect)
+    monkeypatch.setattr(type(G), "_TABLE_ROW_CELLS", 1)
+    assert np.array_equal(config_instance(name).group.mul_table, expect)

@@ -8,12 +8,15 @@ in block form: their `dim` is checked before any rows exist, and the rows
 built on first read against the same subspaces written down densely by
 another route (`slice_rows`, `eager_rows`: the block kernels placed one
 block at a time and met with gamma).  Kernels come from the double cosets
-of H = <supp x>; they are also compared with the kernel of the same solver
-over one block of all of G, each double-coset block entrywise with that
-one block, and dims, slices, star closure and rows with the gamma-coordinate
-solver the double cosets replaced (`ReferenceCentralizer`).  The units
-drawn include 1 + a1, supported in A, and b + a1 and b + a_r, which on
-C_p^2 lie in a proper subgroup containing b.  The FFT product is checked
+of H = <supp x>, solved once per pattern in canonical coordinates; those
+coordinates are checked against the walk over (h_i, h_j) that defines them,
+and the kernels are also compared with the kernel of the same solver over
+one block of all of G, each pattern's block, placed at every block of the
+pattern, entrywise with that one block, and dims, slices, star closure and
+rows with the gamma-coordinate solver the double cosets replaced
+(`ReferenceCentralizer`).  The units drawn include 1 + a1, supported in A,
+b + a1 and b + a_r, which on C_p^2 lie in a proper subgroup containing b,
+and b z for z in 1 + C(b).  The FFT product is checked
 against the full-table product, or against `mul_reference` over GF(p^f)
 with f > 1, which has no table.  Instances are drawn with p <= 13,
 q | p - 1, A = C_p, C_p^2 or (for p = 7) C_49 x C_7, and an
@@ -32,8 +35,8 @@ from conftest import mul_reference
 
 from cqunits.algebra import Subspace
 from cqunits.group import orbits
-from cqunits.unitgroup import (_block_centralizer, _commutator_blocks, _double_cosets,
-                               centralizer_in_gamma, random_fb_unit_coeffs,
+from cqunits.unitgroup import (_block_centralizer, _canonical_blocks, _commutator_blocks,
+                               _double_cosets, centralizer_in_gamma, random_fb_unit_coeffs,
                                random_unit_vfg, random_unitary_vfg)
 from cqunits.verifier import make_instance
 from oracles import (ReferenceCentralizer, gamma_basis, gamma_expand, intersect,
@@ -117,42 +120,68 @@ def involution(alg) -> np.ndarray:
     return np.concatenate([-np.arange(alg.q) % alg.q, alg.gamma_star_pairs()[0] + alg.q])
 
 
-def one_block(alg) -> np.ndarray:
-    """The labels of one block of all of G, a partition every unit respects."""
-    return np.zeros(alg.order, dtype=np.int64)
+def one_block(alg) -> tuple[np.ndarray, np.ndarray]:
+    """The double and left cosets of H = G: one block of all of G, a partition
+    every unit respects, in ascending order."""
+    return np.zeros(alg.order, dtype=np.int64), np.zeros(alg.order, dtype=np.int64)
 
 
-def placed_operator(alg, x, label) -> np.ndarray:
-    """The blocks of y -> x y - y x over the blocks of label (each at its
-    ascending group indices), placed in one |G| x |G| matrix."""
-    block_of = np.unique(label, return_inverse=True)[1]
-    local = np.empty(alg.order, dtype=np.int64)
-    by_size = {}
-    for t in range(block_of.max() + 1):
-        C = np.flatnonzero(block_of == t)
-        local[C] = np.arange(C.size)
-        by_size.setdefault(C.size, ([], []))
-        by_size[C.size][0].append(t)
-        by_size[C.size][1].append(C)
-    by_size = {m: (np.array(T), np.array(C)) for m, (T, C) in by_size.items()}
-    blocks = _commutator_blocks(alg, x, involution(alg), by_size, block_of, local)
+def placed_operator(alg, x, label, cosets) -> np.ndarray:
+    """The blocks of y -> x y - y x over the blocks of label, as the solver
+    builds them: one per pattern, in canonical coordinates, placed at the group
+    indices of every block of that pattern in one |G| x |G| matrix."""
+    cols, starts, local, _, _, which = _canonical_blocks(alg, involution(alg), label, cosets)
+    ends = np.append(starts[1:], alg.order)
+    blocks = [_commutator_blocks(alg, x, cols[starts[r]:ends[r]][None], local)[0]
+              for r in np.unique(which, return_index=True)[1]]
     placed = np.zeros((alg.order, alg.order), dtype=np.int64)
-    for m, (_, C) in by_size.items():
-        for Ci, blk in zip(C, blocks[m]):
-            placed[np.ix_(Ci, Ci)] = blk
+    for t, u in enumerate(which.tolist()):
+        D = cols[starts[t]:ends[t]]
+        placed[np.ix_(D, D)] = blocks[u]
     return placed
 
 
 def dense_kernel(alg, x) -> Subspace:
     """The centralizer kernel from one block of all of G, for any unit x."""
-    return _block_centralizer(alg, x, involution(alg), one_block(alg))[0]
+    return _block_centralizer(alg, x, involution(alg), *one_block(alg))[0]
 
 
 def assert_blocks_match_dense(alg, x):
-    """The double-coset blocks of x, placed at their group indices, are the
-    one-block operator entry for entry, with nothing off the blocks."""
-    assert np.array_equal(placed_operator(alg, x, _double_cosets(alg, x, involution(alg))),
-                          placed_operator(alg, x, one_block(alg)))
+    """The double-coset blocks of x, one per pattern placed at the group indices
+    of each block of it, are the one-block operator entry for entry, with
+    nothing off the blocks."""
+    assert np.array_equal(placed_operator(alg, x, *_double_cosets(alg, x, involution(alg))),
+                          placed_operator(alg, x, *one_block(alg)))
+
+
+def assert_canonical_blocks(alg, x):
+    """The solver's coordinates of the double cosets of H = <supp x> against a
+    written-down walk over (i, j): block t is the first occurrences of
+    h_i g_t h_j in lexicographic order, g_t its first element, the partner's
+    g_t^-1 where it comes later.  Returns (regular blocks other than H, other
+    blocks, self-paired blocks)."""
+    G, star = alg.group, involution(alg)
+    label, cosets = _double_cosets(alg, x, star)
+    cols, starts, local, block_of, partner, _ = _canonical_blocks(alg, star, label, cosets)
+    ends = np.append(starts[1:], alg.order)
+    H = np.flatnonzero(label == 0)
+    assert np.array_equal(cols[:H.size], H)  # H is block 0, in ascending order
+    assert set(np.flatnonzero(x.coeffs)) <= set(H.tolist())
+    counts = [0, 0, 0]
+    for t in range(starts.size):
+        g, D = int(cols[starts[t]]), cols[starts[t]:ends[t]]
+        walk = G.mul_idx(G.mul_idx(H[:, None], g), H).ravel()  # over (i, j), row-major
+        assert np.array_equal(D, walk[np.sort(np.unique(walk, return_index=True)[1])])
+        assert np.array_equal(local[D], np.arange(D.size)) and np.all(block_of[D] == t)
+        assert np.array_equal(np.sort(D), np.flatnonzero(label == label[g]))
+        p = int(partner[t])
+        assert block_of[star[g]] == p
+        if p < t:
+            assert cols[starts[p]] == star[g]
+        counts[0] += t > 0 and D.size == H.size ** 2
+        counts[1] += t > 0 and D.size < H.size ** 2
+        counts[2] += p == t
+    return counts
 
 
 def check_kernel(alg, x, s1, s2):
@@ -161,6 +190,7 @@ def check_kernel(alg, x, s1, s2):
     assert_lazy_rows(rep.kernel, eager_rows(rep.kernel))
     assert_reference(rep.kernel)
     assert_blocks_match_dense(alg, x)
+    assert_canonical_blocks(alg, x)
     assert rep.kernel == dense_kernel(alg, x)  # basis and pivots
     ref = ReferenceCentralizer(alg, x)
     assert ((rep.dim, rep.sym_dim, rep.skew_dim, rep.star_closed)
@@ -195,14 +225,17 @@ def instances(draw):
 def sample_units(alg, rng):
     """1, b, b^2, a random and a random unitary unit lifted from FB; 1 + a1,
     supported in A; b + a1 and b + a_r, which on C_p^2 lie in a proper
-    subgroup containing b; and on small instances also units with full
-    support in V(FG) and V*(FG)."""
+    subgroup containing b; b z for z = 1 + the first row of C(b), one block
+    of G; and on small instances also units with full support in V(FG) and
+    V*(FG)."""
     b = alg.basis(alg.group.b())
     gens = [alg.basis(alg.group.generator(k + 1)) for k in range(len(alg.group.abelian.factors))]
     units = {"one": alg.one(), "b": b, "b2": alg.basis(alg.group.b(2)),
              "fb": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng)),
              "fb_unitary": alg.from_b_coeffs(random_fb_unit_coeffs(alg, rng, unitary=True)),
              "one_a1": alg.one() + gens[0], "b_a1": b + gens[0], "b_ar": b + gens[-1]}
+    z = alg.one() + alg.elem(centralizer_in_gamma(alg, b).kernel.basis[0])
+    units["bz"] = b * z
     if alg.order * alg.field.f <= FULL_SUPPORT_MAX_COST:
         units["vfg"] = random_unit_vfg(alg, rng)
         units["vfg_unitary"] = random_unitary_vfg(alg, rng)
@@ -270,6 +303,24 @@ def test_gf49_block_weights_leave_the_prime_field(config_instance):
     assert any(w >= alg.field.p for w in weights)
 
 
+@pytest.mark.parametrize("name", ["c7", "f11c5", "c19", "gf49"])
+def test_canonical_coordinates_match_the_walk(name, config_instance):
+    # (regular blocks besides H, other blocks besides H, self-paired blocks):
+    # b has H = B and the (|G| - q) / q^2 regular B a B; 1 + a1 has H = <a1>
+    # and non-regular double cosets besides it, as b + a1 has on gf49 (where
+    # <a1> is sigma-stable, so H = <a1> B is a proper subgroup); b z generates
+    # G, one block.  An odd-order group has no self-paired double coset but H:
+    # an element taking D to D^-1 and back would have even order
+    alg = config_instance(name).algebra
+    b, a1 = alg.basis(alg.group.b()), alg.basis(alg.group.generator(1))
+    z = alg.one() + alg.elem(centralizer_in_gamma(alg, b).kernel.basis[0])
+    regular, others = [(alg.order - alg.q) // alg.q ** 2, 0, 1], [0, alg.q - 1, 1]
+    expect = {"b": regular, "b_a1": [0, 2, 1] if name == "gf49" else [0, 0, 1],
+              "one_a1": [0, 20, 1] if name == "gf49" else others, "bz": [0, 0, 1]}
+    for tag, x in {"b": b, "b_a1": b + a1, "one_a1": alg.one() + a1, "bz": b * z}.items():
+        assert assert_canonical_blocks(alg, x) == expect[tag], tag
+
+
 @pytest.mark.parametrize("name", ["c7", "gf49"])
 def test_dense_operator_matches_products(name, config_instance):
     # column h of the operator is x h - h x for the group element h; every
@@ -288,9 +339,9 @@ def test_dense_operator_matches_products(name, config_instance):
         for h in range(alg.order):
             e = alg.basis(h)
             expect[:, h] = (x * e - e * x).coeffs
-        assert np.array_equal(placed_operator(alg, x, one_block(alg)), expect), tag
-        label = _double_cosets(alg, x, involution(alg))
-        assert np.array_equal(placed_operator(alg, x, label), expect), tag
+        assert np.array_equal(placed_operator(alg, x, *one_block(alg)), expect), tag
+        cosets = _double_cosets(alg, x, involution(alg))
+        assert np.array_equal(placed_operator(alg, x, *cosets), expect), tag
 
 
 def test_inst31_block_kernel_of_b_matches_dense(inst31):

@@ -290,13 +290,14 @@ def test_star_closure_cross_check_raises(alg21, b21, monkeypatch):
 def test_fb_units_skip_the_dense_operator(alg21, b21, rep_b, monkeypatch):
     # x in FB never asks for a block wider than q^2: when supp x generates
     # H = B its double cosets are B (width q) and the orbit(a) B (width
-    # q^2), and 1 has H = 1 (width 1); b z generates G, one block of |G|
+    # q^2, one pattern for all of them), and 1 has H = 1 (width 1, one
+    # pattern); b z generates G, one block of |G|
     widths = []
     build = unitgroup._commutator_blocks
 
-    def record(alg, x, star, by_size, *rest):
-        widths.extend(by_size)
-        return build(alg, x, star, by_size, *rest)
+    def record(alg, x, C, local):
+        widths.extend([C.shape[1]] * len(C))
+        return build(alg, x, C, local)
 
     monkeypatch.setattr(unitgroup, "_commutator_blocks", record)
     assert centralizer_in_gamma(alg21, b21).kernel == rep_b.kernel
@@ -310,6 +311,30 @@ def test_fb_units_skip_the_dense_operator(alg21, b21, rep_b, monkeypatch):
     widths.clear()
     centralizer_in_gamma(alg21, b21 * z)
     assert widths == [alg21.order]
+
+
+def test_c31sq_centralizer_of_b_solves_one_block_per_pattern(config_instance, monkeypatch):
+    # the 192 double cosets orbit(a) B are regular B x B-sets, one pattern in
+    # canonical coordinates: C(b) builds B and one q^2 block, and right_kernel
+    # runs on those two and three times on each of the two pair keys
+    alg = config_instance("c31sq").algebra
+    widths, kernels = [], []
+    build, kernel = unitgroup._commutator_blocks, _linalg.right_kernel
+
+    def record(alg, x, C, local):
+        widths.extend([C.shape[1]] * len(C))
+        return build(alg, x, C, local)
+
+    def count(ctx, M):
+        kernels.append(np.shape(M))
+        return kernel(ctx, M)
+
+    monkeypatch.setattr(unitgroup, "_commutator_blocks", record)
+    monkeypatch.setattr(_linalg, "right_kernel", count)
+    rep = centralizer_in_gamma(alg, alg.basis(alg.group.b()))
+    assert (rep.dim, rep.sym_dim, rep.skew_dim, rep.star_closed) == (960, 480, 480, True)
+    assert sorted(widths) == [alg.q, alg.q ** 2]
+    assert len(kernels) <= 8
 
 
 def test_centralizers_never_invert(alg21, b21, rep_b, monkeypatch):
@@ -327,11 +352,11 @@ def test_centralizers_never_invert(alg21, b21, rep_b, monkeypatch):
 
 def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
                                             monkeypatch):
-    # blocks of sizes m, l_m of each, need 8 (2 sum l_m m^2 + 4 max m^2) bytes
-    # (the blocks, a copy of each distinct one, the largest one's rref): b z
-    # is one block of G (m = 21), b the block B (m = q = 3) and two
-    # orbit(a) B of size q^2 = 9
-    need, need_fb = 8 * (2 + 4) * 21 ** 2, 8 * (2 * (3 ** 2 + 2 * 9 ** 2) + 4 * 9 ** 2)
+    # one block per pattern is built at a time, so the blocks need
+    # 8 (11 |G| + 5 m^2) bytes: the index arrays, the largest block (width m)
+    # and its rref.  b z is one block of G (m = 21); b has the block B
+    # (m = q = 3) and the orbit(a) B of width q^2 = 9
+    need, need_fb = 8 * (11 * 21 + 5 * 21 ** 2), 8 * (11 * 21 + 5 * 9 ** 2)
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
     with pytest.raises(BudgetExceeded, match=f"about {need} bytes") as err:
@@ -346,7 +371,7 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
     # over GF(7^2) the batch update's f^2 = 4 digit-plane products, held
     # twice, and their f = 2 digits add 8 (2 f^2 + f) m^2 bytes: one block of
     # G (m = 147) on gf49, and its tracemalloc peak stays inside that
-    need = 8 * (2 + 4 + 2 * 4 + 2) * 147 ** 2
+    need = 8 * (11 * 147 + (5 + 2 * 4 + 2) * 147 ** 2)
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
     alg = config_instance("gf49").algebra
     b = alg.basis(alg.group.b())
@@ -366,11 +391,12 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
 
 def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
     # on gf49 (|G| = 147, f = 2) the 48 dense rows of C(b) need
-    # 8 (48 * 147 + 2 e) bytes: the rows, and the flat index and values of
-    # their e = 16 * 3 * 9 + 48 * 3 entries (the 16 orbit(a) B blocks with
-    # 3 kernel rows each, and every row on the columns of B, where rho is
-    # corrected); the blocks themselves need 8 (2 (3^2 + 16 * 9^2) + 14 * 9^2)
-    need = 8 * (48 * 147 + 2 * (16 * 3 * 9 + 48 * 3))
+    # 8 (147 + 48 * 147 + 2 e) bytes: the blocks' ascending column order, the
+    # rows, and the flat index and values of their e = 16 * 3 * 9 + 48 * 3
+    # entries (the 16 orbit(a) B blocks with 3 kernel rows each, and every
+    # row on the columns of B, where rho is corrected); the blocks themselves
+    # need 8 (11 * 147 + 15 * 9^2)
+    need = 8 * (147 + 48 * 147 + 2 * (16 * 3 * 9 + 48 * 3))
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
     alg = config_instance("gf49").algebra
     rep = centralizer_in_gamma(alg, alg.basis(alg.group.b()))
@@ -386,9 +412,10 @@ def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
 
 def test_address_space_limit_is_refused_up_front():
     # a soft RLIMIT_AS a little above what the process has mapped leaves too
-    # little for the c31sq blocks of b + a1 (one of 155, six of 775):
-    # exit 4 with the estimate, not a MemoryError deep in the solver
-    need = 8 * (2 * (155 ** 2 + 6 * 775 ** 2) + 4 * 775 ** 2)
+    # little for the c31sq blocks of b + a1 (one of 155, six of 775, built
+    # one at a time): exit 4 with the estimate, not a MemoryError deep in
+    # the solver
+    need = 8 * (11 * 4805 + 5 * 775 ** 2)
     child = textwrap.dedent(f"""
         import resource, sys
         from cqunits import cli
@@ -450,7 +477,8 @@ def test_block_leak_is_an_error(alg21, b21, monkeypatch):
     # a term that leaves its double coset means the block structure is wrong:
     # every element its own block is closed under the involution, but b h
     # leaves the block of h
-    monkeypatch.setattr(unitgroup, "_double_cosets", lambda alg, x, star: np.arange(alg.order))
+    monkeypatch.setattr(unitgroup, "_double_cosets",
+                        lambda alg, x, star: (np.arange(alg.order), np.arange(alg.order)))
     with pytest.raises(MathDomainError, match="leaves its double coset"):
         centralizer_in_gamma(alg21, b21)
 
