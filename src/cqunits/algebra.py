@@ -122,21 +122,24 @@ class Subspace:
     rows in descending pivot order.
 
     A subspace of gamma may come in block form, rows None and blocks =
-    (alg, cols, starts, kernels, which, rank): ker rho (of that rank) on the
-    kernels kernels[which[t]] at the group indices cols[starts[t]:...], in
+    (ambient, q, cols, starts, kernels, which, rank): ker rho (of that rank)
+    from FG (|G| = ambient) onto FB (q = |B|) on the kernels
+    kernels[which[t]] at the group indices cols[starts[t]:...], in
     whatever column order the blocks were solved in (for a centralizer, the
     canonical coordinates of its double cosets); `dim` is read off the kernel
     shapes.  `basis` and `pivots` are built on first read, after each block's
     kernel is re-echeloned in ascending group order (`_ascending`); that form
-    then replaces the solved one in `blocks`.
+    then replaces the solved one in `blocks`.  The block form holds only
+    those two integers of its algebra, not the algebra itself: an algebra
+    caching its own subspaces (`sym_skew_subspaces`) then makes no reference
+    cycle, and is freed as soon as it is dropped.
     """
 
     def __init__(self, field: FieldCtx, rows, blocks=None):
         self.field = field
         self.blocks = blocks
         if blocks is not None:
-            alg, _, _, kernels, which, rank = blocks
-            self.ambient = alg.order
+            self.ambient, _, _, _, kernels, which, rank = blocks
             self.dim = int(np.array([k.shape[0] for k in kernels])[which].sum()) - rank
             return
         rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -164,10 +167,10 @@ class Subspace:
         bytes for the rows' part on the bound rows' blocks S and its product
         (c = 5, or 3 + 2 f^2 + 4 f for f > 1) and 8 (dim |G| + 2 e) for the
         rows and their e written entries."""
-        alg, cols, starts, kernels, which, rank = self.blocks
-        fld, q, f, n = self.field, alg.q, self.field.f, alg.order
+        n, q, cols, starts, kernels, which, rank = self.blocks
+        fld, f = self.field, self.field.f
         cols, kernels, which = _ascending(fld, n, cols, starts, kernels, which)
-        self.blocks = alg, cols, starts, kernels, which, rank  # frees the solved order
+        self.blocks = n, q, cols, starts, kernels, which, rank  # frees the solved order
         width = np.diff(starts, append=n)
         off = np.concatenate([[0], np.cumsum([kernels[u].shape[0] for u in which.tolist()])])
         piv, rho = np.empty(off[-1], dtype=np.int64), np.empty((off[-1], q), dtype=np.int64)
@@ -538,7 +541,8 @@ class GroupAlgebra:
         if self._sym_skew is None:
             pi, hi = self.gamma_star_pairs()
             q, fld, eye = self.q, self.field, np.eye(self.q, dtype=np.int64)
-            blocks = (self, np.concatenate([np.arange(q), np.stack([pi[hi], hi], 1).ravel() + q]),
+            blocks = (self.order, q,
+                      np.concatenate([np.arange(q), np.stack([pi[hi], hi], 1).ravel() + q]),
                       np.concatenate([[0], q + 2 * np.arange(hi.size)]))
             which = np.minimum(np.arange(hi.size + 1), 1)
             self._sym_skew = tuple(

@@ -204,6 +204,11 @@ class FieldCtx:
     f > 1 vmul caches (two threads racing there build the same tables);
     every operation is a pure function of integer codes, so contexts are
     safe to share across threads.
+
+    The primitive element is kept as its code: `zeta` builds a FieldElem on
+    each read, so no element held by the context points back at it, and
+    reference counting frees a dropped context (and whatever holds it)
+    without waiting for the cyclic collector.
     """
 
     def __init__(self, p: int, f: int = 1, modulus=None):
@@ -248,7 +253,11 @@ class FieldCtx:
         self._tensor = T
         self._powers_of_p = p ** np.arange(f, dtype=np.int64)
         self._logs = None
-        self.zeta = FieldElem(self, self._find_zeta())
+        self._zeta = self._find_zeta()
+
+    @property
+    def zeta(self) -> FieldElem:
+        return FieldElem(self, self._zeta)
 
     # --- scalar ops on codes -----------------------------------------------
 
@@ -396,7 +405,7 @@ class FieldCtx:
             n = self.order
             powers = np.ones(1, dtype=np.int64)
             while powers.size < n:  # double the run zeta^0 .. zeta^(k-1) by zeta^k
-                step = self._vmul_tensor(powers[-1], self.zeta.code)
+                step = self._vmul_tensor(powers[-1], self._zeta)
                 powers = np.concatenate([powers, self._vmul_tensor(powers, step)])
             powers = powers[:n]
             log = np.empty(self.size, dtype=np.int64)

@@ -179,7 +179,7 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: n
                     out.append((c * N.shape[0], _linalg.matmul_mod(fld, N, R)))
                 images.append(R)
     rank = len(_linalg.rref(fld, np.vstack(images))[1])
-    kernel = Subspace(fld, None, blocks=(alg, cols, starts, kernels, which, rank))
+    kernel = Subspace(fld, None, blocks=(alg.order, q, cols, starts, kernels, which, rank))
     sym_dim, skew_dim = (sum(d for d, _ in out) - _linalg.rank(fld, np.vstack([i for _, i in out]))
                          for out in (sym, skew))
     star_closed = kernel.dim == (sum(d for d, _ in stable)

@@ -65,11 +65,13 @@ def assert_lazy_rows(sub: Subspace, ref: Subspace):
     assert np.array_equal(sub.basis, ref.basis)
 
 
-def eager_rows(sub: Subspace) -> Subspace:
-    """The block form written down densely by another route: the block
-    kernels placed one block at a time (their sum W must be direct), then
-    the meet of W with gamma (`intersect`) instead of the rho correction."""
-    alg, cols, starts, kernels, which, rank = sub.blocks
+def eager_rows(alg, sub: Subspace) -> Subspace:
+    """The block form of `sub`, a subspace of alg's gamma, written down densely
+    by another route: the block kernels placed one block at a time (their sum W
+    must be direct), then the meet of W with gamma (`intersect`) instead of the
+    rho correction."""
+    n, q, cols, starts, kernels, which, rank = sub.blocks
+    assert (n, q) == (alg.order, alg.q)
     ends = np.append(starts[1:], alg.order)
     rows = []
     for t, u in enumerate(which.tolist()):
@@ -187,7 +189,7 @@ def assert_canonical_blocks(alg, x):
 def check_kernel(alg, x, s1, s2):
     rep = centralizer_in_gamma(alg, x)
     assert rep.dim == rep.kernel.dim
-    assert_lazy_rows(rep.kernel, eager_rows(rep.kernel))
+    assert_lazy_rows(rep.kernel, eager_rows(alg, rep.kernel))
     assert_reference(rep.kernel)
     assert_blocks_match_dense(alg, x)
     assert_canonical_blocks(alg, x)
