@@ -4,14 +4,16 @@ AlgElem is a `CoeffElem`, the element core that `cqstruct` shares with
 FB, of length |G| and indexed by the group element index; this module
 adds what is particular to FG (rho, gamma, the product, the inverse).
 The algebra holds its FB layer as `GroupAlgebra.fb`, whose circulant
-solve inverts rho(x) for `invert` and `is_unit`.  Small groups over a
-prime field multiply through the full multiplication table with one
-exact float64 scatter-add (`_mul_table_path`).  Every other algebra, and every one over GF(p^f)
-with f > 1, uses discrete Fourier transforms: A is indexed row-major over
-its invariant factors, so a product in FA is a multi-dimensional cyclic
-convolution, transformed by one gemm per axis with the group's DFT
-matrices; sigma acts on spectra by permuting the characters of A, so each
-product takes one inverse transform (`_mul_fft`).
+solve inverts rho(x) for `invert` and `is_unit`.  Groups of order up to
+`_TABLE_ORDER` over a prime field multiply through the full multiplication
+table with one exact float64 scatter-add (`_mul_table_path`).  Every other
+algebra, and every one over GF(p^f) with f > 1, uses discrete Fourier
+transforms: A is indexed row-major over its invariant factors, so a product
+in FA is a multi-dimensional cyclic convolution, transformed by one gemm per
+axis with the algebra's DFT matrices; sigma acts on spectra by permuting the
+characters of A, so each product takes one inverse transform (`_mul_fft`).
+The algebra builds its DFT matrices and gather itself; the table is the
+group's cached `mul_table`.
 Both routes carry exactness bounds checked when the algebra is built, and
 every transform product also checks its rounding distances against its bound.
 
@@ -248,6 +250,10 @@ class AlgElem(CoeffElem):
 
 _EPS = 2.0 ** -53  # float64 unit roundoff
 _GATHER_BYTES = 1 << 22  # `_mul_fft` gathers y's spectra for this many bytes of slots at once
+# the largest |G| whose f = 1 products go through the table: per product of random full
+# operands on one BLAS thread, the table takes 0.029 ms against the transform's 0.035 ms
+# at |G| = 93, 0.040 against 0.036 at 111, and 15.6 against 0.14 at 1379 (c197)
+_TABLE_ORDER = 100
 
 
 def fft_error_bound(magnitude: int, axis_lengths, f: int, q: int) -> float:
@@ -295,13 +301,14 @@ class GroupAlgebra:
         """Refuses (BudgetExceeded) an algebra whose products could be inexact.
 
         The route a product takes is checked.  Where a table is built
-        (f = 1, |G| <= `GroupSpec._FULL_TABLE_LIMIT`), the table path's
+        (f = 1, |G| <= `_TABLE_ORDER`), the table path's
         float64 sums must stay below 2^53.  For `_mul_fft`, the bound
         `fft_error_bound` on the rounding error of one product must stay
         below 1/4, so that rounding to the nearest integer is exact; it
         depends on p, q, |A|, the axis lengths of A, the field tensor and the
         float64 unit roundoff.  The algebra's FB layer is `fb`, built here
         unless the caller passes the `FBCtx(field, group.q)` it already holds.
+        A field whose characteristic is not the group's p is refused (CtxMismatch).
         """
         self.field = field
         self.group = group
@@ -309,15 +316,17 @@ class GroupAlgebra:
         self.q = group.q
         self.star_perm = group.inv_perm
         self.inv2 = field.from_code(field.inv(2))
+        if field.p != group.p:
+            raise CtxMismatch(f"the field has characteristic {field.p}, the group p = {group.p}")
         if fb is None:
             fb = FBCtx(field, group.q)
         elif fb.field.signature != field.signature or fb.q != group.q:
             raise CtxMismatch("the FB layer belongs to another field or q")
         self.fb = fb
-        # for f > 1 the transform product is faster even at |G| = 147 (gf49), so
-        # no table is built
-        table = group.mul_table if field.f == 1 else None
-        self._mul_flat = table.ravel() if table is not None else None
+        # past _TABLE_ORDER, and for f > 1 even at |G| = 147 (gf49), the transform
+        # product is the faster one, so no table is built
+        table = field.f == 1 and self.order <= _TABLE_ORDER
+        self._mul_flat = group.mul_table.ravel() if table else None
         # a table product digit sums |G| products of digits < p
         bound = (field.p - 1) ** 2 * self.order
         if self._mul_flat is not None and bound >= _linalg._F64_LIMIT:
@@ -335,16 +344,60 @@ class GroupAlgebra:
 
     @cached_property
     def _dft(self):
-        """The group's `dft` matrices, built with its `slot_gather` on the first
-        `_mul_fft`.  Refused (BudgetExceeded) past 32 sum_lead m^2 + 32 n h for the
-        matrices, 8 q^2 H for the gather index and 8 spectra of 16 f q H bytes for a
-        product (n the last axis, h = n // 2 + 1, H = h prod_lead m characters)."""
-        *lead, n = self.group.abelian.factors
-        H = math.prod(lead) * (n // 2 + 1)
-        refuse_past_memory(32 * sum(m * m for m in lead) + 32 * n * (n // 2 + 1)
-                           + 8 * self.q ** 2 * H + 8 * 16 * self.field.f * self.q * H,
+        """((forward, inverse), gather): the DFT matrices over A's invariant-factor
+        axes and the slot gather, built on the first `_mul_fft`.  Refused
+        (BudgetExceeded) before any of them is built, past 32 sum_lead m^2 + 32 n h
+        for the matrices, 8 q^2 H for the gather index and 8 spectra of 16 f q H
+        bytes for a product (n the last axis, h = n // 2 + 1, H = h prod_lead m
+        characters).
+
+        For each axis but the last, of length m: W[j, k] = exp(-2 pi i (jk mod m) / m)
+        (complex, symmetric) and its conjugate.  For the last axis: the real (n, 2h)
+        matrix whose columns 2k, 2k + 1 are cos and -sin of 2 pi (tk mod n) / n, so
+        real rows times it are their half spectra as interleaved complex pairs; and
+        the real (2h, n) matrix with rows c_k cos and -c_k sin of the same angles over
+        |A| (c_0 = 1, else 2), which takes an interleaved Hermitian half spectrum,
+        already inverted on the other axes, back to real rows and divides by |A|.
+        All are C-contiguous.
+
+        The gather is a (q, q, H) index into a (q, 2H) array [spectra of y_j | their
+        conjugates]: at [i, s] it reads y_(s - i) o sigma^i, the factor slot s takes
+        from x's slot i.  At the stored character k, y o sigma^t has y's spectrum at
+        k' = k o sigma^-t, conjugated where k' is not stored; k'_j = n_j sum_l k_l
+        c_jl / n_l mod n_j, c_j the exponents of sigma^-t(e_j).
+        """
+        G, q = self.group, self.q
+        *lead, n = G.abelian.factors
+        h = n // 2 + 1
+        H = math.prod(lead) * h
+        refuse_past_memory(32 * sum(m * m for m in lead) + 32 * n * h
+                           + 8 * q ** 2 * H + 8 * 16 * self.field.f * q * H,
                            "the DFT matrices and the slot gather")
-        return self.group.dft, self.group.slot_gather
+
+        def angles(rows, cols, m):
+            return 2 * np.pi / m * (np.outer(np.arange(rows), np.arange(cols)) % m)
+
+        forward = [np.cos(t) - 1j * np.sin(t) for t in (angles(m, m, m) for m in lead)]
+        inverse = [W.conj() for W in forward]
+        theta = angles(n, h, n)
+        last = np.empty((n, 2 * h))
+        last[:, 0::2], last[:, 1::2] = np.cos(theta), -np.sin(theta)
+        weight = np.where(np.arange(h) == 0, 1.0, 2.0)[:, None] / G.abelian.order
+        back = np.empty((2 * h, n))
+        back[0::2], back[1::2] = weight * np.cos(theta.T), -weight * np.sin(theta.T)
+
+        facs = np.asarray(G.abelian.factors, dtype=np.int64)
+        k = np.indices((*lead, h)).reshape(facs.size, -1).T
+        units = [G.generator(j + 1).idx // q for j in range(facs.size)]
+        c = G.a_exps[G.sigma_pows[-np.arange(q) % q][:, units]]  # t, j, l
+        kt = k @ np.swapaxes(c * facs[:, None] // facs, 1, 2) % facs  # t, k, j
+        conj = kt[..., -1] > n // 2
+        kt[conj] = -kt[conj] % facs
+        chars = np.ravel_multi_index(tuple(np.moveaxis(kt, -1, 0)), (*lead, h)) + conj * H
+        shift = (np.arange(q) - np.arange(q)[:, None]) % q  # [i, s] -> s - i
+        gather = np.add(shift[:, :, None] * (2 * H), chars[:, None, :],
+                        out=np.empty((q, q, H), dtype=np.int64))
+        return (forward + [last], inverse + [back]), gather
 
     # --- element constructors ------------------------------------------------
 
@@ -388,9 +441,9 @@ class GroupAlgebra:
         return self._mul_fft(x, y)
 
     def _mul_table_path(self, x, y):
-        """x y over a prime field: the float64 sums of x[g] y[h] at
-        mul_table[g, h], one bincount.  __init__ bounds them below 2^53, so
-        they are exact."""
+        """x y over a prime field: the float64 sums of x[g] y[h] at the index
+        of g h in the table, one bincount.  __init__ bounds them below 2^53,
+        so they are exact."""
         sums = np.bincount(self._mul_flat, weights=np.outer(x, y).ravel().astype(np.float64),
                            minlength=self.order)
         return np.rint(sums).astype(np.int64) % self.field.p
@@ -400,12 +453,12 @@ class GroupAlgebra:
 
         x_i a b^i * y_j c b^j = (a + sigma^-i(c)) b^(i+j): slot i + j gains
         x_i * (y_j o sigma^i) in FA, whose spectrum is x_i's times a gather
-        of y_j's (`GroupSpec.char_gather`).  x and y are transformed once
-        each (once in all for a square, y is x): one real gemm takes the
-        last axis of their float digit planes to the stored half spectrum,
-        one complex gemm per other axis does the rest (`GroupSpec.dft`).
-        The nonzero slots of x are read off its planes.  The field tensor is
-        contracted into x's spectra; `GroupSpec.slot_gather` reads every
+        of y_j's.  x and y are transformed once each (once in all for a
+        square, y is x): one real gemm takes the last axis of their float
+        digit planes to the stored half spectrum, one complex gemm per other
+        axis does the rest (the matrices of `_dft`).  The nonzero slots of x
+        are read off its planes.  The field tensor is contracted into x's
+        spectra; the gather of `_dft` reads every
         y_j o sigma^i off [y's spectra | their conjugates], and an einsum
         sums the products over the nonzero slots of x per slot of the
         result, gathering about `_GATHER_BYTES` of slots at a time (all q at

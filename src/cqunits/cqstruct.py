@@ -367,30 +367,18 @@ def b_polynomial(u: FBElem) -> list[FieldElem]:
     """Coefficients c_0..c_{q-1} with b = sum c_k u^k, via exact interpolation.
 
     Exists iff u has q distinct projections: then p(x) is the polynomial
-    of degree < q through the points (u_j, omega^j).
+    of degree < q through the points (u_j, omega^j), the one solution of
+    the Vandermonde system with rows (u_j^k)_k and right side omega^j.
     """
     ctx = u.ctx
     fld = ctx.field
     pv = projections(u)
     if not pv.has_distinct_projections():
         raise RepeatedProjections("u has repeated projections, so F[u] is a proper subalgebra")
-    q = ctx.q
-    xs = [int(v) for v in pv.values]
-    ys = [int(ctx.omega_pow[j]) for j in range(q)]
-    coeffs = [0] * q  # polynomial accumulator, code arithmetic
-    for i in range(q):
-        # Lagrange basis polynomial for node i, times y_i
-        num = [1]
-        denom = 1
-        for j in range(q):
-            if j == i:
-                continue
-            num = _poly_mul_codes(fld, num, [fld.neg(xs[j]), 1])
-            denom = fld.mul(denom, fld.sub(xs[i], xs[j]))
-        scale = fld.mul(ys[i], fld.inv(denom))
-        for k, c in enumerate(num):
-            coeffs[k] = fld.add(coeffs[k], fld.mul(c, scale))
-    result = [fld.from_code(c) for c in coeffs]
+    V = np.ones((ctx.q, ctx.q), dtype=np.int64)  # V[j, k] = u_j^k
+    for k in range(1, ctx.q):
+        V[:, k] = fld.vmul(V[:, k - 1], pv.values)
+    result = [fld.from_code(int(c)) for c in _linalg.solve_right(fld, V, ctx.omega_pow)]
     # verify b = sum c_k u^k exactly
     acc = ctx.zero()
     upow = ctx.one()
@@ -400,14 +388,6 @@ def b_polynomial(u: FBElem) -> list[FieldElem]:
     if acc != ctx.b():
         raise MathDomainError("interpolated polynomial failed verification")
     return result
-
-
-def _poly_mul_codes(fld: FieldCtx, a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = fld.add(out[i + j], fld.mul(x, y))
-    return out
 
 
 # ---------------------------------------------------------------------------

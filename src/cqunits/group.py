@@ -152,12 +152,10 @@ class GroupSpec:
 
     Immutable after construction; `a_exps`, the sigma permutations and the
     inversion permutation are plain arrays shared by every element.  Products
-    of indices add exponent rows (`mul_idx`); only groups up to
-    `_FULL_TABLE_LIMIT` also cache the full |G| x |G| `mul_table`.
+    of indices add exponent rows (`mul_idx`).  The |G| x |G| `mul_table` is
+    built only when `algebra.GroupAlgebra` takes its table route; the DFT
+    matrices and the slot gather of FG are the algebra's own.
     """
-
-    _FULL_TABLE_LIMIT = 1500
-    _TABLE_ROW_CELLS = 1 << 16
 
     def __init__(self, abelian: AbelianSpec, q: int, action: ActionSpec):
         self.abelian = abelian
@@ -204,69 +202,9 @@ class GroupSpec:
 
     @cached_property
     def mul_table(self):
-        """Full |G| x |G| index table for small groups, None above the cutoff; built
-        `_TABLE_ROW_CELLS` cells of rows at a time, so its temporaries stay small."""
-        if self.order > self._FULL_TABLE_LIMIT:
-            return None
-        g = np.arange(self.order, dtype=np.int64)
-        table = np.empty((self.order, self.order), dtype=np.int64)
-        step = max(1, self._TABLE_ROW_CELLS // self.order)
-        for lo in range(0, self.order, step):
-            table[lo:lo + step] = self.mul_idx(g[lo:lo + step, None], g)
-        return table
-
-    @cached_property
-    def char_gather(self):
-        """(idx, conj), each (q, H), over the H characters k of A that rfftn stores: at k,
-        y[sigma_pows[t]] has y's spectrum at k' = k o sigma^-t, read at idx[t], conjugated where
-        conj[t]; k'_j = n_j sum_l k_l c_jl / n_l mod n_j, c_j the exponents of sigma^-t(e_j)."""
-        facs = np.asarray(self.abelian.factors, dtype=np.int64)
-        half = (*facs[:-1], facs[-1] // 2 + 1)
-        k = np.indices(half).reshape(facs.size, -1).T
-        units = self._encode_a(np.eye(facs.size, dtype=np.int64))
-        c = self.a_exps[self.sigma_pows[-np.arange(self.q) % self.q][:, units]]  # t, j, l
-        kt = k @ np.swapaxes(c * facs[:, None] // facs, 1, 2) % facs  # t, k, j
-        conj = kt[..., -1] > facs[-1] // 2
-        kt[conj] = -kt[conj] % facs
-        return np.ravel_multi_index(tuple(np.moveaxis(kt, -1, 0)), half), conj
-
-    @cached_property
-    def slot_gather(self):
-        """(q, q, H) index into a (q, 2H) array [spectra of y_j | their conjugates]: at
-        [i, s] it reads y_(s - i) o sigma^i, the factor slot s takes from x's slot i."""
-        idx, conj = self.char_gather
-        q, H = idx.shape
-        shift = (np.arange(q) - np.arange(q)[:, None]) % q  # [i, s] -> s - i
-        return np.add(shift[:, :, None] * (2 * H), (idx + conj * H)[:, None, :],
-                      out=np.empty((q, q, H), dtype=np.int64))
-
-    @cached_property
-    def dft(self):
-        """(forward, inverse) DFT matrices over A's invariant-factor axes, all C-contiguous.
-
-        For each axis but the last, of length n: W[j, k] = exp(-2 pi i (jk mod n) / n)
-        (complex, symmetric) and its conjugate.  For the last axis, of odd length n with
-        h = (n + 1) / 2 stored characters: the real (n, 2h) matrix whose columns 2k, 2k + 1
-        are cos and -sin of 2 pi (tk mod n) / n, so real rows times it are their half
-        spectra as interleaved complex pairs; and the real (2h, n) matrix with rows
-        c_k cos and -c_k sin of the same angles over |A| (c_0 = 1, else 2), which takes
-        an interleaved Hermitian half spectrum, already inverted on the other axes, back
-        to real rows and divides by |A|.
-        """
-        def angles(rows, cols, n):
-            return 2 * np.pi / n * (np.outer(np.arange(rows), np.arange(cols)) % n)
-
-        *lead, n = self.abelian.factors
-        h = n // 2 + 1
-        forward = [np.cos(t) - 1j * np.sin(t) for t in (angles(m, m, m) for m in lead)]
-        inverse = [W.conj() for W in forward]
-        theta = angles(n, h, n)
-        last = np.empty((n, 2 * h))
-        last[:, 0::2], last[:, 1::2] = np.cos(theta), -np.sin(theta)
-        weight = np.where(np.arange(h) == 0, 1.0, 2.0)[:, None] / self.abelian.order
-        back = np.empty((2 * h, n))
-        back[0::2], back[1::2] = weight * np.cos(theta.T), -weight * np.sin(theta.T)
-        return forward + [last], inverse + [back]
+        """The |G| x |G| index table of products, one `mul_idx` broadcast."""
+        g = np.arange(self.order)
+        return self.mul_idx(g[:, None], g)
 
     def mul_idx(self, g1, g2):
         """Index of g1 g2, for two indices or elementwise over broadcast index arrays,

@@ -114,17 +114,17 @@ def _canonical_blocks(alg: GroupAlgebra, star: np.ndarray, label: np.ndarray,
     return cols, starts, local, block_of, partner, which
 
 
-def _commutator_blocks(alg: GroupAlgebra, x: AlgElem, C: np.ndarray,
-                       local: np.ndarray) -> np.ndarray:
-    """y -> x y - y x on the F[D] whose elements are the rows of C, column c at
-    C[:, c] and row local[g] at g: shape (len(C), m, m) for C of width m."""
-    fld, m = alg.field, C.shape[1]
-    blocks = np.zeros((len(C), m, m), dtype=np.int64)
+def _commutator_block(alg: GroupAlgebra, x: AlgElem, D: np.ndarray,
+                      local: np.ndarray) -> np.ndarray:
+    """y -> x y - y x on F[D], column c at D[c] and row local[g] at g: an
+    (m, m) block for the m group indices D."""
+    fld, m = alg.field, D.size
+    block = np.zeros((m, m), dtype=np.int64)
     for s in np.flatnonzero(x.coeffs).tolist():
-        for image, op in ((alg.group.mul_idx(s, C), fld.vadd), (alg.group.mul_idx(C, s), fld.vsub)):
-            at = (np.arange(len(C))[:, None], local[image], np.arange(m))
-            blocks[at] = op(blocks[at], x.coeffs[s])
-    return blocks
+        for image, op in ((alg.group.mul_idx(s, D), fld.vadd), (alg.group.mul_idx(D, s), fld.vsub)):
+            at = (local[image], np.arange(m))
+            block[at] = op(block[at], x.coeffs[s])
+    return block
 
 
 def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: np.ndarray,
@@ -144,8 +144,8 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: n
     sizes = np.diff(starts, append=n)
     refuse_past_memory(8 * (11 * n + (5 + (2 * f * f + f) * (f > 1)) * int(sizes[-1]) ** 2),
                        "the commutator blocks")
-    kernels = [_linalg.right_kernel(fld, _commutator_blocks(
-        alg, x, cols[starts[t]:starts[t] + sizes[t]][None], local)[0])
+    kernels = [_linalg.right_kernel(fld, _commutator_block(
+        alg, x, cols[starts[t]:starts[t] + sizes[t]], local))
         for t in np.unique(which, return_index=True)[1].tolist()]  # each pattern's first
     by_size = {m: (T, cols[starts[T[0]]:starts[T[-1]] + m].reshape(-1, m))  # a view
                for m in np.unique(sizes).tolist() for T in [np.flatnonzero(sizes == m)]}
@@ -178,12 +178,12 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: n
                     N = _linalg.right_kernel(fld, A().T)  # {c K : c A = 0} and its rho
                     out.append((c * N.shape[0], _linalg.matmul_mod(fld, N, R)))
                 images.append(R)
-    rank = len(_linalg.rref(fld, np.vstack(images))[1])
+    rank = _linalg.rank(fld, np.vstack(images))
     kernel = Subspace(fld, None, blocks=(alg.order, q, cols, starts, kernels, which, rank))
     sym_dim, skew_dim = (sum(d for d, _ in out) - _linalg.rank(fld, np.vstack([i for _, i in out]))
                          for out in (sym, skew))
     star_closed = kernel.dim == (sum(d for d, _ in stable)
-                                 - len(_linalg.rref(fld, np.vstack([i for _, i in stable]))[1]))
+                                 - _linalg.rank(fld, np.vstack([i for _, i in stable])))
     if star_closed != (sym_dim + skew_dim == kernel.dim):
         raise MathDomainError(f"star closure {star_closed} contradicts slice "
                               f"dims {sym_dim} + {skew_dim} of {kernel.dim}")

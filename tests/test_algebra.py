@@ -219,16 +219,55 @@ def test_mul_fft_checks_rounding(alg21, monkeypatch):
         alg21._mul_fft(x, x)
 
 
+def structure_arrays(group):
+    """The names of the arrays a group holds: its structure, and its `mul_table`
+    once an algebra on the table route has read it."""
+    return {k for k, v in vars(group).items() if isinstance(v, np.ndarray)}
+
+
+STRUCTURE = {"a_exps", "sigma_pows", "inv_perm"}
+
+
 def test_algebra_builds_no_dft_matrix(f49):
     # the matrices and the gather index come with the first product, not with
-    # the algebra (whose construction the benchmark's setup times)
+    # the algebra (whose construction the benchmark's setup times), and only
+    # the algebra holds them
     group = make_group(f49, 3, [7, 7], [[2, 0], [0, 4]])
     alg = GroupAlgebra(f49, group)
-    assert not {"dft", "slot_gather", "char_gather"} & group.__dict__.keys()
     assert "_dft" not in alg.__dict__
     x = alg.basis(group.generator(1)) + alg.basis(group.b())
     assert x * x == x * alg.basis(group.generator(1)) + x * alg.basis(group.b())
-    assert {"dft", "slot_gather"} <= group.__dict__.keys()
+    assert "_dft" in alg.__dict__
+    assert structure_arrays(group) == STRUCTURE
+
+
+@pytest.mark.parametrize("name, table", [("c7", True), ("c19", True), ("f11c5", True),
+                                         ("c7sq", False), ("c197", False)])
+def test_product_route_by_order(name, table, config_instance, monkeypatch, rng):
+    # f = 1 algebras of order up to _TABLE_ORDER multiply through the table and
+    # larger ones (|G| = 147 over GF(7), c197 at 1379) through the transforms;
+    # either way the product is the one a table built here from mul_idx gives,
+    # and the group holds none of the transform's arrays afterwards
+    f7 = make_field(7)
+    alg = (GroupAlgebra(f7, make_group(f7, 3, [7, 7], [[2, 0], [0, 4]])) if name == "c7sq"
+           else config_instance(name).algebra)
+    assert (alg._mul_flat is not None) == table == (alg.order <= algebra._TABLE_ORDER)
+    g = np.arange(alg.order)
+    mul = alg.group.mul_idx(g[:, None], g)
+    if table:
+        assert np.array_equal(alg._mul_flat, mul.ravel())
+
+    def refuse(*args):
+        raise AssertionError("the product took the other route")
+
+    monkeypatch.setattr(alg, "_mul_fft" if table else "_mul_table_path", refuse)
+    p = alg.field.p
+    for _ in range(3):
+        x, y = (rng.integers(0, p, alg.order) for _ in range(2))
+        expect = np.zeros(alg.order, dtype=np.int64)
+        np.add.at(expect, mul.ravel(), np.outer(x, y).ravel())
+        assert np.array_equal(alg.mul_coeffs(x, y), expect % p)
+    assert structure_arrays(alg.group) == STRUCTURE | ({"mul_table"} if table else set())
 
 
 def test_dft_memory_is_refused_up_front(f7, monkeypatch):
@@ -240,10 +279,11 @@ def test_dft_memory_is_refused_up_front(f7, monkeypatch):
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: 1000)
     with pytest.raises(BudgetExceeded, match="DFT matrices"):
         alg._mul_fft(one, one)
-    assert not {"dft", "slot_gather"} & group.__dict__.keys()
+    assert "_dft" not in alg.__dict__
     monkeypatch.undo()
     assert np.array_equal(alg._mul_fft(one, one), one)
-    assert group.slot_gather.shape == (3, 3, 7 * 4)
+    assert alg._dft[1].shape == (3, 3, 7 * 4)
+    assert structure_arrays(group) == STRUCTURE
 
 
 def test_fft_exactness_bound(f7, monkeypatch):
@@ -631,6 +671,13 @@ def test_sym_skew_requires_fixed_point_free_involution(f7, g21):
     alg.gamma_star_perm = lambda: np.arange(alg.gamma_dim())
     with pytest.raises(MathDomainError):
         alg.sym_skew_subspaces()
+
+
+def test_algebra_refuses_a_field_of_another_characteristic(f7, f13):
+    # GF(13)[C_7 x| C_3] would call b + a1 a unit, then fail in invert as "not
+    # nilpotent within the index of gamma": its a - 1 are not nilpotent
+    with pytest.raises(CtxMismatch, match="characteristic 13"):
+        GroupAlgebra(f13, make_group(f7, 3, [7], [[2]]))
 
 
 def test_algebra_shares_only_its_own_fb(f7, f13, g21):

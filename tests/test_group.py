@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from cqunits import make_field, make_group, orbits
+from cqunits import GroupAlgebra, make_field, make_group, orbits
 from cqunits.errors import (ActionOrderWrong, CtxMismatch, NotAutomorphism,
                             NotFixedPointFree, NotPrime)
 from cqunits.verifier import make_instance
@@ -158,40 +158,50 @@ def test_mixed_factor_group(f7):
 
 
 def test_algebra_above_table_limit_builds_no_table():
-    # |G| = 2883: the group and the algebra share one table limit, so no
-    # |G|^2 table is built that products would not use
+    # |G| = 2883, past the algebra's table limit: no |G|^2 table is built that
+    # products would not use
     inst = make_instance(31, 1, 3, [31, 31], [[5, 0], [0, 25]])
     alg, G = inst.algebra, inst.group
-    assert G.mul_table is None and alg._mul_flat is None
+    assert alg._mul_flat is None and "mul_table" not in vars(G)
     b, a = G.b(), G.generator(1)
     assert alg.basis(b) * alg.basis(a) == alg.basis(G.mul_idx(b.idx, a.idx))
 
 
+def algebra_of(name, config_instance):
+    """The config's algebra, or for c49x7 (A = C_49 x C_7, upper-triangular action,
+    a lead axis of 49) one built here."""
+    if name != "c49x7":
+        return config_instance(name).algebra
+    f7 = make_field(7)
+    return GroupAlgebra(f7, make_group(f7, 3, [49, 7], [[18, 7], [0, 2]]))
+
+
 @pytest.mark.parametrize("name", ["c7", "c19", "f11c5", "c31sq", "gf49", "c49x7"])
 def test_char_gather_is_the_spectrum_of_sigma_t(name, config_instance):
-    # the gathered half spectrum of y against rfftn of y[sigma_pows[t]];
-    # c49x7 (A = C_49 x C_7, upper-triangular action) mixes the coordinates
-    G = (make_group(make_field(7), 3, [49, 7], [[18, 7], [0, 2]]) if name == "c49x7"
-         else config_instance(name).group)
+    # the algebra's gather at [i, s], read off [spectra of y_j | their conjugates],
+    # against rfftn of y_(s - i)[sigma_pows[i]]; c49x7 mixes the coordinates
+    alg = algebra_of(name, config_instance)
+    G, q = alg.group, alg.q
     shape = G.abelian.factors
-    y = np.random.default_rng(3).random(G.abelian.order)
-    FY = np.fft.rfftn(y.reshape(shape)).ravel()
-    idx, conj = G.char_gather
-    assert idx.shape == conj.shape == (G.q, FY.size)
-    for t in range(G.q):
-        gathered = np.where(conj[t], FY[idx[t]].conj(), FY[idx[t]])
-        expect = np.fft.rfftn(y[G.sigma_pows[t]].reshape(shape)).ravel()
-        assert np.abs(gathered - expect).max() <= 1e-9 * np.abs(expect).max()
+    ys = np.random.default_rng(3).random((q, G.abelian.order))
+    FY = np.stack([np.fft.rfftn(y.reshape(shape)).ravel() for y in ys])
+    gather = alg._dft[1]
+    assert gather.shape == (q, q, FY.shape[1])
+    spectra = np.concatenate([FY, FY.conj()], axis=1).ravel()
+    for i in range(q):
+        for s in range(q):
+            expect = np.fft.rfftn(ys[(s - i) % q][G.sigma_pows[i]].reshape(shape)).ravel()
+            assert np.abs(spectra[gather[i, s]] - expect).max() <= 1e-9 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("name", ["c7", "c31sq", "gf49_c7cube", "c49x7"])
 def test_dft_matrices_give_rfftn_and_back(name, config_instance):
-    # the forward gemms give rfftn's stored half spectrum, and the inverse gemms
-    # take it back; c49x7 has a lead axis of 49
-    G = (make_group(make_field(7), 3, [49, 7], [[18, 7], [0, 2]]) if name == "c49x7"
-         else config_instance(name).group)
+    # the algebra's forward gemms give rfftn's stored half spectrum, and its
+    # inverse gemms take it back; c49x7 has a lead axis of 49
+    alg = algebra_of(name, config_instance)
+    G = alg.group
     *lead, n = shape = G.abelian.factors
-    forward, inverse = G.dft
+    forward, inverse = alg._dft[0]
     assert all(W.flags.c_contiguous for W in forward + inverse)
 
     def along_lead(S, mats):
@@ -208,11 +218,13 @@ def test_dft_matrices_give_rfftn_and_back(name, config_instance):
 
 
 @pytest.mark.parametrize("name", ["c7", "c19", "f11c5", "c197"])
-def test_row_block_table_matches_the_broadcast_table(name, config_instance, monkeypatch):
-    # the table built a few rows at a time (here also one row at a time) is the
-    # one whole broadcast of exponent rows built, entry for entry; mul_idx sums
-    # one axis of A at a time, the reference whole exponent rows
-    G = config_instance(name).group
+def test_row_block_table_matches_the_broadcast_table(name, config_instance):
+    # the table, one mul_idx broadcast, is the one whole broadcast of exponent
+    # rows built, entry for entry, and the algebra reads it where it takes the
+    # table route (not on c197); mul_idx sums one axis of A at a time, the
+    # reference whole exponent rows
+    alg = config_instance(name).algebra
+    G = alg.group
     q = G.q
     g = np.arange(G.order)
     x, y = np.meshgrid(g, g, indexing="ij")
@@ -220,5 +232,5 @@ def test_row_block_table_matches_the_broadcast_table(name, config_instance, monk
     c = G.sigma_pows[(q - i) % q, a2]
     expect = G._encode_a(G.a_exps[a1] + G.a_exps[c]) * q + (i + j) % q
     assert np.array_equal(G.mul_table, expect)
-    monkeypatch.setattr(type(G), "_TABLE_ROW_CELLS", 1)
-    assert np.array_equal(config_instance(name).group.mul_table, expect)
+    if alg._mul_flat is not None:
+        assert np.shares_memory(alg._mul_flat, G.mul_table)

@@ -35,7 +35,7 @@ from conftest import mul_reference
 
 from cqunits.algebra import Subspace
 from cqunits.group import orbits
-from cqunits.unitgroup import (_block_centralizer, _canonical_blocks, _commutator_blocks,
+from cqunits.unitgroup import (_block_centralizer, _canonical_blocks, _commutator_block,
                                _double_cosets, centralizer_in_gamma, random_fb_unit_coeffs,
                                random_unit_vfg, random_unitary_vfg)
 from cqunits.verifier import make_instance
@@ -134,7 +134,7 @@ def placed_operator(alg, x, label, cosets) -> np.ndarray:
     indices of every block of that pattern in one |G| x |G| matrix."""
     cols, starts, local, _, _, which = _canonical_blocks(alg, involution(alg), label, cosets)
     ends = np.append(starts[1:], alg.order)
-    blocks = [_commutator_blocks(alg, x, cols[starts[r]:ends[r]][None], local)[0]
+    blocks = [_commutator_block(alg, x, cols[starts[r]:ends[r]], local)
               for r in np.unique(which, return_index=True)[1]]
     placed = np.zeros((alg.order, alg.order), dtype=np.int64)
     for t, u in enumerate(which.tolist()):
@@ -257,14 +257,16 @@ def check_all(alg, seed):
 
 
 def check_fft_product(alg, seed):
-    """_mul_fft against the full-table product (`mul_reference` for f > 1,
-    which builds no table), associative, with 1 as identity."""
+    """_mul_fft against the full-table product (`mul_reference` where the
+    algebra builds no table: for f > 1 or past its table limit), associative,
+    with 1 as identity."""
     rng = np.random.default_rng(seed)
     fft = alg._mul_fft
     x, y, z = (rng.integers(0, alg.field.size, alg.order) for _ in range(3))
-    reference = alg._mul_table_path if alg.field.f == 1 else partial(mul_reference, alg)
+    has_table = alg._mul_flat is not None
+    reference = alg._mul_table_path if has_table else partial(mul_reference, alg)
     if alg.field.f > 1:
-        assert alg._mul_flat is None
+        assert not has_table
     assert np.array_equal(fft(x, y), reference(x, y))
     assert np.array_equal(fft(x, x), reference(x, x))  # a square transforms x once
     assert np.array_equal(fft(fft(x, y), z), fft(x, fft(y, z)))

@@ -280,10 +280,23 @@ def test_extension_field_centralizer():
     assert (cl.p, cl.exponent) == (7, 2 * 12)
 
 
-def test_star_closure_cross_check_raises(alg21, b21, monkeypatch):
-    # slice dimensions that contradict the membership test are an error
-    monkeypatch.setattr(_linalg, "rank", lambda ctx, M: 0)
-    with pytest.raises(MathDomainError):
+def test_star_closure_cross_check_raises(alg21, b21, rep_b, monkeypatch):
+    # a membership test that contradicts the slice dimensions is an error: here
+    # it finds no starred row in the span of its kernel, so C* = C is denied
+    # while Sym and Skew still add up to C; reduce_against is the solver's only
+    # call that the membership test makes, and _linalg's own calls are untouched
+    assert rep_b.star_closed and rep_b.sym_dim + rep_b.skew_dim == rep_b.dim
+
+    class NothingReduces:
+        def __getattr__(self, name):
+            return getattr(_linalg, name)
+
+        @staticmethod
+        def reduce_against(ctx, A, B, pivots):
+            return np.eye(*A.shape, dtype=np.int64)
+
+    monkeypatch.setattr(unitgroup, "_linalg", NothingReduces())
+    with pytest.raises(MathDomainError, match="star closure False"):
         centralizer_in_gamma(alg21, b21)
 
 
@@ -293,13 +306,13 @@ def test_fb_units_skip_the_dense_operator(alg21, b21, rep_b, monkeypatch):
     # q^2, one pattern for all of them), and 1 has H = 1 (width 1, one
     # pattern); b z generates G, one block of |G|
     widths = []
-    build = unitgroup._commutator_blocks
+    build = unitgroup._commutator_block
 
-    def record(alg, x, C, local):
-        widths.extend([C.shape[1]] * len(C))
-        return build(alg, x, C, local)
+    def record(alg, x, D, local):
+        widths.append(D.size)
+        return build(alg, x, D, local)
 
-    monkeypatch.setattr(unitgroup, "_commutator_blocks", record)
+    monkeypatch.setattr(unitgroup, "_commutator_block", record)
     assert centralizer_in_gamma(alg21, b21).kernel == rep_b.kernel
     for x in (b21 * b21, b21.scale(2) + alg21.one()):
         centralizer_in_gamma(alg21, x)
@@ -319,17 +332,17 @@ def test_c31sq_centralizer_of_b_solves_one_block_per_pattern(config_instance, mo
     # runs on those two and three times on each of the two pair keys
     alg = config_instance("c31sq").algebra
     widths, kernels = [], []
-    build, kernel = unitgroup._commutator_blocks, _linalg.right_kernel
+    build, kernel = unitgroup._commutator_block, _linalg.right_kernel
 
-    def record(alg, x, C, local):
-        widths.extend([C.shape[1]] * len(C))
-        return build(alg, x, C, local)
+    def record(alg, x, D, local):
+        widths.append(D.size)
+        return build(alg, x, D, local)
 
     def count(ctx, M):
         kernels.append(np.shape(M))
         return kernel(ctx, M)
 
-    monkeypatch.setattr(unitgroup, "_commutator_blocks", record)
+    monkeypatch.setattr(unitgroup, "_commutator_block", record)
     monkeypatch.setattr(_linalg, "right_kernel", count)
     rep = centralizer_in_gamma(alg, alg.basis(alg.group.b()))
     assert (rep.dim, rep.sym_dim, rep.skew_dim, rep.star_closed) == (960, 480, 480, True)
