@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import traceback
 
@@ -27,7 +28,6 @@ from . import cqstruct, unitgroup, verifier
 from .algebra import AlgElem
 from .errors import (INTERNAL_ERROR_EXIT, INTERNAL_ERROR_SLUG, MathDomainError,
                      ParseError, ToolkitError)
-from .group import GroupElem
 
 REQUIRED_KEYS = ("p", "f", "q", "A", "action")
 OPTIONAL_KEYS = ("modulus", "budget", "seed")
@@ -83,51 +83,21 @@ def parse_config(text: str) -> verifier.Instance:
 # element expressions
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.toks: list[tuple[str, str, int]] = []  # (kind, value, column)
-        i = 0
-        while i < len(text):
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            if c.isdigit():
-                j = i
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("int", text[i:j], i + 1))
-                i = j
-            elif c == "a" and i + 1 < len(text) and text[i + 1].isdigit():
-                j = i + 1
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                self.toks.append(("gen_a", text[i + 1:j], i + 1))
-                i = j
-            elif c == "b":
-                self.toks.append(("gen_b", "b", i + 1))
-                i += 1
-            elif c in "+-*^[],":
-                self.toks.append((c, c, i + 1))
-                i += 1
-            else:
-                raise ParseError(f"unexpected character {c!r}", line=1, column=i + 1)
-        self.pos = 0
+# one token a match: an int, a<k> (value k), b or a symbol; \S catches the rest
+_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|a(?P<a>\d+)|(?P<sym>[-+*^\[\],b])|(?P<bad>\S))")
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else ("end", "", len(self.text) + 1)
 
-    def next(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.next()
-        if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, got {tok[1]!r}", line=1, column=tok[2])
-        return tok
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, value, 1-based column) tokens ending in an 'end' sentinel; an a<k>
+    token sits at the column of its 'a'."""
+    toks = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        value, column = m[kind], m.start(kind) + (kind != "a")
+        if kind == "bad":
+            raise ParseError(f"unexpected character {value!r}", line=1, column=column)
+        toks.append((value if kind == "sym" else kind, value, column))
+    return toks + [("end", "", len(text) + 1)]
 
 
 class ExprSemanticError(MathDomainError):
@@ -136,100 +106,67 @@ class ExprSemanticError(MathDomainError):
 
 def parse_element(text: str, inst: verifier.Instance) -> AlgElem:
     """Parse a group-algebra element expression against an instance."""
-    alg = inst.algebra
-    toks = _Tokens(text)
+    alg, group, f = inst.algebra, inst.group, inst.field.f
+    toks, pos = _tokenize(text), 0
 
-    def parse_int(signed=False):
-        sign = 1
-        if signed and toks.peek()[0] == "-":
-            toks.next()
-            sign = -1
-        tok = toks.expect("int")
-        return sign * int(tok[1])
+    def take(*kinds):
+        nonlocal pos
+        if toks[pos][0] in kinds:
+            pos += 1
+            return toks[pos - 1]
 
-    def parse_coeff():
-        tok = toks.peek()
-        if tok[0] == "[":
-            toks.next()
-            items = [parse_int(signed=True)]
-            while toks.peek()[0] == ",":
-                toks.next()
-                items.append(parse_int(signed=True))
-            toks.expect("]")
-            if len(items) > inst.field.f:
-                raise ExprSemanticError(
-                    f"bracket list of length {len(items)} exceeds f = {inst.field.f}")
-            return alg.field.from_coeffs(items + [0] * (inst.field.f - len(items)))
-        return alg.field.elem(parse_int())
+    def need(kind) -> str:
+        if not (tok := take(kind)):
+            tok = toks[pos]
+            raise ParseError(f"expected {kind!r}, got {tok[1]!r}", line=1, column=tok[2])
+        return tok[1]
 
-    def parse_gen() -> GroupElem:
-        tok = toks.next()
-        if tok[0] == "gen_b":
-            return inst.group.b()
-        if tok[0] == "gen_a":
-            k = int(tok[1])
-            r = len(inst.group.abelian.factors)
-            if not 1 <= k <= r:
-                raise ExprSemanticError(
-                    f"generator a{k} out of range; A has {r} invariant factor(s)")
-            return inst.group.generator(k)
-        if tok[0] == "int" and tok[1] == "1":
-            return inst.group.identity()
-        raise ParseError(f"expected a generator, got {tok[1]!r}", line=1, column=tok[2])
+    def signed_int() -> int:
+        return (-1 if take("-") else 1) * int(need("int"))
 
-    def parse_factor() -> GroupElem:
-        g = parse_gen()
-        if toks.peek()[0] == "^":
-            toks.next()
-            return g ** parse_int(signed=True)
-        return g
-
-    def parse_mono() -> GroupElem:
-        g = parse_factor()
-        while toks.peek()[0] == "*":
-            save = toks.pos
-            toks.next()
-            nxt = toks.peek()
-            if nxt[0] in ("gen_a", "gen_b") or (nxt[0] == "int" and nxt[1] == "1"):
-                g = g * parse_factor()
+    acc, op = alg.zero(), take("-") or ("+",)
+    while op:  # the expression: signed terms
+        kind, value, _ = toks[pos]
+        coeff, g, more = None, None, True
+        # a term: a coefficient, unless a bare '1' starts a power of the identity
+        if kind == "[" or (kind == "int" and not (value == "1" and toks[pos + 1][0] == "^")):
+            if take("["):
+                items = [signed_int()]
+                while take(","):
+                    items.append(signed_int())
+                need("]")
+                if len(items) > f:
+                    raise ExprSemanticError(
+                        f"bracket list of length {len(items)} exceeds f = {f}")
+                coeff = alg.field.from_coeffs(items + [0] * (f - len(items)))
             else:
-                toks.pos = save
-                break
-        return g
-
-    def parse_term() -> AlgElem:
-        tok = toks.peek()
-        if tok[0] in ("int", "[") and not (tok[0] == "int" and _starts_mono(toks)):
-            c = parse_coeff()
-            if toks.peek()[0] == "*":
-                toks.next()
-                g = parse_mono()
-                return alg.basis(g).scale(c)
-            return alg.scalar(c)
-        g = parse_mono()
-        return alg.basis(g)
-
-    def _starts_mono(toks: _Tokens) -> bool:
-        # a bare '1' followed by '*gen' or '^' acts as the identity generator
-        tok = toks.peek()
-        if tok[0] != "int" or tok[1] != "1":
-            return False
-        nxt = toks.toks[toks.pos + 1] if toks.pos + 1 < len(toks.toks) else ("end", "", 0)
-        return nxt[0] == "^"
-
-    acc = alg.zero()
-    sign = 1
-    if toks.peek()[0] == "-":
-        toks.next()
-        sign = -1
-    term = parse_term()
-    acc = acc + (term if sign == 1 else -term)
-    while toks.peek()[0] in ("+", "-"):
-        op = toks.next()[0]
-        term = parse_term()
-        acc = acc + (term if op == "+" else -term)
-    tok = toks.peek()
-    if tok[0] != "end":
+                coeff = alg.field.elem(int(need("int")))
+            more = take("*")
+        while more:  # a factor: gen ('^' signed int)?
+            kind, value, column = toks[pos]
+            if kind == "a":
+                k, r = int(value), len(group.abelian.factors)
+                if not 1 <= k <= r:
+                    raise ExprSemanticError(
+                        f"generator a{k} out of range; A has {r} invariant factor(s)")
+                h = group.generator(k)
+            elif kind == "b" or (kind, value) == ("int", "1"):
+                h = group.b() if kind == "b" else group.identity()
+            else:
+                raise ParseError(f"expected a generator, got {value!r}", line=1, column=column)
+            pos += 1
+            h = h ** signed_int() if take("^") else h
+            g = h if g is None else g * h
+            # the next factor is read only past a '*' and before a generator, so
+            # any other '*' is left as trailing input
+            nxt = toks[pos + 1] if toks[pos][0] == "*" else ("end",)
+            more = nxt[0] in ("a", "b") or nxt[:2] == ("int", "1")
+            pos += more
+        term = (alg.scalar(coeff) if g is None else
+                alg.basis(g) if coeff is None else alg.basis(g).scale(coeff))
+        acc = acc + (term if op[0] == "+" else -term)
+        op = take("+", "-")
+    if (tok := toks[pos])[0] != "end":
         raise ParseError(f"unexpected trailing input {tok[1]!r}", line=1, column=tok[2])
     return acc
 

@@ -259,21 +259,13 @@ def make_group(field: FieldCtx, q: int, factors, action) -> GroupSpec:
 
 
 def orbits(spec: GroupSpec) -> OrbitTable:
-    """Partition of A under <sigma>: trivial orbit first, the rest of size q."""
-    sigma = spec.sigma_pows[1]
-    seen = np.zeros(spec.abelian.order, dtype=bool)
-    table = []
-    for start in range(spec.abelian.order):
-        if seen[start]:
-            continue
-        members = [start]
-        seen[start] = True
-        cur = int(sigma[start])
-        while cur != start:
-            members.append(cur)
-            seen[cur] = True
-            cur = int(sigma[cur])
-        table.append((start, tuple(members)))
+    """Partition of A under <sigma>: trivial orbit first, the rest of size q.
+
+    Each orbit is listed from its least element, with its distinct members in
+    the order sigma walks them (column rep of sigma_pows), so {e} is (0,)."""
+    reps = np.unique(spec.sigma_pows.min(axis=0)).tolist()
+    table = [(r, tuple(dict.fromkeys(walk)))
+             for r, walk in zip(reps, spec.sigma_pows[:, reps].T.tolist())]
     if table[0] != (0, (0,)) or any(len(m) != spec.q for _, m in table[1:]):
         raise MathDomainError("sigma-orbits are not {e} plus orbits of size q")
     return OrbitTable(table, spec.q)

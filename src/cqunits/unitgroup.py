@@ -40,10 +40,10 @@ from .errors import (BadCentralizerElement, MathDomainError, NotAUnit,
 # commutator operators and centralizers
 
 
-def _multipliers(alg: GroupAlgebra, star: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """h -> g h and h -> h g = (g^-1 h^-1)^-1 as permutations of G's indices."""
-    left = alg.group.mul_idx(g, np.arange(alg.order))
-    return left, star[np.argsort(left)[star]]
+def _multipliers(alg: GroupAlgebra, g: int) -> tuple[np.ndarray, np.ndarray]:
+    """h -> g h and h -> h g as permutations of G's indices."""
+    h = np.arange(alg.order)
+    return alg.group.mul_idx(g, h), alg.group.mul_idx(h, g)
 
 
 def _least_in_orbits(label: np.ndarray, steps: list) -> np.ndarray:
@@ -59,14 +59,13 @@ def _least_in_orbits(label: np.ndarray, steps: list) -> np.ndarray:
     return label
 
 
-def _double_cosets(alg: GroupAlgebra, x: AlgElem,
-                   star: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _double_cosets(alg: GroupAlgebra, x: AlgElem) -> tuple[np.ndarray, np.ndarray]:
     """(least index of H g H, least index of g H) for every g, H = <supp x>, reached
     by products with generators from supp x; a support element outside the block of
     e, H itself, is the next generator."""
     label, steps, right, supp = np.arange(alg.order), [], [], np.flatnonzero(x.coeffs)
     while (outside := supp[label[supp] != 0]).size:
-        steps += _multipliers(alg, star, int(outside[0]))
+        steps += _multipliers(alg, int(outside[0]))
         right.append(steps[-1])
         label = _least_in_orbits(label, steps)
     return label, _least_in_orbits(np.arange(alg.order), right)
@@ -217,7 +216,7 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
         raise NotAUnit("rho(x) is not invertible in FB")
     star = np.concatenate([alg.fb.star_perm, alg.gamma_star_pairs()[0] + alg.q])
     kernel, sym_dim, skew_dim, star_closed = _block_centralizer(
-        alg, x, star, *_double_cosets(alg, x, star))
+        alg, x, star, *_double_cosets(alg, x))
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,
                              sym_dim=sym_dim, skew_dim=skew_dim)
 
@@ -262,6 +261,13 @@ def class_length(alg: GroupAlgebra, x: AlgElem, starred: bool = False,
 # the Cayley correspondence between skew elements and unitary units
 
 
+def _cayley_map(x: AlgElem) -> AlgElem:
+    """(1 - x)(1 + x)^-1 = (1 + x)^-1 (1 - x) = 2 (1 + x)^-1 - 1: one inverse and no
+    product; the map is its own inverse, so it serves both directions."""
+    w = x.ctx.invert(x.ctx.one() + x)
+    return w + w - x.ctx.one()
+
+
 def cayley(l: AlgElem) -> AlgElem:
     """u = (1 - l)(1 + l)^-1 for skew l in gamma; u is unitary in 1 + gamma."""
     alg = l.ctx
@@ -269,7 +275,7 @@ def cayley(l: AlgElem) -> AlgElem:
         raise NotSkew("cayley requires star(l) = -l")
     if not l.in_gamma():
         raise NotInGamma("cayley requires l in gamma")
-    u = (alg.one() - l) * alg.invert(alg.one() + l)
+    u = _cayley_map(l)
     if (u * u.star()) != alg.one():
         raise MathDomainError("cayley produced a non-unitary u")
     return u
@@ -282,7 +288,7 @@ def cayley_inv(u: AlgElem) -> AlgElem:
         raise NotUnitary("cayley_inv requires a unitary unit")
     if not (u - alg.one()).in_gamma():
         raise NotInOnePlusGamma("cayley_inv requires u in 1 + gamma")
-    l = alg.invert(alg.one() + u) * (alg.one() - u)
+    l = _cayley_map(u)
     if l.star() != -l or not l.in_gamma():
         raise MathDomainError("cayley_inv produced an l that is not skew in gamma")
     return l

@@ -91,6 +91,35 @@ def test_parse_element_syntax_errors():
             parse_element(text, inst)
 
 
+# input -> the element it gives, by its printed form, or the exact ParseError text
+PARSE_EDGE_CASES = [
+    ("1^2*b", "b"),  # a bare '1' before '^' is the identity generator
+    ("2*1", "2"),
+    ("1^-1", "1"),
+    ("2 * a1 ^ 3", "2*a1^3"),
+    ("a1^2*b*1", "a1^2*b"),
+    ("b*2", "unexpected trailing input '*' at line 1, column 2"),
+    ("a1*[", "unexpected trailing input '*' at line 1, column 3"),
+    (" 101+[a2-", "expected 'int', got '2' at line 1, column 7"),  # a<k> sits at its 'a'
+    ("--b", "expected a generator, got '-' at line 1, column 2"),
+    ("[]", "expected 'int', got ']' at line 1, column 2"),
+    ("b^-1^2", "unexpected trailing input '^' at line 1, column 5"),
+    ("  @", "unexpected character '@' at line 1, column 3"),
+    ("", "expected a generator, got '' at line 1, column 1"),
+]
+
+
+@pytest.mark.parametrize("text, expected", PARSE_EDGE_CASES)
+def test_parse_element_edge_cases(text, expected):
+    inst = parse_config(C7_CFG)
+    if "line 1" not in expected:
+        assert parse_element(text, inst).format() == expected
+        return
+    with pytest.raises(ParseError) as ei:
+        parse_element(text, inst)
+    assert str(ei.value) == expected
+
+
 def test_parse_element_semantic_errors():
     from cqunits.cli import ExprSemanticError
     inst = parse_config(C7_CFG)

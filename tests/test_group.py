@@ -118,11 +118,18 @@ def test_orbit_count_formula(f7, f31, f11):
             assert len(members) == q
 
 
-def test_orbits_sigma_invariant(g21):
-    table = orbits(g21)
-    sigma = g21.sigma_pows[1]
-    for _, members in table.orbits:
-        assert set(int(sigma[m]) for m in members) == set(members)
+def test_orbits_sigma_invariant(g21, f31):
+    for G in (g21, make_group(f31, 5, [31, 31], [[16, 0], [0, 8]])):
+        table = orbits(G)
+        sigma = G.sigma_pows[1]
+        for rep, members in table.orbits:
+            assert set(int(sigma[m]) for m in members) == set(members)
+            # listed from its least element, in the order sigma walks it
+            assert rep == members[0] == min(members)
+            assert [int(sigma[m]) for m in members] == list(members[1:] + members[:1])
+        reps = [rep for rep, _ in table.orbits]
+        assert reps == sorted(reps)
+        assert sorted(m for _, ms in table.orbits for m in ms) == list(range(G.abelian.order))
 
 
 def test_c31sq_orbit_count(f31):

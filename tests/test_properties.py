@@ -152,7 +152,7 @@ def assert_blocks_match_dense(alg, x):
     """The double-coset blocks of x, one per pattern placed at the group indices
     of each block of it, are the one-block operator entry for entry, with
     nothing off the blocks."""
-    assert np.array_equal(placed_operator(alg, x, *_double_cosets(alg, x, involution(alg))),
+    assert np.array_equal(placed_operator(alg, x, *_double_cosets(alg, x)),
                           placed_operator(alg, x, *one_block(alg)))
 
 
@@ -163,7 +163,7 @@ def assert_canonical_blocks(alg, x):
     g_t^-1 where it comes later.  Returns (regular blocks other than H, other
     blocks, self-paired blocks)."""
     G, star = alg.group, involution(alg)
-    label, cosets = _double_cosets(alg, x, star)
+    label, cosets = _double_cosets(alg, x)
     cols, starts, local, block_of, partner, _ = _canonical_blocks(alg, star, label, cosets)
     ends = np.append(starts[1:], alg.order)
     H = np.flatnonzero(label == 0)
@@ -344,7 +344,7 @@ def test_dense_operator_matches_products(name, config_instance):
             e = alg.basis(h)
             expect[:, h] = (x * e - e * x).coeffs
         assert np.array_equal(placed_operator(alg, x, *one_block(alg)), expect), tag
-        cosets = _double_cosets(alg, x, involution(alg))
+        cosets = _double_cosets(alg, x)
         assert np.array_equal(placed_operator(alg, x, *cosets), expect), tag
 
 
