@@ -277,18 +277,22 @@ def _cmd_orbits(args, inst):
     return 0
 
 
+def _prime_power(cl):
+    return {"p": cl.p, "exp": cl.exponent,
+            "dec": str(verifier.FactoredInt(cl.p, cl.exponent, 1))}
+
+
 def _cmd_class_length(args, inst):
     x = parse_element(args.expr, inst)
     rep = unitgroup.centralizer_in_gamma(inst.algebra, x)
     cl = unitgroup.class_length(inst.algebra, x, report=rep)
     result = {"centralizer_dim": rep.dim,
               "sym_dim": rep.sym_dim, "skew_dim": rep.skew_dim,
-              "class_length": {"p": cl.p, "exp": cl.exponent, "dec": verifier.to_decimal(cl.value)}}
+              "class_length": _prime_power(cl)}
     lines = [f"dim C_gamma(x) = {rep.dim}", f"{cl!r}"]
     if args.unitary:
         cls = unitgroup.class_length(inst.algebra, x, starred=True, report=rep)
-        result["starred_class_length"] = {"p": cls.p, "exp": cls.exponent,
-                                          "dec": verifier.to_decimal(cls.value)}
+        result["starred_class_length"] = _prime_power(cls)
         lines.append(f"{cls!r}")
     _emit(args, inst, "class-length", result, lines)
     return 0

@@ -300,22 +300,13 @@ class FieldCtx:
         return (np.asarray(digits, dtype=np.int64) % self.p) @ self._powers_of_p
 
     def add(self, a: int, b: int) -> int:
-        a, b = int(a), int(b)
-        if self.f == 1:
-            return (a + b) % self.p
-        return int(self.encode(self.decode(a) + self.decode(b)))
+        return int(self.vadd(a, b))
 
     def sub(self, a: int, b: int) -> int:
-        a, b = int(a), int(b)
-        if self.f == 1:
-            return (a - b) % self.p
-        return int(self.encode(self.decode(a) - self.decode(b)))
+        return int(self.vsub(a, b))
 
     def neg(self, a: int) -> int:
-        a = int(a)
-        if self.f == 1:
-            return (-a) % self.p
-        return int(self.encode(-self.decode(a)))
+        return int(self.vneg(a))
 
     def mul(self, a: int, b: int) -> int:
         a, b = int(a), int(b)

@@ -7,18 +7,21 @@ so it has no complement; see `cqstruct`), and m = 1 with s + 1 >= q and
 
     (q-1) |(1+gamma)_*|  >  (|(1+gamma)_*| / |A|) ((sq)^((q-1)/2) / q - 1),
 
-whose two sides are carried both as factored prime powers and as full
-arbitrary-precision integers (recomputed by a log-free product chain as a
-cross-check).  Dimensions entering the certificate are exact, not formula
-shortcuts: kernel dimensions from the unitgroup layer's solve over the
-double cosets of <supp b> = B, and dim S2 from S2 in block form over the
-pairs of the checked involution.  Both are read off their blocks; no
-dense row of either subspace is built.
+whose two sides are carried as factored prime powers.  They share
+p^(f s2 - n), so L > R is decided as (q-1) p^n > inner in small integers.
+Each side is also built once as an exact Decimal: it prints the report's
+decimal, its comparison must agree with the factored decision, and its
+residues modulo fixed primes are checked in int arithmetic (the checks
+L_recompute and R_recompute).  Dimensions entering the certificate are
+exact, not formula shortcuts: kernel dimensions from the unitgroup layer's
+solve over the double cosets of <supp b> = B, and dim S2 from S2 in block
+form over the pairs of the checked involution.  Both are read off their
+blocks; no dense row of either subspace is built.
 """
 
 from __future__ import annotations
 
-import sys
+import decimal
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 
@@ -127,62 +130,36 @@ def analyze(inst: Instance) -> Analysis:
                     s=qd.s, m=qd.m, conditions=conds, branch=branch, note=note)
 
 
-_STR_BITS = 1 << 16  # to_decimal's str() base case: integers of up to this many bits
-
-
-def to_decimal(n: int) -> str:
-    """str(n), for integers of any size, in about linear time.
-
-    Up to `_STR_BITS` bits this is str(n), with Python's int_max_str_digits
-    cap (4300 digits by default) lifted for the one conversion and restored
-    afterwards.  CPython 3.11's str() is quadratic beyond that (about 3.4 s
-    for 454 548 digits), so a larger n is split in binary halves,
-    n = hi 2^w + lo, down to pieces of at most 128 bits, which are joined
-    back as exact Decimals: libmpdec multiplies large Decimals by
-    number-theoretic transforms and prints them in linear time.  The
-    powers 2^w are built once each (w takes two values per level).
-    """
-    if n < 0:
-        return "-" + to_decimal(-n)
-    if n.bit_length() > _STR_BITS:
-        import decimal
-        powers = {}
-
-        def pow2(w):
-            if w not in powers:
-                powers[w] = (decimal.Decimal(2) ** w if w <= 128
-                             else pow2(w >> 1) * pow2(w - (w >> 1)))
-            return powers[w]
-
-        def join(m, w):  # m < 2^w as an exact Decimal
-            if w <= 128:
-                return decimal.Decimal(m)
-            half = w >> 1
-            hi = m >> half
-            return join(m - (hi << half), half) + join(hi, w - half) * pow2(half)
-
-        with decimal.localcontext() as ctx:
-            ctx.prec, ctx.Emax, ctx.Emin = decimal.MAX_PREC, decimal.MAX_EMAX, decimal.MIN_EMIN
-            ctx.traps[decimal.Inexact] = True
-            return str(join(n, n.bit_length()))
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return str(n)
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return str(n)
-    finally:
-        sys.set_int_max_str_digits(old)
+# exact big-integer arithmetic: a rounding or an overflow raises, never passes
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN,
+                         traps=[decimal.Inexact, decimal.InvalidOperation,
+                                decimal.DivisionByZero, decimal.Overflow])
+_RESIDUE_PRIMES = (2 ** 61 - 1, 2 ** 31 - 1, 2 ** 19 - 1)
 
 
 class FactoredInt:
-    """cofactor * p^exp carried exactly, with a log-free recomputation path."""
+    """cofactor * p^exp, built once as an exact Decimal and printed from it.
+
+    libmpdec multiplies large Decimals by number-theoretic transforms and
+    prints them in linear time, where CPython's str() of an int is
+    quadratic.  The Decimal is never converted back to int (that is
+    quadratic too).  `residues_agree` checks it against modular powers in
+    int arithmetic, which shares no code with libmpdec.  `value` and
+    `recompute_slow` are the int routes, read only by tests.
+    """
 
     def __init__(self, p: int, exp: int, cofactor: int):
         self.p = p
         self.exp = exp
         self.cofactor = cofactor
-        self.value = cofactor * p ** exp
+
+    @cached_property
+    def decimal(self) -> decimal.Decimal:
+        return _EXACT.multiply(_EXACT.power(self.p, self.exp), self.cofactor)
+
+    @cached_property
+    def value(self) -> int:
+        return self.cofactor * self.p ** self.exp
 
     def recompute_slow(self) -> int:
         """cofactor * p^exp by square-and-multiply over the bits of exp,
@@ -196,9 +173,19 @@ class FactoredInt:
                 square = square * square
         return acc
 
+    def residues_agree(self) -> bool:
+        """The Decimal's residues modulo fixed primes are cofactor * p^exp's.
+
+        libmpdec's remainder takes the dividend's sign, hence the `% m`."""
+        return all(int(_EXACT.remainder(self.decimal, m)) % m
+                   == self.cofactor * pow(self.p, self.exp, m) % m
+                   for m in _RESIDUE_PRIMES)
+
+    def __str__(self):
+        return str(self.decimal)
+
     def as_dict(self) -> dict:
-        return {"dec": to_decimal(self.value), "p": self.p, "exp": self.exp,
-                "cofactor": self.cofactor}
+        return {"dec": str(self), "p": self.p, "exp": self.exp, "cofactor": self.cofactor}
 
     def __repr__(self):
         if self.cofactor == 1:
@@ -206,7 +193,7 @@ class FactoredInt:
         return f"{self.cofactor}*{self.p}^{self.exp}"
 
     def __eq__(self, other):
-        return isinstance(other, FactoredInt) and self.value == other.value
+        return isinstance(other, FactoredInt) and self.decimal == other.decimal
 
 
 @dataclass
@@ -248,7 +235,7 @@ class Certificate:
                                      "exp": self.starred_class_length_exponent},
             "L": self.L.as_dict(), "R": self.R.as_dict(),
             "A_order": self.a_order,
-            "intermediate_bound": to_decimal(self.intermediate_bound),
+            "intermediate_bound": str(self.intermediate_bound),
             "intermediate_ok": self.intermediate_ok,
             "counting_ok": self.counting_ok,
             "checks": dict(self.checks),
@@ -293,12 +280,17 @@ def counting_certificate(inst: Instance) -> Certificate:
         raise MathDomainError("(sq)^((q-1)/2) should be divisible by q")
     inner = power // q - 1
     R = FactoredInt(p, f * s2_dim - n, inner)
-    checks["L_recompute"] = L.recompute_slow() == L.value
-    checks["R_recompute"] = R.recompute_slow() == R.value
+    checks["L_recompute"] = L.residues_agree()
+    checks["R_recompute"] = R.residues_agree()
 
     a_order = p ** n
     intermediate_ok = a_order > inner
-    counting_ok = L.value > R.value
+    # L and R share p^(f s2 - n), so L > R exactly when (q-1) p^n > inner
+    counting_ok = (q - 1) * a_order > inner
+    if (L.decimal > R.decimal) != counting_ok:
+        raise MathDomainError(
+            f"L > R is {counting_ok} in factored form but "
+            f"{not counting_ok} for the exact decimals")
     verdict = ("NoNormalComplement"
                if intermediate_ok and counting_ok and all(checks.values())
                else "Inconclusive")

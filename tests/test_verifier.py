@@ -1,15 +1,19 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from cqunits.algebra import Subspace
-from cqunits.errors import (BranchMismatch, NotFixedPointFree, QDoesNotDivide)
+from cqunits.errors import (BranchMismatch, MathDomainError, NotFixedPointFree,
+                            QDoesNotDivide)
 from cqunits.verifier import (FactoredInt, analyze, counting_certificate,
-                              m_gt_1_no_complement, make_instance, to_decimal)
+                              m_gt_1_no_complement, make_instance)
 
 
 def test_analyze_counting_branch(inst7):
@@ -111,15 +115,16 @@ def test_factored_int_paths():
     x = FactoredInt(7, 9, 2)
     assert x.value == 2 * 7 ** 9
     assert x.recompute_slow() == x.value
+    assert x.residues_agree()
     assert x.as_dict() == {"dec": str(2 * 7 ** 9), "p": 7, "exp": 9, "cofactor": 2}
     big = FactoredInt(31, 2400, 4)
     assert big.recompute_slow() == big.value
-    assert len(str(big.value)) > 3500  # ~3600 decimal digits
+    assert str(big) == str(big.value) and len(str(big)) > 3500  # ~3600 decimal digits
 
 
 def test_factored_int_recompute_at_large_exponent():
-    # c43cube's L (C_43^3 x| C_7 over GF(43), s2_dim = 278271); the check
-    # must stay cheap at this size, since every certificate runs it twice
+    # c43cube's L (C_43^3 x| C_7 over GF(43), s2_dim = 278271): the int
+    # routes that the tests use as references agree at this size
     L = FactoredInt(43, 278271, 6)
     assert L.recompute_slow() == L.value
     assert FactoredInt(43, 0, 6).recompute_slow() == 6
@@ -153,37 +158,89 @@ def test_consistency_union_bound(inst7):
 
 
 def test_to_decimal_lifts_and_restores_limit():
+    # 31^3840 has 5727 digits, above str()'s default cap of 4300; the
+    # Decimal route prints them and leaves the cap as it was
     before = sys.get_int_max_str_digits()
-    big = 31 ** 3840  # 5727 digits, above the default cap of 4300
     sys.set_int_max_str_digits(4300)
     try:
         with pytest.raises(ValueError):
-            str(big)
-        dec = to_decimal(big)
+            str(31 ** 3840)
+        dec = str(FactoredInt(31, 3840, 1))
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(before)
-    assert len(dec) == 5727 and dec[-6:] == str(big % 10 ** 6).zfill(6)
-
-
-def test_to_decimal_is_str_on_large_integers():
-    # the decimal route above the str() base case gives str(n) digit for digit
-    rng = random.Random(20)
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        for bits in (1, 127, 128, 129, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 90_000, 166_000):
-            for n in (rng.getrandbits(bits) | 1 << (bits - 1), (1 << bits) - 1, 1 << bits):
-                assert to_decimal(n) == str(n) and to_decimal(-n) == str(-n)
-        assert to_decimal(0) == "0" and to_decimal(10 ** 50_000) == "1" + "0" * 50_000
-    finally:
-        sys.set_int_max_str_digits(before)
+    assert len(dec) == 5727 and dec[-6:] == str(pow(31, 3840, 10 ** 6)).zfill(6)
 
 
 def test_factored_int_beyond_decimal_limit():
     d = FactoredInt(31, 3840, 1).as_dict()
     assert (d["p"], d["exp"], d["cofactor"]) == (31, 3840, 1)
-    assert d["dec"] == to_decimal(31 ** 3840) and len(d["dec"]) == 5727
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert d["dec"] == str(31 ** 3840) and len(d["dec"]) == 5727
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_factored_int_decimal_is_str_on_large_integers():
+    # cofactor * 2^exp of the given bit lengths, and odd bases, digit for
+    # digit against str() with the cap lifted
+    rng = random.Random(20)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        for bits in (1, 127, 128, 129, (1 << 16) - 1, 1 << 16, (1 << 16) + 1, 90_000, 166_000):
+            k = min(bits, 40)
+            for x in (FactoredInt(2, bits - 1, 1), FactoredInt(2, bits, 1),
+                      FactoredInt(2, bits - k, rng.getrandbits(k) | 1 << (k - 1)),
+                      FactoredInt(3, bits // 2, -1), FactoredInt(43, bits // 6, 6)):
+                assert str(x) == str(x.value) and x.residues_agree()
+        assert str(FactoredInt(43, 0, 6)) == "6" and str(FactoredInt(7, 5, 0)) == "0"
+        assert str(FactoredInt(10, 50_000, 1)) == "1" + "0" * 50_000
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_factored_int_at_millions_of_digits():
+    # L of C_31^4 x| C_5 over GF(31) (|G| = 4 617 605): 3.4 M digits, built
+    # and printed without an int of that size
+    start = time.perf_counter()
+    x = FactoredInt(31, 2_308_800, 4)
+    dec = str(x)
+    assert x.residues_agree()
+    assert time.perf_counter() - start < 5
+    assert dec[-30:] == str(4 * pow(31, 2_308_800, 10 ** 30) % 10 ** 30).zfill(30)
+    assert dec[0] != "0" and x.decimal.as_tuple().exponent == 0
+
+
+def test_certificate_json_is_pinned(config_instance):
+    # the c43cube report, byte for byte as the int routes printed it
+    doc = json.dumps(counting_certificate(config_instance("c43cube")).as_dict(), sort_keys=True)
+    assert hashlib.sha256(doc.encode()).hexdigest() == (
+        "e11b9a30bee5471b4dfc03e663dab127bbf577a7750f9d6d7622bf66eef35639")
+
+
+def test_residue_check_is_live(inst7, monkeypatch):
+    # L's Decimal off by one: the comparison still holds, the residues do not
+    exact = FactoredInt.decimal.func
+
+    def off_by_one(self):
+        d = exact(self)
+        return d + 1 if self.cofactor == inst7.q - 1 else d
+
+    monkeypatch.setattr(FactoredInt, "decimal", property(off_by_one))
+    cert = counting_certificate(inst7)
+    assert not cert.checks["L_recompute"] and cert.checks["R_recompute"]
+    assert cert.counting_ok and cert.verdict == "Inconclusive"
+
+
+def test_decision_disagreement_raises(inst7, monkeypatch):
+    # negated Decimals reverse L > R against the factored decision
+    exact = FactoredInt.decimal.func
+    monkeypatch.setattr(FactoredInt, "decimal", property(lambda self: -exact(self)))
+    with pytest.raises(MathDomainError, match="factored form"):
+        counting_certificate(inst7)
 
 
 def test_guards_raise_under_python_O():
