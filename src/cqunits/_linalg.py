@@ -15,8 +15,9 @@ against its new rows with another, which keeps the n^3 work inside
 matmuls.
 
 rref pivots on the leftmost column, lowest row index first, independent of
-row batching.  Subspace bases and `right_kernel` use its mirror image, with
-pivots taken from the right (see `algebra.Subspace`).
+row batching.  `right_echelon`, the one rref on mirrored columns, is its
+mirror image, with pivots taken from the right: the canonical form of
+`algebra.Subspace` bases.  `right_kernel` is canonical in the same sense.
 """
 
 from __future__ import annotations
@@ -124,6 +125,15 @@ def rref(ctx, M) -> tuple[np.ndarray, list[int]]:
     if M.shape[0] == 0:
         return M.copy(), []
     return _rref_batched(ctx, M)
+
+
+def right_echelon(ctx, M) -> tuple[np.ndarray, list[int]]:
+    """rref(M[:, ::-1]) read back in M's column order: row i is 1 at pivots[i],
+    its rightmost nonzero column, pivot columns are zero elsewhere, and rows
+    come in descending pivot order."""
+    M = np.asarray(M, dtype=np.int64)
+    R, piv = rref(ctx, M[:, ::-1])
+    return np.ascontiguousarray(R[:, ::-1]), [M.shape[1] - 1 - c for c in piv]
 
 
 def rank(ctx, M) -> int:

@@ -94,34 +94,11 @@ def distinct_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return first[order], number[inverse.ravel()]
 
 
-def _ascending(field: FieldCtx, n: int, cols: np.ndarray, starts: np.ndarray, kernels: list,
-               which: np.ndarray) -> tuple[np.ndarray, list, np.ndarray]:
-    """(cols, kernels, which) of a block form with every block's columns in ascending
-    group order and its kernel re-echeloned there, pivots from the right: one rref per
-    distinct kernel and column order, none where the order is already ascending."""
-    width = np.diff(starts, append=n)
-    cols, up, which_up = cols.copy(), [], np.empty_like(which)
-    for m in np.unique(width).tolist():
-        T = np.flatnonzero(width == m)
-        at = starts[T][:, None] + np.arange(m)
-        order = np.argsort(cols[at], axis=1)
-        cols[at] = np.take_along_axis(cols[at], order, axis=1)
-        first, which_up[T] = distinct_rows(np.column_stack([which[T], order]))
-        which_up[T] += len(up)
-        for r in first.tolist():
-            k = kernels[which[T[r]]]
-            if np.any(order[r] != np.arange(m)):
-                k = np.ascontiguousarray(_linalg.rref(field, k[:, order[r][::-1]])[0][:, ::-1])
-            up.append(k)
-    return cols, up, which_up
-
-
 class Subspace:
     """A row space over GF(p^f), stored as its canonical reduced echelon basis.
 
-    Pivots are taken from the right: the basis is rref(rows[:, ::-1]) read
-    back in ambient column order, each row 1 at its rightmost nonzero column,
-    rows in descending pivot order.
+    Pivots are taken from the right (`_linalg.right_echelon`): each row is 1
+    at its rightmost nonzero column, rows in descending pivot order.
 
     A subspace of gamma may come in block form, rows None and blocks =
     (ambient, q, cols, starts, kernels, which, rank): ker rho (of that rank)
@@ -129,12 +106,11 @@ class Subspace:
     kernels[which[t]] at the group indices cols[starts[t]:...], in
     whatever column order the blocks were solved in (for a centralizer, the
     canonical coordinates of its double cosets); `dim` is read off the kernel
-    shapes.  `basis` and `pivots` are built on first read, after each block's
-    kernel is re-echeloned in ascending group order (`_ascending`); that form
-    then replaces the solved one in `blocks`.  The block form holds only
-    those two integers of its algebra, not the algebra itself: an algebra
-    caching its own subspaces (`sym_skew_subspaces`) then makes no reference
-    cycle, and is freed as soon as it is dropped.
+    shapes.  `basis` and `pivots` are built on first read (`_echelon`); the
+    block form stays as it was built.  It holds only those two integers of
+    its algebra, not the algebra itself: an algebra caching its own
+    subspaces (`sym_skew_subspaces`) then makes no reference cycle, and is
+    freed as soon as it is dropped.
     """
 
     def __init__(self, field: FieldCtx, rows, blocks=None):
@@ -144,11 +120,8 @@ class Subspace:
             self.ambient, _, _, _, kernels, which, rank = blocks
             self.dim = int(np.array([k.shape[0] for k in kernels])[which].sum()) - rank
             return
-        rows = np.ascontiguousarray(rows, dtype=np.int64)
-        n = rows.shape[1]
-        R, piv = _linalg.rref(field, rows[:, ::-1])
-        self._echelon = np.ascontiguousarray(R[:, ::-1]), [n - 1 - c for c in piv]
-        self.ambient = n
+        self._echelon = _linalg.right_echelon(field, rows)
+        self.ambient = self.basis.shape[1]
         self.dim = self.basis.shape[0]
 
     @property
@@ -161,57 +134,60 @@ class Subspace:
 
     @cached_property
     def _echelon(self):
-        """The block form's canonical basis and pivots: with K the placed block
-        kernel rows in ascending pivot order, (the canonical kernel of
-        c -> c rho(K)) K, that is free row i less E[k, i] times the k-th bound
-        row, E = rref(rho(K)^T).  Refused (BudgetExceeded) past 8 |G| bytes for
-        the ascending column order plus the larger of 8 c (dim + rank) |S|
-        bytes for the rows' part on the bound rows' blocks S and its product
-        (c = 5, or 3 + 2 f^2 + 4 f for f > 1) and 8 (dim |G| + 2 e) for the
-        rows and their e written entries."""
+        """The block form's canonical basis and pivots, in one pass over the
+        distinct (kernel, ascending column order) pairs: each kernel is
+        re-echeloned in that order once (not at all where the order already
+        ascends).  With the block rows in ascending pivot order and
+        E = rref(rho(rows)^T), the basis (the canonical kernel of
+        c -> c rho(rows), times the rows) is free row i less E[k, i] times
+        the k-th bound row.  K holds the free rows in descending pivot order,
+        then the bound ones, and is corrected in place on the columns S of
+        the blocks that hold bound rows.
+
+        Refused (BudgetExceeded) past
+        8 ((dim + rank) (|G| + c |S| + rank + 4) + |G| + e) + 8192 bytes: the
+        rows, bound ones included; the correction (c = 3, or 1 + f + 2 f^2 for
+        f > 1); E and four row numberings; the blocks' ascending columns; the
+        e entries of the kernels placed; and the small arrays' headers."""
         n, q, cols, starts, kernels, which, rank = self.blocks
         fld, f = self.field, self.field.f
-        cols, kernels, which = _ascending(fld, n, cols, starts, kernels, which)
-        self.blocks = n, q, cols, starts, kernels, which, rank  # frees the solved order
         width = np.diff(starts, append=n)
-        off = np.concatenate([[0], np.cumsum([kernels[u].shape[0] for u in which.tolist()])])
-        piv, rho = np.empty(off[-1], dtype=np.int64), np.empty((off[-1], q), dtype=np.int64)
-        for u, k in enumerate(kernels):  # block t's rows are off[t]:off[t + 1]
-            ts = np.flatnonzero(which == u)
-            at = off[ts][:, None] + np.arange(k.shape[0])
-            C = cols[starts[ts][:, None] + np.arange(k.shape[1])]
-            piv[at], rho[at] = C[:, _linalg.right_pivots(k)], rho_images(fld, q, k, C)
+        parts = []  # (kernel, its blocks' columns in ascending order)
+        for m in np.unique(width).tolist():
+            T = np.flatnonzero(width == m)
+            C = cols[starts[T][:, None] + np.arange(m)]
+            order = np.argsort(C, axis=1)
+            C = np.take_along_axis(C, order, axis=1)
+            first, number = distinct_rows(np.column_stack([which[T], order]))
+            for j, r in enumerate(first.tolist()):
+                k = kernels[which[T[r]]]
+                if np.any(order[r] != np.arange(m)):
+                    k = _linalg.right_echelon(fld, k[:, order[r]])[0]
+                parts.append((k, C[number == j]))
+        # rows are numbered part by part, block by block; up sorts them by pivot
+        piv = np.concatenate([C[:, _linalg.right_pivots(k)].ravel() for k, C in parts])
         up = np.argsort(piv)
-        E, bound = _linalg.rref(fld, rho[up].T)
+        E, bound = _linalg.rref(fld, np.concatenate(
+            [rho_images(fld, q, k, C).reshape(-1, q) for k, C in parts])[up].T)
         if len(bound) != rank:
             raise MathDomainError(f"rho has rank {len(bound)} on the block kernels, not {rank}")
         free = np.delete(np.arange(piv.size), bound)
         d, dest = free.size, np.empty(piv.size, dtype=np.int64)
         dest[up[free]], dest[up[bound]] = np.arange(d)[::-1], d + np.arange(rank)
-        owner = np.isin(np.arange(which.size), np.searchsorted(off, up[bound], side="right") - 1)
-        S = cols[np.repeat(owner, width)]
-        e = int(np.diff(off)[~owner] @ width[~owner]) + d * S.size
-        c = 5 if f == 1 else 3 + 2 * f * f + 4 * f
-        refuse_past_memory(8 * (max(c * (d + rank) * S.size, d * n + 2 * e) + n),
+        at = np.cumsum([0] + [C.shape[0] * k.shape[0] for k, C in parts])
+        rows = [dest[lo:hi].reshape(C.shape[0], k.shape[0])
+                for (k, C), lo, hi in zip(parts, at, at[1:])]
+        S = np.concatenate([C[np.any(r >= d, axis=1)].ravel() for (_, C), r in zip(parts, rows)])
+        c = 3 if f == 1 else 1 + f + 2 * f * f
+        e = sum(k.size for k, _ in parts)
+        refuse_past_memory(8 * ((d + rank) * (n + c * S.size + rank + 4) + n + e) + 8192,
                            "the dense basis rows")
-        KS = np.zeros((d + rank, S.size), dtype=np.int64)
-        for t, lo in zip(np.flatnonzero(owner).tolist(), np.cumsum(width[owner]) - width[owner]):
-            KS[dest[off[t]:off[t + 1], None], lo + np.arange(width[t])] = kernels[which[t]]
+        K = np.zeros((d + rank, n), dtype=np.int64)  # free rows, then bound ones
+        for (k, C), r in zip(parts, rows):
+            K[r[:, :, None], C[:, None, :]] = k
         if rank and d:
-            KS = fld.vsub(KS[:d], _linalg.matmul_mod(fld, E[:, free[::-1]].T, KS[d:]))
-        parts = [(np.arange(d)[:, None] * n + S, KS[:d])]  # the other blocks' rows are free
-        for u, k in enumerate(kernels):
-            ts = np.flatnonzero((which == u) & ~owner)
-            at = dest[off[ts][:, None] + np.arange(k.shape[0])][:, :, None] * n
-            parts.append((at + cols[starts[ts][:, None, None] + np.arange(k.shape[1])],
-                          np.broadcast_to(k, (ts.size, *k.shape))))
-        index, values = (np.concatenate([part[i].ravel() for part in parts]) for i in (0, 1))
-        piv = np.sort(piv[up[free]])[::-1]
-        del rho, E, KS, parts, dest, up, free, at, C, off, width, owner, S  # before the rows
-        K = np.zeros((d, n), dtype=np.int64)
-        np.put(K, index, values)
-        del index, values
-        return K, piv.tolist()
+            K[:d, S] = fld.vsub(K[:d, S], _linalg.matmul_mod(fld, E[:, free[::-1]].T, K[d:, S]))
+        return K[:d], piv[up[free[::-1]]].tolist()
 
     def __eq__(self, other):
         return (isinstance(other, Subspace)

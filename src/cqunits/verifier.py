@@ -149,6 +149,8 @@ class FactoredInt:
     """
 
     def __init__(self, p: int, exp: int, cofactor: int):
+        if exp < 0:
+            raise MathDomainError(f"FactoredInt needs exp >= 0, not {exp}")
         self.p = p
         self.exp = exp
         self.cofactor = cofactor

@@ -3,6 +3,7 @@ import pytest
 
 from cqunits import _linalg as L
 from cqunits import make_field
+from cqunits.algebra import Subspace
 
 from oracles import in_rowspace
 
@@ -88,6 +89,30 @@ def test_right_kernel_is_canonical(p, f, rng):
     # the zero map: the whole space, pivots descending
     assert np.array_equal(L.right_kernel(fld, np.zeros((6, n), dtype=np.int64)),
                           np.eye(n, dtype=np.int64)[::-1])
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_right_echelon_mirrors_rref(f, rng):
+    # rref of the mirrored columns read back mirrored, on full-rank,
+    # rank-deficient (also across rref batches), all-zero and zero-row
+    # inputs; a dense Subspace is exactly that form
+    fld = make_field(7, f)
+    full = rng.integers(0, fld.size, (12, 20))
+    tall = rng.integers(0, fld.size, (40, 30))
+    deficient = np.vstack([tall, fld.vadd(tall[:10], fld.vmul(3, tall[10:20]))] * 5)
+    for M in (full, full.T, deficient, np.zeros((6, 9), dtype=np.int64),
+              np.zeros((0, 9), dtype=np.int64)):
+        R, piv = L.right_echelon(fld, M)
+        Rm, pm = L.rref(fld, M[:, ::-1])
+        assert piv == [M.shape[1] - 1 - c for c in pm]
+        assert np.array_equal(R, Rm[:, ::-1]) and R.flags.c_contiguous
+        assert R.shape == (len(piv), M.shape[1])
+        assert L.right_pivots(R).tolist() == piv == sorted(piv, reverse=True)
+        assert all(R[i, c] == 1 and np.count_nonzero(R[:, c]) == 1 for i, c in enumerate(piv))
+        sub = Subspace(fld, M)
+        assert sub.pivots == piv and np.array_equal(sub.basis, R)
+        assert (sub.dim, sub.ambient) == (len(piv), M.shape[1])
+    assert len(L.right_echelon(fld, deficient)[1]) == 30
 
 
 def test_rank_nullity(rng):

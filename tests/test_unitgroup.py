@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -403,13 +404,16 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
 
 
 def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
-    # on gf49 (|G| = 147, f = 2) the 48 dense rows of C(b) need
-    # 8 (147 + 48 * 147 + 2 e) bytes: the blocks' ascending column order, the
-    # rows, and the flat index and values of their e = 16 * 3 * 9 + 48 * 3
-    # entries (the 16 orbit(a) B blocks with 3 kernel rows each, and every
-    # row on the columns of B, where rho is corrected); the blocks themselves
-    # need 8 (11 * 147 + 15 * 9^2)
-    need = 8 * (147 + 48 * 147 + 2 * (16 * 3 * 9 + 48 * 3))
+    # on gf49 (|G| = 147, f = 2) the 48 dense rows of C(b) and its 3 bound
+    # rows need 8 ((48 + 3) (147 + 11 * 3 + 3 + 4) + 147 + e) + 8192 bytes:
+    # the rows; their rho correction on the 3 columns of B, where the bound
+    # rows lie, at c = 1 + f + 2 f^2 = 11 entries a row and column; E (3
+    # entries a row) and four row numberings; the blocks' ascending columns;
+    # the e = 3 * 3 + 4 * 3 * 9 entries of the kernels placed (B's, and the
+    # orbit(a) B one re-echeloned in each of its 4 distinct column orders);
+    # and 8 KiB of array headers.  The blocks themselves need
+    # 8 (11 * 147 + 15 * 9^2)
+    need = 8 * ((48 + 3) * (147 + 11 * 3 + 3 + 4) + 147 + 3 * 3 + 4 * 3 * 9) + 8192
     monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
     alg = config_instance("gf49").algebra
     rep = centralizer_in_gamma(alg, alg.basis(alg.group.b()))
@@ -469,14 +473,20 @@ def test_address_space_cap_never_ends_in_a_memory_error(cap_kib):
 @pytest.mark.parametrize("name", ["gf49", "c31sq"])
 def test_lazy_basis_estimate_covers_its_build(name, config_instance, monkeypatch):
     # tracemalloc sees numpy's buffers: one build of C(b) or S2 peaks at the
-    # estimate plus index bookkeeping of O(dim + dim gamma) bytes
+    # estimate plus at most 10 % of bookkeeping; on c31sq so does C(b + a1),
+    # whose rows are rho-corrected on a block of 155 and whose six blocks of
+    # 775 are re-echeloned in six column orders
     estimates = []
     refuse = algebra.refuse_past_memory
     monkeypatch.setattr(algebra, "refuse_past_memory",
                         lambda need, what: estimates.append(need) or refuse(need, what))
-    alg = config_instance(name).algebra
-    for sub in (centralizer_in_gamma(alg, alg.basis(alg.group.b())).kernel,
-                alg.sym_skew_subspaces()[1]):
+    inst = config_instance(name)
+    alg = inst.algebra
+    subs = [centralizer_in_gamma(alg, alg.basis(alg.group.b())).kernel,
+            alg.sym_skew_subspaces()[1]]
+    if name == "c31sq":
+        subs.append(centralizer_in_gamma(alg, parse_element("b + a1", inst)).kernel)
+    for sub in subs:
         tracemalloc.start()
         try:
             sub.basis
@@ -484,6 +494,19 @@ def test_lazy_basis_estimate_covers_its_build(name, config_instance, monkeypatch
         finally:
             tracemalloc.stop()
         assert estimates[-1] <= peak <= 1.1 * estimates[-1]
+
+
+def test_c31sq_rho_coupled_rows_are_pinned(config_instance):
+    # the rows of C(b + a1) on c31sq: seven blocks, six column orders
+    # re-echeloned, and the rho correction on the block of 155
+    inst = config_instance("c31sq")
+    kernel = centralizer_in_gamma(inst.algebra, parse_element("b + a1", inst)).kernel
+    basis = kernel.basis
+    assert basis.shape == (960, 4805) and basis.dtype == np.int64 and basis.flags.c_contiguous
+    assert hashlib.sha256(basis.tobytes()).hexdigest() == (
+        "80df63f89bd944bce0445b7c095213f0f5efe9f9c2dd21fa8ad40d81c90c727b")
+    assert hashlib.sha256(np.asarray(kernel.pivots, dtype=np.int64).tobytes()).hexdigest() == (
+        "838034b5b78a5fa003fc610e4746c7424eef43c75ecff938e92abbd62b47f82e")
 
 
 def test_block_leak_is_an_error(alg21, b21, monkeypatch):

@@ -122,6 +122,12 @@ def test_factored_int_paths():
     assert str(big) == str(big.value) and len(str(big)) > 3500  # ~3600 decimal digits
 
 
+def test_factored_int_negative_exponent_is_a_domain_error():
+    # refused when built, before anything can expand p^-1 as a Decimal
+    with pytest.raises(MathDomainError, match="exp >= 0"):
+        FactoredInt(7, -1, 2)
+
+
 def test_factored_int_recompute_at_large_exponent():
     # c43cube's L (C_43^3 x| C_7 over GF(43), s2_dim = 278271): the int
     # routes that the tests use as references agree at this size
