@@ -12,6 +12,11 @@ with '^' binding tighter than '*' tighter than '+'/'-'; integer literals
 are reduced mod p and bracketed lists are z-polynomial coefficients for
 f > 1.  Exit codes: 0 ok, 1 hypothesis violation, 2 parse error, 3
 math/domain error, 4 budget exceeded, 5 internal error.
+
+Each subcommand handler `_cmd_*(args, inst)` returns its result (the JSON
+report's "result") and its text lines, and prints nothing; `main` emits
+them once and maps every error, also one raised while emitting, to its
+exit code.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import json
 import re
 import sys
 import traceback
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from . import cqstruct, unitgroup, verifier
 from .algebra import AlgElem
 from .errors import (INTERNAL_ERROR_EXIT, INTERNAL_ERROR_SLUG, MathDomainError,
                      ParseError, ToolkitError)
+from .group import orbits
 
 REQUIRED_KEYS = ("p", "f", "q", "A", "action")
 OPTIONAL_KEYS = ("modulus", "budget", "seed")
@@ -189,16 +196,11 @@ def _projvec_list(inst, pv: cqstruct.ProjVec):
     return [_field_value(inst, int(v)) for v in pv.values]
 
 
-def _emit(args, inst, command: str, result: dict, text_lines: list[str]) -> None:
+def _emit(args, inst, result: dict, text_lines: list[str]) -> None:
     if args.json:
-        doc = {
-            "instance": inst.as_dict(),
-            "command": command,
-            "result": result,
-            "provenance": {"seed": args.seed if args.seed is not None else inst.seed,
-                           "budget": args.budget if args.budget is not None else inst.budget},
-        }
-        print(json.dumps(doc, sort_keys=True))
+        print(json.dumps({"instance": inst.as_dict(), "command": args.command, "result": result,
+                          "provenance": {"seed": inst.seed, "budget": inst.budget}},
+                         sort_keys=True))
     else:
         qd = inst.qdecomp
         print(f"# GF({inst.field.p}^{inst.field.f}), q={inst.q}, "
@@ -209,72 +211,49 @@ def _emit(args, inst, command: str, result: dict, text_lines: list[str]) -> None
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: (args, inst) -> (result, text lines)
 
 
 def _cmd_idempotents(args, inst):
     idem = cqstruct.idempotents(inst.fb)
     checks = idem.verify()
-    result = {"idempotents": [e.format() for e in idem],
-              "checks": checks}
+    result = {"idempotents": [e.format() for e in idem], "checks": checks}
     lines = [f"e_{j} = {e.format()}" for j, e in enumerate(idem)]
     lines.append("checks: " + ", ".join(f"{k}={v}" for k, v in checks.items()))
-    _emit(args, inst, "idempotents", result, lines)
-    return 0
+    return result, lines
 
 
 def _cmd_project(args, inst):
-    x = parse_element(args.expr, inst)
-    u = _fb_elem_of(inst, x)
-    pv = cqstruct.projections(u)
-    result = {"rho": u.format(), "projections": _projvec_list(inst, pv)}
+    u = _fb_elem_of(inst, parse_element(args.expr, inst))
+    result = {"rho": u.format(), "projections": _projvec_list(inst, cqstruct.projections(u))}
     tup = "(" + ", ".join(str(v) for v in result["projections"]) + ")"
-    _emit(args, inst, "project", result,
-          [f"rho(x) = {u.format()}", f"projections = {tup}"])
-    return 0
+    return result, [f"rho(x) = {u.format()}", f"projections = {tup}"]
 
 
 def _cmd_classify(args, inst):
     u = _fb_elem_of(inst, parse_element(args.expr, inst))
-    uc = cqstruct.classify_unit(u)
-    result = {"is_unit": uc.is_unit, "is_normalized": uc.is_normalized,
-              "is_symmetric": uc.is_symmetric, "is_unitary": uc.is_unitary,
-              "has_distinct_projections": uc.has_distinct_projections,
-              "order": uc.order}
-    _emit(args, inst, "classify", result,
-          [", ".join(f"{k}={v}" for k, v in result.items())])
-    return 0
+    result = asdict(cqstruct.classify_unit(u))
+    return result, [", ".join(f"{k}={v}" for k, v in result.items())]
 
 
 def _cmd_bpoly(args, inst):
     u = _fb_elem_of(inst, parse_element(args.expr, inst))
-    coeffs = cqstruct.b_polynomial(u)
-    # does the same polynomial also send b back to u?
-    b = inst.fb.b()
-    acc = inst.fb.zero()
-    pw = inst.fb.one()
-    for c in coeffs:
-        acc = acc + pw.scale(c)
-        pw = pw * b
-    result = {"coefficients": [_field_value(inst, c.code) for c in coeffs],
+    codes = [c.code for c in cqstruct.b_polynomial(u)]
+    # does the same polynomial also send b back to u?  p(b) has p's coefficients
+    result = {"coefficients": [_field_value(inst, c) for c in codes],
               "b_equals_p_of_u": True,
-              "u_equals_p_of_b": acc == u}
-    _emit(args, inst, "bpoly", result,
-          [f"b = p(u) with p coefficients (deg 0..q-1): {result['coefficients']}",
-           f"u = p(b): {result['u_equals_p_of_b']}"])
-    return 0
+              "u_equals_p_of_b": cqstruct.FBElem(inst.fb, codes) == u}
+    return result, [f"b = p(u) with p coefficients (deg 0..q-1): {result['coefficients']}",
+                    f"u = p(b): {result['u_equals_p_of_b']}"]
 
 
 def _cmd_orbits(args, inst):
-    from .group import orbits as group_orbits
-    table = group_orbits(inst.group)
+    table = orbits(inst.group)
     reps = [{"representative": list(map(int, inst.group.a_exps[rep])),
              "size": len(members)} for rep, members in table.orbits]
     result = {"orbit_count": len(table.orbits), "nontrivial_orbits": table.l,
               "orbits": reps}
-    _emit(args, inst, "orbits", result,
-          [f"{len(table.orbits)} orbits, l = {table.l} nontrivial of size {inst.q}"])
-    return 0
+    return result, [f"{len(table.orbits)} orbits, l = {table.l} nontrivial of size {inst.q}"]
 
 
 def _prime_power(cl):
@@ -286,61 +265,46 @@ def _cmd_class_length(args, inst):
     x = parse_element(args.expr, inst)
     rep = unitgroup.centralizer_in_gamma(inst.algebra, x)
     cl = unitgroup.class_length(inst.algebra, x, report=rep)
-    result = {"centralizer_dim": rep.dim,
-              "sym_dim": rep.sym_dim, "skew_dim": rep.skew_dim,
+    result = {"centralizer_dim": rep.dim, "sym_dim": rep.sym_dim, "skew_dim": rep.skew_dim,
               "class_length": _prime_power(cl)}
     lines = [f"dim C_gamma(x) = {rep.dim}", f"{cl!r}"]
     if args.unitary:
         cls = unitgroup.class_length(inst.algebra, x, starred=True, report=rep)
         result["starred_class_length"] = _prime_power(cls)
         lines.append(f"{cls!r}")
-    _emit(args, inst, "class-length", result, lines)
-    return 0
+    return result, lines
 
 
 def _cmd_cayley(args, inst):
-    l = parse_element(args.expr, inst)
-    u = unitgroup.cayley(l)
-    result = {"unit": u.format()}
-    _emit(args, inst, "cayley", result, [f"u = {u.format()}"])
-    return 0
+    u = unitgroup.cayley(parse_element(args.expr, inst))
+    return {"unit": u.format()}, [f"u = {u.format()}"]
 
 
 def _cmd_cayley_inv(args, inst):
-    u = parse_element(args.expr, inst)
-    l = unitgroup.cayley_inv(u)
-    result = {"skew": l.format()}
-    _emit(args, inst, "cayley-inv", result, [f"l = {l.format()}"])
-    return 0
+    l = unitgroup.cayley_inv(parse_element(args.expr, inst))
+    return {"skew": l.format()}, [f"l = {l.format()}"]
 
 
 _ENUM_CAP = 50
 
 
 def _cmd_enumerate(args, inst):
-    budget = args.budget if args.budget is not None else inst.budget
-    enum = cqstruct.enumerate_VFB(inst.fb, args.family, budget=budget)
+    enum = cqstruct.enumerate_VFB(inst.fb, args.family, budget=inst.budget)
     shown = min(enum.order, _ENUM_CAP)
     elements = [{"exponents": list(map(int, enum.exps[i])),
                  "element": enum.unit(i).format()} for i in range(shown)]
     result = {"family": args.family, "order": enum.order,
               "elements": elements, "truncated": enum.order > shown}
-    _emit(args, inst, "enumerate", result,
-          [f"|{args.family}(FB)| = {enum.order}",
-           *(f"  {e['element']}" for e in elements[:10])])
-    return 0
+    return result, [f"|{args.family}(FB)| = {enum.order}",
+                    *(f"  {e['element']}" for e in elements[:10])]
 
 
 def _cmd_complement_search(args, inst):
-    budget = args.budget if args.budget is not None else inst.budget
-    res = cqstruct.complement_search_B_in_VstarFB(inst.fb, budget=budget)
-    comps = []
-    for c in res.complements:
-        comps.append({
-            "generators": c["hnf"].T.tolist(),  # rows are generators
-            "order": c["order"],
-            "witness_exponents": list(map(int, c["witness"])) if c["witness"] else None,
-        })
+    res = cqstruct.complement_search_B_in_VstarFB(inst.fb, budget=inst.budget)
+    comps = [{"generators": c["hnf"].T.tolist(),  # rows are generators
+              "order": c["order"],
+              "witness_exponents": list(map(int, c["witness"])) if c["witness"] else None}
+             for c in res.complements]
     result = {"vstar_order": res.vstar_order, "s": res.s, "m": res.m,
               "no_complement": res.no_complement,
               "complements": comps,
@@ -352,27 +316,22 @@ def _cmd_complement_search(args, inst):
         lines.append(f"{len(comps)} complement(s) found")
         if result["all_certified"]:
             lines.append("every complement contains a unit with q distinct projections")
-    _emit(args, inst, "complement-search", result, lines)
-    return 0
+    return result, lines
 
 
 def _cmd_distinct_unit(args, inst):
-    fb = inst.fb
-    q = inst.q
-    vals = np.ones(q, dtype=np.int64)
-    vals[1] = fb.qdecomp.omega.code
-    vals[q - 1] = inst.field.inv(vals[1])
-    n = cqstruct.ProjVec(fb, vals)
-    w = cqstruct.distinct_projection_unit(n, fb.qdecomp)
+    vals = np.ones(inst.q, dtype=np.int64)
+    vals[1] = inst.fb.qdecomp.omega.code
+    vals[-1] = inst.field.inv(vals[1])
+    n = cqstruct.ProjVec(inst.fb, vals)
+    w = cqstruct.distinct_projection_unit(n, inst.fb.qdecomp)
     result = {"n_projections": _projvec_list(inst, n),
               "w_projections": _projvec_list(inst, w),
               "w": w.to_unit().format(),
               "distinct": w.has_distinct_projections(),
               "unitary": w.is_unitary()}
-    _emit(args, inst, "distinct-unit", result,
-          [f"n = {tuple(result['n_projections'])}",
-           f"w = {tuple(result['w_projections'])}  (distinct={result['distinct']})"])
-    return 0
+    return result, [f"n = {tuple(result['n_projections'])}",
+                    f"w = {tuple(result['w_projections'])}  (distinct={result['distinct']})"]
 
 
 def _cmd_verify(args, inst):
@@ -383,26 +342,22 @@ def _cmd_verify(args, inst):
         lines.append(analysis.note)
     if analysis.branch == "m_gt_1":
         rep = verifier.m_gt_1_no_complement(inst)
-        result["m_gt_1"] = rep.as_dict()
-        result["verdict"] = rep.verdict
+        result.update(m_gt_1=rep.as_dict(), verdict=rep.verdict)
         lines.append(f"verdict: {rep.verdict}")
     elif analysis.branch == "counting":
         cert = verifier.counting_certificate(inst)
-        result["certificate"] = cert.as_dict()
-        result["verdict"] = cert.verdict
-        lines.append(f"L = {cert.L!r} > R = {cert.R!r}: {cert.counting_ok}")
-        lines.append(f"verdict: {cert.verdict}")
+        result.update(certificate=cert.as_dict(), verdict=cert.verdict)
+        lines += [f"L = {cert.L!r} > R = {cert.R!r}: {cert.counting_ok}",
+                  f"verdict: {cert.verdict}"]
     else:
         result["verdict"] = "TheoremSilent"
         lines.append("verdict: TheoremSilent (no claim)")
-    _emit(args, inst, "verify", result, lines)
-    return 0
+    return result, lines
 
 
 def _cmd_certificate(args, inst):
     cert = verifier.counting_certificate(inst)
-    result = cert.as_dict()
-    lines = [
+    return cert.as_dict(), [
         f"dims: gamma={cert.gamma_dim}, S2={cert.s2_dim}, "
         f"C(b)={cert.centralizer_dim}, skew={cert.centralizer_skew_dim}",
         f"|Cl_b| = {cert.p}^{cert.class_length_exponent}, "
@@ -411,42 +366,38 @@ def _cmd_certificate(args, inst):
         f"|A| = {cert.a_order} > {cert.intermediate_bound}: {cert.intermediate_ok}",
         f"verdict: {cert.verdict}",
     ]
-    _emit(args, inst, "certificate", result, lines)
-    return 0
 
 
 def _cmd_sample_disjoint(args, inst):
     alg = inst.algebra
-    seed = args.seed if args.seed is not None else inst.seed
-    trials = args.trials
-    w = alg.basis(inst.group.b())
-    rep = unitgroup.centralizer_in_gamma(alg, w)
     units = []
-    for i in range(rep.kernel.dim):
-        sk = alg.elem(rep.kernel.basis[i]).sym_skew_split()[1]
-        if sk.is_zero():
-            continue
-        u = unitgroup.cayley(sk)
-        if u not in units:
+    for row in inst.b_centralizer.kernel.basis:
+        sk = alg.elem(row).sym_skew_split()[1]
+        if not sk.is_zero() and (u := unitgroup.cayley(sk)) not in units:
             units.append(u)
         if len(units) == 2:
             break
     if len(units) < 2:
         raise MathDomainError("could not derive two distinct centralizer units")
-    ev = unitgroup.sample_disjoint_classes(alg, w, units[0], units[1],
-                                           trials=trials, seed=seed)
-    result = {"seed": ev.seed, "trials": ev.trials,
-              "hits_v": ev.hits_v, "hits_vstar": ev.hits_vstar,
-              "identical_pair_hit": ev.identical_pair_hit,
-              "dim_c_w": ev.dim_c_w, "dim_c_wz1": ev.dim_c_wz1,
-              "lower_bound_ok": ev.lower_bound_ok}
-    _emit(args, inst, "sample-disjoint", result,
-          [f"trials = {ev.trials} per family, hits: V={ev.hits_v}, V*={ev.hits_vstar}",
-           f"dim C(w z1) = {ev.dim_c_wz1} <= dim C(w) = {ev.dim_c_w}: {ev.lower_bound_ok}"])
-    return 0
+    ev = unitgroup.sample_disjoint_classes(alg, alg.basis(inst.group.b()), units[0], units[1],
+                                           trials=args.trials, seed=inst.seed)
+    return asdict(ev), [
+        f"trials = {ev.trials} per family, hits: V={ev.hits_v}, V*={ev.hits_vstar}",
+        f"dim C(w z1) = {ev.dim_c_wz1} <= dim C(w) = {ev.dim_c_w}: {ev.lower_bound_ok}"]
 
 
 # ---------------------------------------------------------------------------
+
+
+def _trial_count(text: str) -> int:
+    """--trials: an int >= 0; a non-integer is reported as type=int reports it."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"the trial count must be >= 0, got {n}")
+    return n
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -461,31 +412,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cqunits",
         description="exact unit-group computations in F[A x| C_q]")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("idempotents", parents=[common]).set_defaults(fn=_cmd_idempotents)
-    for name, fn in (("project", _cmd_project), ("classify", _cmd_classify),
-                     ("bpoly", _cmd_bpoly), ("cayley", _cmd_cayley),
-                     ("cayley-inv", _cmd_cayley_inv)):
+    # built on each call, so a handler patched on the module is the one that runs
+    for name, fn, takes_expr in (
+            ("idempotents", _cmd_idempotents, False), ("project", _cmd_project, True),
+            ("classify", _cmd_classify, True), ("bpoly", _cmd_bpoly, True),
+            ("cayley", _cmd_cayley, True), ("cayley-inv", _cmd_cayley_inv, True),
+            ("orbits", _cmd_orbits, False), ("class-length", _cmd_class_length, True),
+            ("enumerate", _cmd_enumerate, False),
+            ("complement-search", _cmd_complement_search, False),
+            ("distinct-unit", _cmd_distinct_unit, False), ("verify", _cmd_verify, False),
+            ("certificate", _cmd_certificate, False),
+            ("sample-disjoint", _cmd_sample_disjoint, False)):
         sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("expr")
+        if takes_expr:
+            sp.add_argument("expr")
         sp.set_defaults(fn=fn)
-    sub.add_parser("orbits", parents=[common]).set_defaults(fn=_cmd_orbits)
-    sp = sub.add_parser("class-length", parents=[common])
-    sp.add_argument("expr")
-    sp.add_argument("--unitary", action="store_true",
-                    help="also report the class length in the unitary subgroup")
-    sp.set_defaults(fn=_cmd_class_length)
-    sp = sub.add_parser("enumerate", parents=[common])
-    sp.add_argument("family", choices=["V", "V+", "V*"])
-    sp.set_defaults(fn=_cmd_enumerate)
-    sub.add_parser("complement-search", parents=[common]).set_defaults(
-        fn=_cmd_complement_search)
-    sub.add_parser("distinct-unit", parents=[common]).set_defaults(fn=_cmd_distinct_unit)
-    sub.add_parser("verify", parents=[common]).set_defaults(fn=_cmd_verify)
-    sub.add_parser("certificate", parents=[common]).set_defaults(fn=_cmd_certificate)
-    sp = sub.add_parser("sample-disjoint", parents=[common])
-    sp.add_argument("--trials", type=int, default=1000, help="sampling trials per family")
-    sp.set_defaults(fn=_cmd_sample_disjoint)
+    sub.choices["class-length"].add_argument(
+        "--unitary", action="store_true",
+        help="also report the class length in the unitary subgroup")
+    sub.choices["enumerate"].add_argument("family", choices=["V", "V+", "V*"])
+    sub.choices["sample-disjoint"].add_argument(
+        "--trials", type=_trial_count, default=1000, help="sampling trials per family")
     return parser
 
 
@@ -504,7 +451,8 @@ def main(argv=None) -> int:
             inst.budget = args.budget
         if args.seed is not None:
             inst.seed = args.seed
-        return args.fn(args, inst)
+        _emit(args, inst, *args.fn(args, inst))
+        return 0
     except ToolkitError as e:
         slug, code, message = e.slug, e.exit_code, e.message
     except Exception as e:

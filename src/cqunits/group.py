@@ -33,7 +33,7 @@ class AbelianSpec:
         for m in self.factors:
             k = 0
             mm = m
-            while mm % p == 0:
+            while mm > 1 and mm % p == 0:  # 0 would divide forever
                 mm //= p
                 k += 1
             if mm != 1 or k < 1:
@@ -50,8 +50,11 @@ class ActionSpec:
     """Matrix of the action sigma on A: sigma(a_j) = prod_i a_i^{M[i][j]}."""
 
     def __init__(self, matrix, abelian: AbelianSpec):
-        M = np.asarray(matrix, dtype=np.int64)
         r = len(abelian.factors)
+        try:
+            M = np.asarray(matrix, dtype=np.int64)
+        except ValueError:  # ragged rows
+            raise NotAutomorphism(f"action matrix must be {r}x{r}, got ragged rows") from None
         if M.shape != (r, r):
             raise NotAutomorphism(f"action matrix must be {r}x{r}, got {M.shape}")
         facs = np.asarray(abelian.factors, dtype=np.int64)

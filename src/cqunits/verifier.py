@@ -22,7 +22,7 @@ blocks; no dense row of either subspace is built.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
 
 from .algebra import GroupAlgebra
@@ -102,9 +102,7 @@ class Analysis:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {"p": self.p, "f": self.f, "q": self.q, "n": self.n,
-                "s": self.s, "m": self.m, "conditions": dict(self.conditions),
-                "branch": self.branch, "note": self.note}
+        return asdict(self)
 
 
 def analyze(inst: Instance) -> Analysis:

@@ -1,3 +1,4 @@
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,20 @@ from cqunits import GroupAlgebra, cli, make_field, make_group
 from cqunits.verifier import Instance, make_instance
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.fixture()
+def deadline():
+    """Fail a test that runs past 30 s (a hang) with TimeoutError instead of
+    stalling the suite."""
+    def expire(signum, frame):
+        raise TimeoutError("test ran past its 30 s deadline")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
 
 
 @pytest.fixture(scope="session")

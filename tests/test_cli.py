@@ -66,6 +66,15 @@ def test_parse_config_hypothesis_violation_exit(tmp_path, capsys):
     assert "q-does-not-divide" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("A, action, slug", [("0", "2", "not-prime"),  # once a hang
+                                             ("7,7", "2,0;0", "not-automorphism")])
+def test_malformed_group_exits_1(tmp_path, capsys, deadline, A, action, slug):
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"p=7\nf=1\nq=3\nA={A}\naction={action}\n")
+    assert main(["verify", "--config", str(path), "--json"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == slug
+
+
 # --- element expressions --------------------------------------------------------
 
 
@@ -273,6 +282,28 @@ def test_trials_belongs_to_sample_disjoint(capsys, c7_path):
         main(["cayley", "4*a1 - 4*a1^6", "--config", c7_path, "--trials", "5"])
     assert exc.value.code == 2
     assert "--trials" in capsys.readouterr().err
+
+
+def test_negative_trials_is_a_usage_error(capsys, c7_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["sample-disjoint", "--config", c7_path, "--trials", "-5"])
+    assert exc.value.code == 2
+    assert "argument --trials: the trial count must be >= 0, got -5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["classify", "2*b+3*b^2+8*b^3+10*b^4"], ["verify"],
+                                  ["sample-disjoint", "--trials", "20", "--seed", "5"]])
+def test_handler_returns_what_main_emits(capsys, f11_path, argv):
+    # a handler prints nothing; main emits its result and text lines once
+    args = cli.build_parser().parse_args(argv + ["--config", f11_path])
+    inst = parse_config(F11_CFG)
+    inst.seed = 5  # main writes --seed 5 into the instance
+    result, lines = args.fn(args, inst)
+    assert capsys.readouterr() == ("", "")
+    code, doc = run_json(capsys, argv + ["--config", f11_path])
+    assert code == 0 and doc["result"] == json.loads(json.dumps(result))
+    assert main(argv + ["--config", f11_path]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == lines
 
 
 def test_json_byte_stable(capsys, c7_path):

@@ -18,7 +18,7 @@ def test_make_group_c7_c3(f7, g21):
     assert [i for i in range(7) if sigma[i] == i] == [0]
 
 
-def test_make_group_rejections(f7, f31):
+def test_make_group_rejections(f7, f31, deadline):
     with pytest.raises(ActionOrderWrong):
         make_group(f7, 3, [7], [[1]])  # identity action
     with pytest.raises(ActionOrderWrong):
@@ -27,12 +27,17 @@ def test_make_group_rejections(f7, f31):
         make_group(f31, 3, [31, 31], [[5, 0], [0, 1]])  # second factor fixed
     with pytest.raises(NotAutomorphism):
         make_group(f7, 3, [7, 7], [[2, 0]])  # wrong matrix shape
+    with pytest.raises(NotAutomorphism, match="ragged rows"):
+        make_group(f7, 3, [7, 7], [[2, 0], [0]])
     with pytest.raises(NotAutomorphism):
         make_group(f7, 3, [7], [[0]])  # not invertible
     with pytest.raises(NotPrime):
         make_group(f7, 7, [7], [[2]])  # q = p
     with pytest.raises(NotPrime):
         make_group(f7, 9, [7], [[2]])  # q not prime
+    for factor in (0, -7, 1):  # 0 once divided by p forever
+        with pytest.raises(NotPrime, match="not a positive power of p"):
+            make_group(f7, 3, [factor], [[2]])
 
 
 def test_make_group_c31_squared(f31):
