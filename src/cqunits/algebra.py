@@ -508,12 +508,13 @@ class GroupAlgebra:
         """Exact inverse: W = rho(x)^-1 in FB, then (x W)^-1 = (1 - g)^-1 by squaring.
 
         x is a unit of FG iff rho(x) is a unit of FB, because 1 + gamma
-        consists of units.  g = 1 - x W lies in gamma, so g^(2^k) = 0 once
-        2^k >= nilpotency_index(), and (1 - g)^-1 = prod_k (1 + g^(2^k)):
-        the loop starts from the factor 1 + g and takes two products per
-        further factor, about 2 log2(N) in all instead of N.  A scalar
-        rho(x) (as rho(1 + l) = 1 for l in gamma) is inverted in F, with no
-        circulant solve, and W = rho(x)^-1 scales instead of multiplying.
+        consists of units.  g = 1 - x W lies in gamma.  With the factors
+        1 + g^(2^i) for 2^i < N = nilpotency_index(), x x^-1 = 1 - g^(2^k) for
+        the first 2^k >= N, so the check x x^-1 = 1 is the one nilpotency guard.
+        A scalar rho(x) (as rho(1 + l) = 1 for l in gamma) is inverted in F with
+        no circulant solve and W scales: then two products per factor after
+        1 + g, and the check, at most 11 on c31sq (N = 61) and 5 on c7 (N = 7).
+        Otherwise x W and W (1 - g)^-1 add two products.
         """
         rho = x.rho_coeffs()
         if rho[1:].any():
@@ -526,18 +527,15 @@ class GroupAlgebra:
         else:
             raise NotAUnit("rho(x) is not invertible in FB")
         g = self.one() - (x * W if c is None else x.scale(c))
-        inv_u = self.one() + g
-        for _ in range(self.nilpotency_index().bit_length()):
-            if g.is_zero():
-                break
-            g = g * g
+        inv_u, k = self.one() + g, 2
+        while k < self.nilpotency_index() and not g.is_zero():
+            g, k = g * g, 2 * k
             if not g.is_zero():
                 inv_u = inv_u + inv_u * g
-        if not g.is_zero():
-            raise MathDomainError("1 - x rho(x)^-1 is not nilpotent within the index of gamma")
         result = W * inv_u if c is None else inv_u.scale(c)
         if (x * result) != self.one():
-            raise MathDomainError("computed inverse fails x * x^-1 = 1")
+            raise MathDomainError("x * x^-1 != 1: 1 - x rho(x)^-1 is not nilpotent "
+                                  "within the index of gamma")
         return result
 
     # --- gamma machinery -----------------------------------------------------------

@@ -380,7 +380,8 @@ def _cmd_sample_disjoint(args, inst):
     if len(units) < 2:
         raise MathDomainError("could not derive two distinct centralizer units")
     ev = unitgroup.sample_disjoint_classes(alg, alg.basis(inst.group.b()), units[0], units[1],
-                                           trials=args.trials, seed=inst.seed)
+                                           trials=args.trials, seed=inst.seed,
+                                           report=inst.b_centralizer)
     return asdict(ev), [
         f"trials = {ev.trials} per family, hits: V={ev.hits_v}, V*={ev.hits_vstar}",
         f"dim C(w z1) = {ev.dim_c_wz1} <= dim C(w) = {ev.dim_c_w}: {ev.lower_bound_ok}"]

@@ -573,6 +573,11 @@ def complement_search_B_in_VstarFB(fb: FBCtx,
 
 
 def order_q_subgroups_in_cyclic_qm(fb: FBCtx) -> bool:
-    """Every order-q subgroup of V*(FB) lies in a cyclic subgroup of order q^m:
-    the Sylow q-subgroup is (Z_(q^m))^k, so <(N/q) y> lies in <(N/q^m) y>."""
-    return fb.field.order % fb.q ** fb.qdecomp.m == 0
+    """B lies in a cyclic subgroup of order q^m of V*(FB), as every order-q
+    subgroup of its Sylow q-subgroup (Z_(q^m))^k does: the unit y with
+    exponents i N / q^m (i = 1..k, mirrored) is checked, with circulant
+    products, to be unitary and to have y^(q^(m-1)) = b."""
+    N, q, m = fb.field.order, fb.q, fb.qdecomp.m
+    exps = mirror_exps(np.arange(1, (q - 1) // 2 + 1) * (N // q ** m), N, -1)
+    y = from_projections(ProjVec(fb, zeta_powers(fb.field, exps)))
+    return y ** (q ** (m - 1)) == fb.b() and y * y.star() == fb.one()

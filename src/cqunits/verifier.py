@@ -327,8 +327,8 @@ def m_gt_1_no_complement(inst: Instance) -> MGt1Report:
 
     b's coordinates are multiples of N/q, and q^2 | N puts b in q V*(FB),
     so B = <b> is not pure and not a direct summand.  The structural check
-    is the same fact seen from B's side: every order-q subgroup lies in a
-    cyclic subgroup of order q^m.  Nothing is enumerated.
+    sees it from B's side, by another route: b is the q^(m-1)-th power of a
+    unitary unit, in circulant products.  Nothing is enumerated.
     """
     qd = inst.qdecomp
     if qd.m <= 1:

@@ -505,6 +505,27 @@ def test_invert_solves_no_circulant_for_a_scalar_rho(name, config_instance, rng,
     assert x * inv == alg.one() and inv * x == alg.one() and len(solves) == 1
 
 
+@pytest.mark.parametrize("name,products", [("c31sq", 11), ("c7", 5)])
+def test_invert_of_one_plus_gamma_takes_exact_products(name, products, config_instance,
+                                                       monkeypatch):
+    # rho(1 + l) = 1: the factors 1 + g^(2^i) for 2^i < N (N = 61 on c31sq, 7 on
+    # c7), two products each after 1 + g, and the x x^-1 = 1 check
+    alg = config_instance(name).algebra
+    x = alg.one() + random_gamma(alg, np.random.default_rng(2))
+    calls = []
+    mul = alg.mul_coeffs
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(alg, "mul_coeffs", counting_mul)
+    inv = alg.invert(x)
+    assert len(calls) == products
+    monkeypatch.undo()
+    assert x * inv == alg.one()
+
+
 def test_invert_reports_non_nilpotent_gamma(alg21, monkeypatch):
     # a wrong index is caught as a raised error, not a silent wrong inverse
     a = alg21.basis(alg21.group.generator(1))

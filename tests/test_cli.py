@@ -276,6 +276,31 @@ def test_cmd_sample_disjoint(capsys, c7_path):
     assert res["lower_bound_ok"]
 
 
+def test_sample_disjoint_solves_b_centralizer_once(capsys, c7_path, monkeypatch):
+    # C(b) is solved once, for the instance, and handed to the sampler as w's
+    # report: two solves (b, w z1), and the same JSON as the sampler solving C(w)
+    from cqunits import unitgroup, verifier
+    solved = []
+    solve = unitgroup.centralizer_in_gamma
+
+    def counting_solve(alg, x):
+        solved.append(x)
+        return solve(alg, x)
+
+    monkeypatch.setattr(unitgroup, "centralizer_in_gamma", counting_solve)
+    monkeypatch.setattr(verifier, "centralizer_in_gamma", counting_solve)
+    argv = ["sample-disjoint", "--config", c7_path, "--trials", "20", "--seed", "7"]
+    code, doc = run_json(capsys, argv)
+    assert code == 0 and len(solved) == 2
+    b = solved[0]
+    assert b.format() == "b" and solved[1] != b
+    sample = unitgroup.sample_disjoint_classes
+    monkeypatch.setattr(unitgroup, "sample_disjoint_classes",
+                        lambda *a, report, **kw: sample(*a, **kw))
+    solved.clear()
+    assert run_json(capsys, argv) == (0, doc) and len(solved) == 3
+
+
 def test_trials_belongs_to_sample_disjoint(capsys, c7_path):
     # the other subcommands have no --trials, so argparse rejects it (exit 2)
     with pytest.raises(SystemExit) as exc:

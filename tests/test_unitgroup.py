@@ -172,10 +172,11 @@ def test_cayley_roundtrip_sampling(alg21, rng):
         assert (u - alg21.one()).in_gamma()
 
 
-def test_cayley_round_trip_takes_26_products(config_instance, monkeypatch):
-    # on c31sq (N = 61) each inverse squares 6 times, multiplies 5 factors in and
-    # checks x x^-1 = 1: 12 products; cayley and cayley_inv add one u u* = 1
-    # check each, and no product, as 2 (1 + x)^-1 - 1 needs none
+def test_cayley_round_trip_takes_24_products(config_instance, monkeypatch):
+    # on c31sq (N = 61) each inverse forms the factors 1 + g^(2^i) for 2^i < 61,
+    # two products each after 1 + g, and checks x x^-1 = 1: 11 products; cayley and
+    # cayley_inv add one u u* = 1 check each, and no product, as 2 (1 + x)^-1 - 1
+    # needs none
     alg = config_instance("c31sq").algebra
     l = random_skew(alg, np.random.default_rng(1))
     calls = []
@@ -187,7 +188,7 @@ def test_cayley_round_trip_takes_26_products(config_instance, monkeypatch):
 
     monkeypatch.setattr(alg, "mul_coeffs", counting_mul)
     assert cayley_inv(cayley(l)) == l
-    assert len(calls) == 26
+    assert len(calls) == 24
 
 
 def test_unitary_count_equals_skew_space(alg21):
@@ -241,6 +242,8 @@ def test_sample_disjoint_validation(alg21, b21, rep_b):
     not_central = alg21.one() + (a - alg21.one())
     with pytest.raises(BadCentralizerElement):
         sample_disjoint_classes(alg21, b21, not_central, z_good, trials=1)
+    with pytest.raises(MathDomainError, match="not w's"):
+        sample_disjoint_classes(alg21, b21 * b21, z_good, z_good, trials=1, report=rep_b)
 
 
 def test_sample_disjoint_sanity_and_bound(alg21, b21, rep_b):

@@ -106,6 +106,21 @@ def test_m_gt_1_decides_beyond_the_budget(config_instance):
     assert rep.structural_ok and rep.verdict == "NoNormalComplement"
 
 
+@pytest.mark.parametrize("name", ["c19", "c197"])
+def test_structural_scan_reads_circulant_products(name, config_instance, monkeypatch):
+    # the check multiplies in FB: y^(q^(m-1)) = b and y y* = 1 hold, and a wrong
+    # circulant product makes it fail and the verdict Inconclusive
+    inst = config_instance(name)
+    rep = m_gt_1_no_complement(inst)
+    assert inst.qdecomp.m == 2 and rep.structural_ok and rep.verdict == "NoNormalComplement"
+    fld = inst.fb.field
+    mul = inst.fb.mul_coeffs
+    monkeypatch.setattr(inst.fb, "mul_coeffs", lambda x, y: fld.vadd(mul(x, y), x))
+    rep = m_gt_1_no_complement(inst)
+    assert rep.search.no_complement and not rep.structural_ok
+    assert rep.verdict == "Inconclusive"
+
+
 def test_m_gt_1_branch_mismatch(inst7):
     with pytest.raises(BranchMismatch):
         m_gt_1_no_complement(inst7)
