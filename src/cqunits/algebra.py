@@ -1,8 +1,9 @@
 """The group algebra FG as an exact dense coefficient ring.
 
 AlgElem is a `CoeffElem`, the element core that `cqstruct` shares with
-FB, of length |G| and indexed by the group element index; this module
-adds what is particular to FG (rho, gamma, the product, the inverse).
+FB, of length |G| and indexed by the group element index, and
+`GroupAlgebra` is a `CoeffRing` like FB's context; this module adds what
+is particular to FG (rho, gamma, the product, the inverse).
 The algebra holds its FB layer as `GroupAlgebra.fb`, whose circulant
 solve inverts rho(x) for `invert` and `is_unit`.  Groups of order up to
 `_TABLE_ORDER` over a prime field multiply through the full multiplication
@@ -33,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _linalg
-from .cqstruct import CoeffElem, FBCtx
+from .cqstruct import CoeffElem, CoeffRing, FBCtx
 from .errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
 from .field import FieldCtx
 from .group import GroupElem, GroupSpec
@@ -270,8 +271,10 @@ def fft_error_bound(magnitude: int, axis_lengths, f: int, q: int) -> float:
     return magnitude * math.expm1(log_growth)
 
 
-class GroupAlgebra:
+class GroupAlgebra(CoeffRing):
     """Pairing of a FieldCtx with a GroupSpec, with cached mult machinery."""
+
+    elem_type = AlgElem
 
     def __init__(self, field: FieldCtx, group: GroupSpec, fb: FBCtx | None = None):
         """Refuses (BudgetExceeded) an algebra whose products could be inexact.
@@ -376,20 +379,6 @@ class GroupAlgebra:
         return (forward + [last], inverse + [back]), gather
 
     # --- element constructors ------------------------------------------------
-
-    def elem(self, coeffs) -> AlgElem:
-        return AlgElem(self, coeffs)
-
-    def zero(self) -> AlgElem:
-        return AlgElem(self, np.zeros(self.order, dtype=np.int64))
-
-    def one(self) -> AlgElem:
-        return self.basis(0)
-
-    def scalar(self, c) -> AlgElem:
-        coeffs = np.zeros(self.order, dtype=np.int64)
-        coeffs[0] = self.field.elem(c).code
-        return AlgElem(self, coeffs)
 
     def basis(self, g) -> AlgElem:
         idx = g.idx if isinstance(g, GroupElem) else int(g)

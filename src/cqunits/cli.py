@@ -72,6 +72,12 @@ def parse_config(text: str) -> verifier.Instance:
         except ValueError:
             raise ParseError(f"key {key!r} expects an integer, got {s!r}") from None
 
+    def to_count(key):
+        n = to_int(key, values[key])
+        if n < 0:
+            raise ParseError(f"key {key!r} expects an integer >= 0, got {n}")
+        return n
+
     p = to_int("p", values["p"])
     f = to_int("f", values["f"])
     q = to_int("q", values["q"])
@@ -80,8 +86,8 @@ def parse_config(text: str) -> verifier.Instance:
               for row in values["action"].split(";")]
     modulus = ([to_int("modulus", x) for x in values["modulus"].split(",")]
                if "modulus" in values else None)
-    budget = to_int("budget", values["budget"]) if "budget" in values else cqstruct.DEFAULT_BUDGET
-    seed = to_int("seed", values["seed"]) if "seed" in values else 0
+    budget = to_count("budget") if "budget" in values else cqstruct.DEFAULT_BUDGET
+    seed = to_count("seed") if "seed" in values else 0
     return verifier.make_instance(p, f, q, factors, action, modulus=modulus,
                                   budget=budget, seed=seed)
 
@@ -390,14 +396,15 @@ def _cmd_sample_disjoint(args, inst):
 # ---------------------------------------------------------------------------
 
 
-def _trial_count(text: str) -> int:
-    """--trials: an int >= 0; a non-integer is reported as type=int reports it."""
+def _count(text: str) -> int:
+    """--trials, --seed and --budget: an int >= 0; a non-integer is reported as
+    type=int reports it."""
     try:
         n = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if n < 0:
-        raise argparse.ArgumentTypeError(f"the trial count must be >= 0, got {n}")
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {n}")
     return n
 
 
@@ -405,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", required=True, help="instance config file")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
-    common.add_argument("--budget", type=int, default=None,
+    common.add_argument("--budget", type=_count, default=None,
                         help="enumeration budget override")
-    common.add_argument("--seed", type=int, default=None, help="sampler seed override")
+    common.add_argument("--seed", type=_count, default=None, help="sampler seed override")
 
     parser = argparse.ArgumentParser(
         prog="cqunits",
@@ -433,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report the class length in the unitary subgroup")
     sub.choices["enumerate"].add_argument("family", choices=["V", "V+", "V*"])
     sub.choices["sample-disjoint"].add_argument(
-        "--trials", type=_trial_count, default=1000, help="sampling trials per family")
+        "--trials", type=_count, default=1000, help="sampling trials per family")
     return parser
 
 

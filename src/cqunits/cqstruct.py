@@ -2,10 +2,11 @@
 
 `CoeffElem` is the one implementation of ring arithmetic on coefficient
 arrays over GF(p^f): FG's `AlgElem` (in `algebra`) and FB's `FBElem` are
-both CoeffElems, and differ only in the context that multiplies, inverts
-and names their monomials.  FB sits below FG: the group algebra owns one
-`FBCtx` as `GroupAlgebra.fb`, and an FBElem lifts into FG through
-`from_b_coeffs`.
+both CoeffElems, and differ only in their context, a `CoeffRing` that
+supplies `field`, `order`, `elem_type`, `mul_coeffs`, `star_perm`,
+`invert` and `monomial`, and inherits `elem`, `zero`, `scalar` and `one`.
+FB sits below FG: the group algebra owns one `FBCtx` as
+`GroupAlgebra.fb`, and an FBElem lifts into FG through `from_b_coeffs`.
 
 For q | p^f - 1, FB splits as F^q through the primitive idempotents e_j,
 with b acting on e_j by the eigenvalue omega^j.  Units are classified by
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -34,7 +36,7 @@ import numpy as np
 from . import _linalg
 from .errors import (BudgetExceeded, CtxMismatch, HypothesisFail, MathDomainError,
                      NotAUnit, NotUnitary, RepeatedProjections)
-from .field import FieldCtx, FieldElem, QDecomp
+from .field import FieldCtx, FieldElem, QDecomp, power
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -43,10 +45,10 @@ class CoeffElem:
     """An element of a coefficient ring over GF(p^f), held as one immutable
     code array indexed by monomial.
 
-    The context `ctx` supplies `field`, `order` (the array length),
-    `mul_coeffs(x, y)`, `star_perm` (the involution on monomials),
-    `scalar(c)`, `one()`, `invert(x)` and `monomial(i)` (the name of
-    monomial i, "1" for the identity).
+    The context `ctx` is a `CoeffRing`, which supplies `field`, `order` (the
+    array length), `elem_type`, `mul_coeffs(x, y)`, `star_perm` (the
+    involution on monomials), `invert(x)` and `monomial(i)` (the name of
+    monomial i, "1" for the identity), and builds `scalar(c)` and `one()`.
     """
 
     __slots__ = ("ctx", "coeffs")
@@ -100,14 +102,7 @@ class CoeffElem:
     def __pow__(self, e: int):
         if e < 0:
             return self.inverse() ** (-e)
-        result = self.ctx.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul) if e else self.ctx.one()
 
     def inverse(self):
         return self.ctx.invert(self)
@@ -149,8 +144,41 @@ class CoeffElem:
         return f"{type(self).__name__}({self.format()})"
 
 
-class FBCtx:
+class CoeffRing:
+    """The element constructors of a CoeffElem context (see `CoeffElem` for
+    what a subclass supplies)."""
+
+    elem_type: type[CoeffElem]
+
+    def elem(self, coeffs) -> CoeffElem:
+        return self.elem_type(self, coeffs)
+
+    def zero(self) -> CoeffElem:
+        return self.elem(np.zeros(self.order, dtype=np.int64))
+
+    def scalar(self, c) -> CoeffElem:
+        coeffs = np.zeros(self.order, dtype=np.int64)
+        coeffs[0] = self.field.elem(c).code
+        return self.elem(coeffs)
+
+    def one(self) -> CoeffElem:
+        return self.scalar(1)
+
+
+class FBElem(CoeffElem):
+    """Element of FB as a length-q coefficient array (index = power of b)."""
+
+    __slots__ = ()
+
+    def lift(self, alg):
+        """The same element inside FG, for a group algebra `alg` over FB's field and q."""
+        return alg.from_b_coeffs(self.coeffs)
+
+
+class FBCtx(CoeffRing):
     """F[C_q] with its idempotent/projection tables precomputed."""
+
+    elem_type = FBElem
 
     def __init__(self, field: FieldCtx, q: int):
         self.field = field
@@ -168,20 +196,6 @@ class FBCtx:
         self.idem_matrix = field.vmul(self.omega_pow[(-jt) % q], np.int64(self.inv_q))
         self.star_perm = np.array([0] + list(range(q - 1, 0, -1)), dtype=np.int64)
         self._shift = (np.arange(q) - np.arange(q)[:, None]) % q  # b^i b^(k-i) = b^k
-
-    def elem(self, coeffs) -> "FBElem":
-        return FBElem(self, coeffs)
-
-    def zero(self) -> "FBElem":
-        return FBElem(self, np.zeros(self.q, dtype=np.int64))
-
-    def scalar(self, c) -> "FBElem":
-        coeffs = np.zeros(self.q, dtype=np.int64)
-        coeffs[0] = self.field.elem(c).code
-        return FBElem(self, coeffs)
-
-    def one(self) -> "FBElem":
-        return self.b(0)
 
     def b(self, j: int = 1) -> "FBElem":
         c = np.zeros(self.q, dtype=np.int64)
@@ -216,16 +230,6 @@ class FBCtx:
 
     def __repr__(self):
         return f"FBCtx(GF({self.field.p}^{self.field.f})[C{self.q}])"
-
-
-class FBElem(CoeffElem):
-    """Element of FB as a length-q coefficient array (index = power of b)."""
-
-    __slots__ = ()
-
-    def lift(self, alg):
-        """The same element inside FG, for a group algebra `alg` over FB's field and q."""
-        return alg.from_b_coeffs(self.coeffs)
 
 
 class ProjVec:
@@ -268,9 +272,6 @@ class ProjVec:
         if not self.is_unit():
             raise NotAUnit("zero projection, no multiplicative order")
         return math.lcm(*(self.ctx.field.order_of(int(v)) for v in self.values))
-
-    def mul(self, other: "ProjVec") -> "ProjVec":
-        return ProjVec(self.ctx, self.ctx.field.vmul(self.values, other.values))
 
     def inverse(self) -> "ProjVec":
         if not self.is_unit():
@@ -406,14 +407,8 @@ class VFBEnumeration:
     order: int
     exps: np.ndarray  # (order, q-1) int64
 
-    def proj_values(self, i: int) -> np.ndarray:
-        return zeta_powers(self.ctx.field, self.exps[i])
-
     def unit(self, i: int) -> FBElem:
-        return from_projections(ProjVec(self.ctx, self.proj_values(i)))
-
-    def units(self):
-        return (self.unit(i) for i in range(self.order))
+        return from_projections(ProjVec(self.ctx, zeta_powers(self.ctx.field, self.exps[i])))
 
 
 def mirror_exps(free, N: int, sign: int) -> np.ndarray:

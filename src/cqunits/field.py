@@ -40,6 +40,20 @@ def is_prime(n: int) -> bool:
     return n >= 2 and prime_factors(n) == (n,)
 
 
+def power(base, e: int, mul):
+    """base^e for e >= 1 through the product `mul`, by the left-to-right binary
+    method (Knuth, TAOCP Vol. 2, section 4.6.3): bit_length(e) - 1 squarings and
+    popcount(e) - 1 other products.  Every power in the package goes through it."""
+    if e < 1:
+        raise MathDomainError(f"power takes an exponent >= 1, got {e}")
+    result = base
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, base)
+    return result
+
+
 # GF(p)[x] helpers: polynomials are lists of ints in [0, p), low to high,
 # trimmed of zero leading coefficients (the zero polynomial is []).
 
@@ -75,14 +89,9 @@ def _poly_divmod(a, m, p):
 
 
 def _poly_powmod(a, e, m, p):
-    """a^e mod m over Z_p, by square and multiply."""
-    out, base = _poly_divmod([1], m, p)[1], _poly_divmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            out = _poly_divmod(_poly_mul(out, base, p), m, p)[1]
-        base = _poly_divmod(_poly_mul(base, base, p), m, p)[1]
-        e >>= 1
-    return out
+    """a^e mod m over Z_p for e >= 1."""
+    return power(_poly_divmod(a, m, p)[1], e,
+                 lambda x, y: _poly_divmod(_poly_mul(x, y, p), m, p)[1])
 
 
 def _poly_gcdex(a, b, p):
@@ -312,8 +321,7 @@ class FieldCtx:
         a, b = int(a), int(b)
         if self.f == 1:
             return (a * b) % self.p
-        da, db = self.decode(a), self.decode(b)
-        return int(self.encode(np.einsum("i,j,ijk->k", da, db, self._tensor)))
+        return int(self._vmul_tensor(a, b))
 
     def inv(self, a: int) -> int:
         a = int(a)
@@ -334,13 +342,7 @@ class FieldCtx:
             return self.pow(self.inv(a), -e)
         if self.f == 1:
             return pow(a, e, self.p)
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        return power(a, e, self.mul) if e else 1
 
     def order_of(self, a: int) -> int:
         a = int(a)

@@ -12,13 +12,14 @@ exponent tuples directly; there is no |A| x |A| addition table.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (ActionOrderWrong, CtxMismatch, MathDomainError, NotAutomorphism,
                      NotFixedPointFree, NotPrime)
-from .field import FieldCtx, is_prime
+from .field import FieldCtx, is_prime, power
 
 
 class AbelianSpec:
@@ -119,14 +120,7 @@ class GroupElem:
     def __pow__(self, e: int) -> "GroupElem":
         if e < 0:
             return self.inverse() ** (-e)
-        result = GroupElem(self.spec, 0)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return power(self, e, operator.mul) if e else GroupElem(self.spec, 0)
 
     def __eq__(self, other):
         return (isinstance(other, GroupElem) and other.spec is self.spec

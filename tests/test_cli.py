@@ -309,11 +309,21 @@ def test_trials_belongs_to_sample_disjoint(capsys, c7_path):
     assert "--trials" in capsys.readouterr().err
 
 
-def test_negative_trials_is_a_usage_error(capsys, c7_path):
-    with pytest.raises(SystemExit) as exc:
-        main(["sample-disjoint", "--config", c7_path, "--trials", "-5"])
-    assert exc.value.code == 2
-    assert "argument --trials: the trial count must be >= 0, got -5" in capsys.readouterr().err
+def test_negative_trials_is_a_usage_error(capsys, tmp_path, c7_path):
+    # --trials, --seed and --budget take one non-negative int type
+    for flag in ("--trials", "--seed", "--budget"):
+        with pytest.raises(SystemExit) as exc:
+            main(["sample-disjoint", "--config", c7_path, "--trials", "1", flag, "-5"])
+        assert exc.value.code == 2
+        assert f"argument {flag}: expected an integer >= 0, got -5" in capsys.readouterr().err
+    # the config keys too: a parse error, not numpy's ValueError (exit 5) or exit 4
+    for key in ("seed", "budget"):
+        path = tmp_path / f"{key}.cfg"
+        path.write_text(C7_CFG + f"{key} = -3\n")
+        assert main(["sample-disjoint", "--trials", "1", "--config", str(path), "--json"]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["code"] == "parse-error"
+        assert f"key {key!r} expects an integer >= 0, got -3" in err["message"]
 
 
 @pytest.mark.parametrize("argv", [["classify", "2*b+3*b^2+8*b^3+10*b^4"], ["verify"],

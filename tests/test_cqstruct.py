@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cqunits import _linalg, make_field
+from cqunits.algebra import AlgElem
 from cqunits.cqstruct import (FBCtx, FBElem, ProjVec, b_polynomial, b_exponent_coords,
                               classify_unit, complement_search_B_in_VstarFB,
                               distinct_projection_unit, enumerate_VFB,
@@ -77,6 +78,66 @@ def test_fb_inverse_circulant_is_the_roll_construction(p, q, monkeypatch):
     monkeypatch.setattr(_linalg, "solve_right", recording_solve)
     fb.inverse_coeffs(w)
     assert np.array_equal(matrices[0], np.stack([np.roll(w, k) for k in range(q)], axis=1))
+
+
+def counted(monkeypatch, obj, name):
+    """Wrap obj.name to record its calls; returns the list of calls."""
+    calls, fn = [], getattr(obj, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(obj, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("p, q, b_cubed, structural", [(19, 3, 2, 3), (197, 7, 2, 5)])
+def test_powers_take_the_binary_method_products(p, q, b_cubed, structural, monkeypatch):
+    # b^3: one squaring and one product; the structural check on c19 (m = 2, y^3)
+    # takes 2 + the unitarity product, on c197 (m = 2, y^7) 2 squarings + 2 + 1
+    fb = FBCtx(make_field(p), q)
+    b = fb.b()
+    calls = counted(monkeypatch, fb, "mul_coeffs")
+    cube = b ** 3
+    assert len(calls) == b_cubed
+    assert cube == b * b * b
+    calls.clear()
+    assert order_q_subgroups_in_cyclic_qm(fb)
+    assert len(calls) == structural
+
+
+def test_zero_and_negative_powers(config_instance, monkeypatch):
+    # x^0 is the identity with no product; x^-e is the inverse's e-th power
+    inst = config_instance("c7")
+    alg, g = inst.algebra, inst.group
+    b = alg.basis(g.elem([0], 1))
+    for ctx, x in ((inst.fb, inst.fb.b() + 2), (alg, b + alg.basis(g.elem([1], 0)))):
+        calls = counted(monkeypatch, ctx, "mul_coeffs")
+        assert x ** 0 == ctx.one() and not calls
+        for e in range(1, 6):
+            assert x ** -e == x.inverse() ** e
+            assert x ** -e * x ** e == ctx.one()
+    a1 = g.elem([1], 2)
+    calls = counted(monkeypatch, g, "mul_idx")
+    assert a1 ** 0 == g.elem([0], 0) and not calls
+    for e in range(1, 25):
+        assert a1 ** -e == a1.inverse() ** e
+        assert (a1 ** -e) * (a1 ** e) == g.elem([0], 0)
+
+
+@pytest.mark.parametrize("name, c", [("c7", -3), ("gf49", [2, 5])])
+def test_shared_constructors_keep_types_and_values(name, c, config_instance):
+    inst = config_instance(name)
+    code = inst.field.elem(c).code
+    for ctx, kind in ((inst.fb, FBElem), (inst.algebra, AlgElem)):
+        one, zero, sc = ctx.one(), ctx.zero(), ctx.scalar(c)
+        assert all(type(x) is kind and x.ctx is ctx for x in (one, zero, sc))
+        assert one.coeffs.tolist() == [1] + [0] * (ctx.order - 1)
+        assert zero.coeffs.tolist() == [0] * ctx.order
+        assert sc.coeffs.tolist() == [code] + [0] * (ctx.order - 1)
+        assert type(ctx.elem(sc.coeffs)) is kind and ctx.elem(sc.coeffs) == sc
+    assert inst.fb.one() == inst.fb.b(0) and inst.algebra.one() == inst.algebra.basis(0)
 
 
 @pytest.fixture(scope="module")

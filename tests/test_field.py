@@ -6,7 +6,8 @@ import pytest
 from cqunits import cli, make_field, q_decompose
 from cqunits.errors import (MathDomainError, NotPrime, QDoesNotDivide,
                             ReducibleModulus, ZeroInverse)
-from cqunits.field import FieldCtx, _is_irreducible, is_prime, prime_factors
+from cqunits.field import (FieldCtx, _is_irreducible, _poly_divmod, _poly_mul, _poly_powmod,
+                           is_prime, power, prime_factors)
 from conftest import CONFIGS
 from oracles import (_divisors, galois_inverse, galois_is_irreducible,
                      galois_structure_tensor)
@@ -125,6 +126,52 @@ def test_extension_field_basics(f49):
     # Frobenius: (a + b)^7 = a^7 + b^7
     a, b = f49.from_code(13), f49.from_code(38)
     assert (a + b) ** 7 == a ** 7 + b ** 7
+
+
+def test_power_takes_the_binary_method_products():
+    # left-to-right: bit_length(e) - 1 squarings and popcount(e) - 1 other products
+    m, x = 1_000_003, 123_457
+    for e in range(1, 257):
+        calls = []
+
+        def mul(a, b):
+            calls.append(1)
+            return a * b % m
+
+        assert power(x, e, mul) == pow(x, e, m)
+        assert len(calls) == e.bit_length() - 1 + bin(e).count("1") - 1
+    with pytest.raises(MathDomainError):
+        power(x, 0, mul)
+
+
+def test_poly_powmod_matches_repeated_products():
+    m = [1, 1, 0, 1]  # x^3 + x + 1, irreducible over Z_5
+    rng = np.random.default_rng(9)
+    for _ in range(10):
+        a = [int(c) for c in rng.integers(0, 5, 5)]
+        acc = _poly_divmod(a, m, 5)[1]
+        for e in range(1, 30):
+            assert _poly_powmod(a, e, m, 5) == acc
+            acc = _poly_divmod(_poly_mul(acc, a, 5), m, 5)[1]
+
+
+@pytest.mark.parametrize("f", [1, 2])
+def test_pow_at_zero_and_negative_exponents(f, monkeypatch):
+    fld = make_field(7, f)
+    calls = []
+    mul = fld.mul
+
+    def counting_mul(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(fld, "mul", counting_mul)
+    assert all(fld.pow(a, 0) == 1 for a in range(fld.size))
+    assert not calls  # x^0 takes no product
+    for a in range(1, fld.size):
+        for e in range(1, 9):
+            assert fld.pow(a, -e) == fld.pow(fld.inv(a), e)
+            assert mul(fld.pow(a, -e), fld.pow(a, e)) == 1
 
 
 def test_vectorized_ops_match_scalar(f7, f49, rng):
