@@ -72,12 +72,6 @@ def parse_config(text: str) -> verifier.Instance:
         except ValueError:
             raise ParseError(f"key {key!r} expects an integer, got {s!r}") from None
 
-    def to_count(key):
-        n = to_int(key, values[key])
-        if n < 0:
-            raise ParseError(f"key {key!r} expects an integer >= 0, got {n}")
-        return n
-
     p = to_int("p", values["p"])
     f = to_int("f", values["f"])
     q = to_int("q", values["q"])
@@ -86,8 +80,9 @@ def parse_config(text: str) -> verifier.Instance:
               for row in values["action"].split(";")]
     modulus = ([to_int("modulus", x) for x in values["modulus"].split(",")]
                if "modulus" in values else None)
-    budget = to_count("budget") if "budget" in values else cqstruct.DEFAULT_BUDGET
-    seed = to_count("seed") if "seed" in values else 0
+    # make_instance refuses a negative budget or seed
+    budget = to_int("budget", values["budget"]) if "budget" in values else cqstruct.DEFAULT_BUDGET
+    seed = to_int("seed", values["seed"]) if "seed" in values else 0
     return verifier.make_instance(p, f, q, factors, action, modulus=modulus,
                                   budget=budget, seed=seed)
 
@@ -244,10 +239,9 @@ def _cmd_classify(args, inst):
 
 def _cmd_bpoly(args, inst):
     u = _fb_elem_of(inst, parse_element(args.expr, inst))
-    codes = [c.code for c in cqstruct.b_polynomial(u)]
+    codes = [c.code for c in cqstruct.b_polynomial(u)]  # raises unless b = p(u)
     # does the same polynomial also send b back to u?  p(b) has p's coefficients
     result = {"coefficients": [_field_value(inst, c) for c in codes],
-              "b_equals_p_of_u": True,
               "u_equals_p_of_b": cqstruct.FBElem(inst.fb, codes) == u}
     return result, [f"b = p(u) with p coefficients (deg 0..q-1): {result['coefficients']}",
                     f"u = p(b): {result['u_equals_p_of_b']}"]
@@ -330,14 +324,13 @@ def _cmd_distinct_unit(args, inst):
     vals[1] = inst.fb.qdecomp.omega.code
     vals[-1] = inst.field.inv(vals[1])
     n = cqstruct.ProjVec(inst.fb, vals)
+    # raises unless w's projections are distinct and w is unitary
     w = cqstruct.distinct_projection_unit(n, inst.fb.qdecomp)
     result = {"n_projections": _projvec_list(inst, n),
               "w_projections": _projvec_list(inst, w),
-              "w": w.to_unit().format(),
-              "distinct": w.has_distinct_projections(),
-              "unitary": w.is_unitary()}
+              "w": w.to_unit().format()}
     return result, [f"n = {tuple(result['n_projections'])}",
-                    f"w = {tuple(result['w_projections'])}  (distinct={result['distinct']})"]
+                    f"w = {tuple(result['w_projections'])}"]
 
 
 def _cmd_verify(args, inst):

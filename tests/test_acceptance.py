@@ -285,7 +285,7 @@ def test_criterion_08_m_gt_1_branch(crit, inst19):
                    "subgroups sit in cyclic C9, < 1 s")
     t0 = time.perf_counter()
     rep = m_gt_1_no_complement(inst19)
-    assert rep.search.no_complement
+    assert complement_search_B_in_VstarFB(inst19.fb).no_complement
     assert rep.structural_ok
     assert rep.verdict == "NoNormalComplement"
     elapsed = time.perf_counter() - t0

@@ -5,14 +5,16 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from cqunits.algebra import Subspace
+from cqunits.cqstruct import complement_search_B_in_VstarFB
 from cqunits.errors import (BranchMismatch, MathDomainError, NotFixedPointFree,
-                            QDoesNotDivide)
-from cqunits.verifier import (FactoredInt, analyze, counting_certificate,
+                            ParseError, QDoesNotDivide)
+from cqunits.verifier import (FactoredInt, Instance, analyze, counting_certificate,
                               m_gt_1_no_complement, make_instance)
 
 
@@ -45,6 +47,14 @@ def test_instance_hypothesis_gate():
         make_instance(31, 1, 5, [31, 31], [[16, 0], [0, 1]])
 
 
+@pytest.mark.parametrize("key", ["seed", "budget"])
+def test_instance_refuses_a_negative_seed_or_budget(key):
+    # the library entry point refuses them, not only the CLI and the config parser
+    with pytest.raises(ParseError, match=f"key '{key}' expects an integer >= 0, got -1"):
+        make_instance(7, 1, 3, [7], [[2]], **{key: -1})
+    assert getattr(make_instance(7, 1, 3, [7], [[2]], **{key: 0}), key) == 0
+
+
 def test_certificate_c7(inst7):
     cert = counting_certificate(inst7)
     assert cert.gamma_dim == 18 and cert.s2_dim == 9
@@ -61,7 +71,8 @@ def test_certificate_c7(inst7):
 
 @pytest.mark.parametrize("name, dims", [("c31sq", (2400, 960, 480)),
                                         ("c61sq", (9300, 3720, 1860)),
-                                        ("gf81_c3e8", (16400, 6560, 3280))])
+                                        ("gf81_c3e8", (16400, 6560, 3280)),
+                                        ("gf25_c5sq", (36, 24, 12))])
 def test_certificate_reads_block_dimensions(name, dims, config_instance, monkeypatch):
     # S2 and C(b) stay in block form, so the certificate writes down no rows;
     # dense rows of c61sq or gf81_c3e8 would take gigabytes
@@ -92,7 +103,7 @@ def test_certificate_refuses_low_n():
 def test_m_gt_1_report(inst19):
     rep = m_gt_1_no_complement(inst19)
     assert rep.vstar_order == 18
-    assert rep.search.no_complement
+    assert complement_search_B_in_VstarFB(inst19.fb).no_complement
     assert rep.structural_ok
     assert rep.verdict == "NoNormalComplement"
 
@@ -102,7 +113,9 @@ def test_m_gt_1_decides_beyond_the_budget(config_instance):
     inst = config_instance("c19")
     inst.budget = 10
     rep = m_gt_1_no_complement(inst)
-    assert rep.search.no_complement and not rep.search.complements
+    assert rep.vstar_order == 18
+    search = complement_search_B_in_VstarFB(inst.fb, budget=inst.budget)
+    assert search.no_complement and not search.complements
     assert rep.structural_ok and rep.verdict == "NoNormalComplement"
 
 
@@ -117,7 +130,7 @@ def test_structural_scan_reads_circulant_products(name, config_instance, monkeyp
     mul = inst.fb.mul_coeffs
     monkeypatch.setattr(inst.fb, "mul_coeffs", lambda x, y: fld.vadd(mul(x, y), x))
     rep = m_gt_1_no_complement(inst)
-    assert rep.search.no_complement and not rep.structural_ok
+    assert complement_search_B_in_VstarFB(inst.fb).no_complement and not rep.structural_ok
     assert rep.verdict == "Inconclusive"
 
 
@@ -162,7 +175,8 @@ def test_q5_specialization_analysis():
     a = analyze(inst101)
     assert a.branch == "m_gt_1" and a.m == 2
     rep = m_gt_1_no_complement(inst101)
-    assert rep.search.no_complement and rep.structural_ok
+    assert rep.vstar_order == 100 ** 2
+    assert complement_search_B_in_VstarFB(inst101.fb).no_complement and rep.structural_ok
     assert rep.verdict == "NoNormalComplement"
     # p = 11 itself is excluded: s + 1 = 3 < 5
     assert analyze(make_instance(11, 1, 5, [11, 11], [[3, 0], [0, 9]])).branch == "silent"
@@ -239,20 +253,43 @@ def test_certificate_json_is_pinned(config_instance):
     # the c43cube report, byte for byte as the int routes printed it
     doc = json.dumps(counting_certificate(config_instance("c43cube")).as_dict(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == (
-        "e11b9a30bee5471b4dfc03e663dab127bbf577a7750f9d6d7622bf66eef35639")
+        "3579e985b31325a458d973cfd04cfd876d3111148f18f54a83e7c2b2c0a68e30")
 
 
-def test_residue_check_is_live(inst7, monkeypatch):
-    # L's Decimal off by one: the comparison still holds, the residues do not
-    exact = FactoredInt.decimal.func
+def _misreport(**change):
+    """b's centralizer report with the named fields moved off their solved values."""
+    def patch(monkeypatch, inst):
+        rep = inst.b_centralizer
+        wrong = replace(rep, **{k: move(getattr(rep, k)) for k, move in change.items()})
+        monkeypatch.setattr(Instance, "b_centralizer", property(lambda self: wrong))
+    return patch
 
-    def off_by_one(self):
-        d = exact(self)
-        return d + 1 if self.cofactor == inst7.q - 1 else d
 
-    monkeypatch.setattr(FactoredInt, "decimal", property(off_by_one))
+def _off_by_one(cofactor):
+    """The Decimal of the side with this cofactor one too large; on c7 L > R still holds."""
+    def patch(monkeypatch, inst):
+        exact = FactoredInt.decimal.func
+        monkeypatch.setattr(FactoredInt, "decimal", property(
+            lambda self: exact(self) + int(self.cofactor == cofactor)))
+    return patch
+
+
+# each certificate check, and a wrong route that only it can see (c7: L = 2*7^9, R = 7^8)
+CHECK_BREAKERS = {
+    "centralizer_dim_formula": _misreport(dim=lambda d: d + 2, skew_dim=lambda d: d + 1),
+    "b_kernel_star_closed": _misreport(star_closed=lambda ok: False),
+    "sqrt_law_for_b": _misreport(skew_dim=lambda d: d + 1),
+    "L_recompute": _off_by_one(2),
+    "R_recompute": _off_by_one(1),
+}
+
+
+@pytest.mark.parametrize("key", list(CHECK_BREAKERS))
+def test_certificate_check_is_live(key, inst7, monkeypatch):
+    CHECK_BREAKERS[key](monkeypatch, inst7)
     cert = counting_certificate(inst7)
-    assert not cert.checks["L_recompute"] and cert.checks["R_recompute"]
+    assert set(cert.checks) == set(CHECK_BREAKERS)
+    assert [k for k, ok in cert.checks.items() if not ok] == [key]
     assert cert.counting_ok and cert.verdict == "Inconclusive"
 
 
