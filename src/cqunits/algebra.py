@@ -13,8 +13,11 @@ transforms: A is indexed row-major over its invariant factors, so a product
 in FA is a multi-dimensional cyclic convolution, transformed by one gemm per
 axis with the algebra's DFT matrices; sigma acts on spectra by permuting the
 characters of A, so each product takes one inverse transform (`_mul_fft`).
-The algebra builds its DFT matrices and gather itself; the table is the
-group's cached `mul_table`.
+An operand used in several products is transformed once (`transform`, a
+`Spectrum`), as `invert` does with each power of g, and a product's
+temporaries live in work arrays the algebra builds once (`_work`).
+The algebra builds its DFT matrices, gather and work arrays itself; the
+table is the group's cached `mul_table`.
 Both routes carry exactness bounds checked when the algebra is built, and
 every transform product also checks its rounding distances against its bound.
 
@@ -30,6 +33,7 @@ import math
 import os
 import resource
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -202,6 +206,14 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
 
 
+class Spectrum(NamedTuple):
+    """A code array transformed for `GroupAlgebra._mul_fft`: its spectra F, of
+    shape (f, q, H) (digit, slot, stored character of A), and its nonzero slots."""
+
+    F: np.ndarray
+    slots: np.ndarray
+
+
 class AlgElem(CoeffElem):
     """One element of FG: a CoeffElem indexed by the group element index."""
 
@@ -272,7 +284,10 @@ def fft_error_bound(magnitude: int, axis_lengths, f: int, q: int) -> float:
 
 
 class GroupAlgebra(CoeffRing):
-    """Pairing of a FieldCtx with a GroupSpec, with cached mult machinery."""
+    """Pairing of a FieldCtx with a GroupSpec, with cached mult machinery.
+
+    Transform products share the algebra's work arrays, so one algebra must
+    not multiply in two threads at once."""
 
     elem_type = AlgElem
 
@@ -326,9 +341,12 @@ class GroupAlgebra(CoeffRing):
         """((forward, inverse), gather): the DFT matrices over A's invariant-factor
         axes and the slot gather, built on the first `_mul_fft`.  Refused
         (BudgetExceeded) before any of them is built, past 32 sum_lead m^2 + 32 n h
-        for the matrices, 8 q^2 H for the gather index and 8 spectra of 16 f q H
-        bytes for a product (n the last axis, h = n // 2 + 1, H = h prod_lead m
-        characters).
+        for the matrices and 32 n h for the temporaries that build the last axis's
+        (the peak on c197's single axis), 8 q^2 H for the gather index, the bytes of
+        the work arrays (`_work_shapes`: 16 f q |A| + 48 f q H, 16 f q H per
+        gathered result slot, 16 f q H more with a lead axis and 16 f^2 q H with
+        f > 1) and 8 spectra of 16 f q H bytes for a product (n the last axis,
+        h = n // 2 + 1, H = h prod_lead m characters).
 
         For each axis but the last, of length m: W[j, k] = exp(-2 pi i (jk mod m) / m)
         (complex, symmetric) and its conjugate.  For the last axis: the real (n, 2h)
@@ -339,9 +357,9 @@ class GroupAlgebra(CoeffRing):
         already inverted on the other axes, back to real rows and divides by |A|.
         All are C-contiguous.
 
-        The gather is a (q, q, H) index into a (q, 2H) array [spectra of y_j | their
-        conjugates]: at [i, s] it reads y_(s - i) o sigma^i, the factor slot s takes
-        from x's slot i.  At the stored character k, y o sigma^t has y's spectrum at
+        The gather is a (q, q, H) index into a (2, q, H) array [spectra of the y_j;
+        their conjugates]: at [s, i] it reads y_(s - i) o sigma^i, the factor slot s
+        takes from x's slot i.  At the stored character k, y o sigma^t has y's spectrum at
         k' = k o sigma^-t, conjugated where k' is not stored; k'_j = n_j sum_l k_l
         c_jl / n_l mod n_j, c_j the exponents of sigma^-t(e_j).
         """
@@ -349,9 +367,11 @@ class GroupAlgebra(CoeffRing):
         *lead, n = G.abelian.factors
         h = n // 2 + 1
         H = math.prod(lead) * h
-        refuse_past_memory(32 * sum(m * m for m in lead) + 32 * n * h
-                           + 8 * q ** 2 * H + 8 * 16 * self.field.f * q * H,
-                           "the DFT matrices and the slot gather")
+        work = sum(math.prod(shape) * np.dtype(dtype).itemsize
+                   for shape, dtype in self._work_shapes().values())
+        refuse_past_memory(32 * sum(m * m for m in lead) + 64 * n * h
+                           + 8 * q ** 2 * H + work + 8 * 16 * self.field.f * q * H,
+                           "the DFT matrices, the slot gather and the work arrays")
 
         def angles(rows, cols, m):
             return 2 * np.pi / m * (np.outer(np.arange(rows), np.arange(cols)) % m)
@@ -372,11 +392,48 @@ class GroupAlgebra(CoeffRing):
         kt = k @ np.swapaxes(c * facs[:, None] // facs, 1, 2) % facs  # t, k, j
         conj = kt[..., -1] > n // 2
         kt[conj] = -kt[conj] % facs
-        chars = np.ravel_multi_index(tuple(np.moveaxis(kt, -1, 0)), (*lead, h)) + conj * H
-        shift = (np.arange(q) - np.arange(q)[:, None]) % q  # [i, s] -> s - i
-        gather = np.add(shift[:, :, None] * (2 * H), chars[:, None, :],
+        chars = np.ravel_multi_index(tuple(np.moveaxis(kt, -1, 0)), (*lead, h)) + conj * q * H
+        shift = (np.arange(q)[:, None] - np.arange(q)) % q  # [s, i] -> s - i
+        gather = np.add(shift[:, :, None] * H, chars[None, :, :],
                         out=np.empty((q, q, H), dtype=np.int64))
         return (forward + [last], inverse + [back]), gather
+
+    def _gather_slots(self) -> int:
+        """How many result slots `_mul_fft` gathers at once: all q unless their
+        f q^2 H spectra pass `_GATHER_BYTES` (c43cube: one at a time)."""
+        *lead, n = self.group.abelian.factors
+        H = math.prod(lead) * (n // 2 + 1)
+        return min(self.q, max(1, _GATHER_BYTES // (16 * self.field.f * self.q * H)))
+
+    def _work_shapes(self) -> dict:
+        """name -> (shape, dtype) of the work arrays of a transform product.
+
+        "rows" holds the real digit planes of a code array (forward) and of a
+        product (inverse), "half" their half spectra on the last axis (with a
+        lead axis only: without one the forward half spectrum is the kept
+        spectrum), "FYc" [FY; conj FY] per digit, "G" the spectra gathered for
+        `_gather_slots` result slots, "P" their sums over x's slots and "Z"
+        the rounded rows; over an extension field "FXT" holds x's spectra
+        contracted with the field tensor."""
+        q, f, na = self.q, self.field.f, self.group.abelian.order
+        *lead, n = self.group.abelian.factors
+        H = math.prod(lead) * (n // 2 + 1)
+        shapes = {"rows": ((f * q, na), np.float64), "FYc": ((f, 2, q, H), np.complex128),
+                  "G": ((f, self._gather_slots(), q, H), np.complex128),
+                  "P": ((q, f, H), np.complex128), "Z": ((f * q, na), np.float64)}
+        if lead:
+            shapes["half"] = ((f * q, H), np.complex128)
+        if f > 1:
+            shapes["FXT"] = ((f, f, q, H), np.complex128)
+        return shapes
+
+    @cached_property
+    def _work(self) -> dict:
+        """The work arrays of `_work_shapes`, built once after `_dft` (whose
+        refusal counts them) and reused by every transform product."""
+        self._dft
+        return {name: np.empty(shape, dtype=dtype)
+                for name, (shape, dtype) in self._work_shapes().items()}
 
     # --- element constructors ------------------------------------------------
 
@@ -400,10 +457,16 @@ class GroupAlgebra(CoeffRing):
 
     # --- multiplication -------------------------------------------------------
 
-    def mul_coeffs(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    def mul_coeffs(self, x, y) -> np.ndarray:
+        """x y, each a code array or what `transform` made of one."""
         if self._mul_flat is not None:
             return self._mul_table_path(x, y)
         return self._mul_fft(x, y)
+
+    def transform(self, c: np.ndarray):
+        """The code array c as an operand of `mul_coeffs`, for use in more than
+        one product: its `Spectrum` on the transform route, c on the table route."""
+        return c if self._mul_flat is not None else self._spectrum(c)
 
     def _mul_table_path(self, x, y):
         """x y over a prime field: the float64 sums of x[g] y[h] at the index
@@ -413,82 +476,113 @@ class GroupAlgebra(CoeffRing):
                            minlength=self.order)
         return np.rint(sums).astype(np.int64) % self.field.p
 
+    def _along_lead(self, S, mats, out=None):
+        """The DFT mats[a] along lead axis a of S, of shape (f q, *lead, ...); the
+        last gemm writes into out (a C-contiguous array of its size) if given."""
+        *lead, _ = self.group.abelian.factors
+        rows = self.field.f * self.q
+        for a, W in enumerate(mats[:-1]):
+            shape = (rows * math.prod(lead[:a]), lead[a], -1)
+            last = out is not None and a == len(lead) - 1
+            S = np.matmul(W, S.reshape(shape), out=out.reshape(shape) if last else None)
+        return S
+
+    def _spectrum(self, c: np.ndarray) -> Spectrum:
+        """The forward transform of the code array c: one real gemm takes the
+        last axis of its float digit planes (the "rows" work array) to the
+        stored half spectrum, one complex gemm per other axis does the rest
+        (the matrices of `_dft`).  Over a prime field the codes are the
+        digits, copied into the planes with no `FieldCtx.decode`.  The
+        spectrum is a fresh array, never a view of a work array: with no lead
+        axis it is the last-axis gemm's own output."""
+        q, f, na = self.q, self.field.f, self.group.abelian.order
+        n = self.group.abelian.factors[-1]
+        forward = self._dft[0][0]
+        work = self._work
+        c = c.reshape(na, q)
+        planes = work["rows"]
+        planes.reshape(f, q, na)[...] = (c if f == 1 else self.field.decode(c)).T
+        half = work.get("half")  # complex (f q, H): the real (f q prod_lead m, 2h) gemm output
+        if half is not None:
+            half = half.view(np.float64).reshape(-1, 2 * (n // 2 + 1))
+        half = np.matmul(planes.reshape(-1, n), forward[-1], out=half)
+        F = self._along_lead(half.view(np.complex128), forward).reshape(f, q, -1)
+        # at the trivial character every matrix entry is 1 (and -0), so F[d, i, 0] is 0
+        # exactly where digit d of slot i is zero, and at least 1 elsewhere
+        return Spectrum(F, F[:, :, 0].real.any(axis=0).nonzero()[0])
+
     def _mul_fft(self, x, y):
         """x y through the group's per-axis DFT matrices over A's invariant-factor axes.
 
         x_i a b^i * y_j c b^j = (a + sigma^-i(c)) b^(i+j): slot i + j gains
         x_i * (y_j o sigma^i) in FA, whose spectrum is x_i's times a gather
-        of y_j's.  x and y are transformed once each (once in all for a
-        square, y is x): one real gemm takes the last axis of their float
-        digit planes to the stored half spectrum, one complex gemm per other
-        axis does the rest (the matrices of `_dft`).  The nonzero slots of x
-        are read off its planes.  The field tensor is contracted into x's
-        spectra; the gather of `_dft` reads every
-        y_j o sigma^i off [y's spectra | their conjugates], and an einsum
-        sums the products over the nonzero slots of x per slot of the
-        result, gathering about `_GATHER_BYTES` of slots at a time (all q at
-        once unless |A| q^2 f is large).  The inverse gemms take the q
-        slices back to integers; the rounding distances are checked against
-        the a-priori bound of __init__ (MathDomainError past it).  Over a
-        prime field (f = 1) the codes are the digits: the plane is the code
-        array itself, the tensor [[1]] is not contracted, and the rounded
-        sums are reduced by one `% p`, with no `FieldCtx.decode` or `encode`.
-        Temporaries are dropped as soon as they are read, and x's spectra and
-        gather rows are views when x fills every slot: a c31sq product that
-        held about 100 KB more made glibc trim and regrow its heap, some 80
-        minor page faults a product.
+        of y_j's.  x and y are code arrays or `Spectrum`s (`transform`); a
+        code array is transformed here (`_spectrum`), once for a square (y is
+        x).  The field tensor is contracted into x's spectra on its nonzero
+        slots; the gather of `_dft` reads every y_j o sigma^i off [y's
+        spectra; their conjugates], `_gather_slots` result slots at a time
+        (all q unless |A| q^2 f is large), and the products are summed over
+        x's nonzero slots.  The inverse gemms take the q slices back to
+        integers; the rounding distances are checked against the a-priori
+        bound of __init__ (MathDomainError past it).
+
+        Every temporary lives in the algebra's work arrays (`_work`) and is
+        filled through `out=`, so a product allocates only its output and
+        the spectra of its code-array operands: per-product temporaries lie
+        above glibc's mmap threshold on c61sq, and were mapped and unmapped
+        again, about 370 minor page faults a product.  `np.take` gathers with
+        mode "wrap" (under "raise" numpy buffers `out`).  Over a prime field
+        (f = 1) the tensor [[1]] is not contracted, one same-shape multiply
+        per result slot (numpy buffers a broadcast complex multiply) and one
+        sum over x's slots replace the einsum of f > 1, and the rounded sums
+        are reduced as x - (x // p) p (`FieldCtx.mod_p`, the quotients in the
+        spent rounding distances), with no `FieldCtx.encode`.  The work
+        arrays make an algebra's products unsafe to run in two threads at once.
         """
         q, f, na = self.q, self.field.f, self.group.abelian.order
         *lead, n = self.group.abelian.factors
-        (forward, inverse), gather = self._dft
+        (_, inverse), gather = self._dft
         H = gather.shape[2]
-
-        def along_lead(S, mats):  # the DFT mats[a] along lead axis a of (f q, *lead, ...)
-            for a, W in enumerate(mats[:-1]):
-                S = np.matmul(W, S.reshape(f * q * math.prod(lead[:a]), lead[a], -1))
-            return S
-
-        def spectrum(c):  # (f, q, H): digit, slot, stored character of A; c's nonzero slots
-            c = c.reshape(na, q)
-            planes = np.ascontiguousarray((c if f == 1 else self.field.decode(c)).T,
-                                          dtype=np.float64)  # for f = 1 the codes themselves
-            half = (planes.reshape(-1, n) @ forward[-1]).view(np.complex128)
-            slots = np.flatnonzero(planes.reshape(f, q, na).any(axis=(0, 2)))
-            return along_lead(half, forward).reshape(f, q, H), slots
-
-        FX, nz = spectrum(x)
-        FY = FX if y is x else spectrum(y)[0]
+        work = self._work
+        X = x if isinstance(x, Spectrum) else self._spectrum(x)
+        Y = X if y is x else y if isinstance(y, Spectrum) else self._spectrum(y)
+        nz = X.slots
         whole = nz.size == q  # x on every slot: its spectra and gather rows are read as views
-        FXn = FX if whole else FX[:, nz]
-        if f == 1:  # the field tensor is [[1]]
-            FXT = FXn.reshape(1, 1, nz.size, H)
-        else:
+        FXn = X.F if whole else X.F[:, nz]
+        if f > 1:  # FXT[b, c, i, k] = sum_a T[a, b, c] FX[a, i, k]
             T = np.ascontiguousarray(self.field._tensor.transpose(1, 2, 0).reshape(f * f, f),
                                      dtype=np.float64)
-            FXT = (T @ FXn.view(np.float64).reshape(f, -1)).view(np.complex128)
-            FXT = FXT.reshape(f, f, nz.size, H)  # [b, c, i, k]: sum_a T[a, b, c] FX[a, i, k]
-        FYc = np.concatenate([FY, FY.conj()], axis=-1).reshape(f, -1)
-        del FX, FY, FXn
-        step = max(1, _GATHER_BYTES // (16 * f * q * H))  # slots of x per gather
-        P = np.zeros((q, f, H), dtype=np.complex128)
-        for lo in range(0, nz.size, step):
-            P += np.einsum("bcik,bisk->sck", FXT[:, :, lo:lo + step],
-                           np.take(FYc, gather[lo:lo + step] if whole else gather[nz[lo:lo + step]],
-                                   axis=1))
-        del FXT, FYc
-        R = along_lead(P.reshape(q * f, *lead, -1), inverse).reshape(-1, n // 2 + 1)
-        R = (R.view(np.float64) @ inverse[-1]).reshape(q, f, na)
-        del P
-        Z = np.rint(R)
+            FXT = work["FXT"].reshape(-1)[:f * f * nz.size * H].reshape(f, f, nz.size, H)
+            np.matmul(T, FXn.view(np.float64).reshape(f, -1),
+                      out=FXT.view(np.float64).reshape(f * f, -1))
+        FYc, G, P = work["FYc"], work["G"], work["P"]
+        FYc[:, 0] = Y.F
+        np.conjugate(Y.F, out=FYc[:, 1])
+        step = G.shape[1]
+        for lo in range(0, q, step):
+            w = min(step, q - lo)
+            Gw = G.reshape(-1)[:f * w * nz.size * H].reshape(f, w, nz.size, H)
+            FYc.reshape(f, -1).take(gather[lo:lo + w] if whole else gather[lo:lo + w, nz],
+                                    axis=1, mode="wrap", out=Gw)
+            if f == 1:
+                for Gs in Gw[0]:
+                    np.multiply(Gs, FXn[0], out=Gs)
+                np.add.reduce(Gw[0], axis=1, out=P[lo:lo + w, 0])
+            else:
+                np.einsum("bcik,bsik->sck", FXT, Gw, out=P[lo:lo + w])
+        R = self._along_lead(P.reshape(q * f, *lead, -1), inverse, out=work.get("half"))
+        R = np.matmul(R.view(np.float64).reshape(-1, 2 * (n // 2 + 1)), inverse[-1],
+                      out=work["rows"].reshape(-1, n))
+        Z = np.rint(R, out=work["Z"].reshape(R.shape))
         worst = float(np.abs(np.subtract(R, Z, out=R), out=R).max())
         if worst > self._fft_bound:
             raise MathDomainError(f"FFT product rounding distance {worst:.3g} exceeds "
                                   f"its bound {self._fft_bound:.3g}")
         if f == 1:  # the rounded sums are the codes, less multiples of p
-            codes = np.ascontiguousarray(Z.reshape(q, na).T, dtype=np.int64).reshape(self.order)
-            codes %= self.field.p
-            return codes
-        codes = self.field.encode(np.moveaxis(Z.astype(np.int64), 1, -1))  # (q, |A|)
+            codes = np.empty((na, q), dtype=np.int64)
+            codes[...] = Z.reshape(q, na).T
+            return self.field.mod_p(codes, scratch=R.view(np.int64).reshape(na, q)).reshape(-1)
+        codes = self.field.encode(np.moveaxis(Z.reshape(q, f, na).astype(np.int64), 1, -1))
         return codes.T.reshape(self.order)
 
     # --- inversion --------------------------------------------------------------
@@ -503,7 +597,10 @@ class GroupAlgebra(CoeffRing):
         A scalar rho(x) (as rho(1 + l) = 1 for l in gamma) is inverted in F with
         no circulant solve and W scales: then two products per factor after
         1 + g, and the check, at most 11 on c31sq (N = 61) and 5 on c7 (N = 7).
-        Otherwise x W and W (1 - g)^-1 add two products.
+        Otherwise x W and W (1 - g)^-1 add two products.  Each g^(2^i) is
+        transformed once (`transform`): its spectrum serves both the square
+        g^(2^(i+1)) and the product by the running inverse, so on c31sq the 11
+        products take 13 forward transforms, not 22.
         """
         rho = x.rho_coeffs()
         if rho[1:].any():
@@ -516,11 +613,12 @@ class GroupAlgebra(CoeffRing):
         else:
             raise NotAUnit("rho(x) is not invertible in FB")
         g = self.one() - (x * W if c is None else x.scale(c))
-        inv_u, k = self.one() + g, 2
+        inv_u, k, t = self.one() + g, 2, self.transform(g.coeffs)  # t: g^(2^i) transformed
         while k < self.nilpotency_index() and not g.is_zero():
-            g, k = g * g, 2 * k
+            g, k = self.elem(self.mul_coeffs(t, t)), 2 * k
             if not g.is_zero():
-                inv_u = inv_u + inv_u * g
+                t = self.transform(g.coeffs)
+                inv_u = inv_u + self.elem(self.mul_coeffs(inv_u.coeffs, t))
         result = W * inv_u if c is None else inv_u.scale(c)
         if (x * result) != self.one():
             raise MathDomainError("x * x^-1 != 1: 1 - x rho(x)^-1 is not nilpotent "

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,51 @@ def test_mul_fft_over_a_prime_field_skips_the_digit_planes(name, request, rng, m
         assert np.array_equal(alg._mul_fft(x, x), xx)
 
 
+@pytest.mark.parametrize("name", ["alg_c31sq", "alg_c197", "alg_c49x7", "alg_gf49_c7e4"])
+def test_transformed_operands_multiply_exactly(name, request, rng):
+    # a Spectrum from `transform` serves any number of products, as either
+    # factor, and is never a view of the algebra's work arrays: c197 has no
+    # lead axis, so there its spectrum is the last-axis gemm's own output
+    alg = request.getfixturevalue(name)
+    one_slot = np.zeros(alg.order, dtype=np.int64)  # x on the slot b^1 only
+    one_slot[rng.choice(alg.order // alg.q, 6, replace=False) * alg.q + 1] = 2
+    xs = [sparse_elem(alg, rng).coeffs, one_slot, random_elem(alg, rng).coeffs,
+          random_elem(alg, rng).coeffs]
+    full = alg.order <= 1500  # the reference takes |supp x| |G| entries
+    want = {(i, j): mul_reference(alg, xs[i], xs[j]) if i < 2 or full
+            else alg._mul_fft(xs[i], xs[j]) for i in range(4) for j in range(4)}
+    T = [alg.transform(c) for c in xs]
+    assert all(isinstance(t, algebra.Spectrum) for t in T)
+    for (i, j), xy in want.items():
+        for a, b in ((T[i], T[j]), (T[i], xs[j]), (xs[i], T[j])):
+            assert np.array_equal(alg.mul_coeffs(a, b), xy)
+        if i == j:
+            assert np.array_equal(alg.mul_coeffs(xs[i], xs[i]), xy)
+    assert not any(np.shares_memory(t.F, w) for t in T for w in alg._work.values())
+
+
+@pytest.mark.parametrize("name", ["alg_c31sq", "alg_c61sq"])
+def test_products_allocate_only_their_output_and_spectra(name, request, rng):
+    # after a warm-up product, a product (and a square) allocates its output
+    # and its operands' spectra, and no temporary besides: those live in the
+    # algebra's work arrays, so none is mapped and unmapped per product
+    alg = request.getfixturevalue(name)
+    x, y = (random_elem(alg, rng).coeffs for _ in range(2))
+    alg.mul_coeffs(x, y)
+    H = alg._dft[1].shape[2]
+    assert alg._work["G"].shape == (1, alg.q, alg.q, H)  # every result slot at once
+    budget = 8 * alg.order + 2 * 16 * alg.q * H + 4096
+    tracemalloc.start()
+    try:
+        for a, b in ((x, y), (x, x)):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            alg.mul_coeffs(a, b)
+            assert tracemalloc.get_traced_memory()[1] - before <= budget
+    finally:
+        tracemalloc.stop()
+
+
 def test_fft_bound_admits_configs_and_large_instances(config_instance, alg_gf81_c3e8, alg_inst101):
     # the bound covers q slot products summed before one inverse transform;
     # every algebra built here must still pass it
@@ -284,6 +331,45 @@ def test_dft_memory_is_refused_up_front(f7, monkeypatch):
     assert np.array_equal(alg._mul_fft(one, one), one)
     assert alg._dft[1].shape == (3, 3, 7 * 4)
     assert structure_arrays(group) == STRUCTURE
+
+
+@pytest.mark.parametrize("name, slots", [("c31sq", 5), ("c197", 7), ("gf49_c7cube", 3),
+                                         ("c43cube", 1)])
+def test_dft_refusal_counts_the_work_arrays(name, slots, config_instance, monkeypatch):
+    # the matrices (and the temporaries that build the last axis's), the
+    # gather index, the work arrays (with a lead axis the "half" array too,
+    # not on c197's single axis; "G" for `_gather_slots` result slots, one on
+    # c43cube; "FXT" over GF(49)) and a product's spectra are refused past
+    # their estimate and built at it, and the first product stays inside it
+    built = config_instance(name).algebra
+    alg = GroupAlgebra(built.field, built.group)
+    q, f, na = alg.q, alg.field.f, alg.group.abelian.order
+    *lead, n = alg.group.abelian.factors
+    h = n // 2 + 1
+    H = int(np.prod(lead)) * h
+    arrays = (16 * f * q * na + 48 * f * q * H + 16 * f * slots * q * H
+              + (16 * f * q * H if lead else 0) + (16 * f * f * q * H if f > 1 else 0))
+    need = (32 * sum(m * m for m in lead) + 64 * n * h + 8 * q * q * H + arrays
+            + 8 * 16 * f * q * H)
+    assert alg._gather_slots() == slots
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
+    with pytest.raises(BudgetExceeded, match="work arrays"):
+        alg._dft
+    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
+    if na > 10 ** 4:  # c43cube: the refusal and the work arrays, no product
+        assert sum(a.nbytes for a in alg._work.values()) == arrays
+        return
+    rng = np.random.default_rng(4)
+    x, y = sparse_elem(alg, rng).coeffs, random_elem(alg, rng).coeffs
+    tracemalloc.start()
+    try:
+        xy = alg._mul_fft(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need
+    assert sum(a.nbytes for a in alg._work.values()) == arrays
+    assert np.array_equal(xy, mul_reference(alg, x, y))
 
 
 def test_fft_exactness_bound(f7, monkeypatch):
@@ -522,6 +608,32 @@ def test_invert_of_one_plus_gamma_takes_exact_products(name, products, config_in
     monkeypatch.setattr(alg, "mul_coeffs", counting_mul)
     inv = alg.invert(x)
     assert len(calls) == products
+    monkeypatch.undo()
+    assert x * inv == alg.one()
+
+
+def test_invert_of_one_plus_gamma_transforms_each_operand_once(config_instance, monkeypatch):
+    # on c31sq each g^(2^i) is transformed once, for its square and for the
+    # product by the running inverse: 1 + 5 + 5 forward transforms in the
+    # loop (g, its five squares, the five running inverses) and 2 for the
+    # x x^-1 = 1 check, 13 for the 11 products
+    alg = config_instance("c31sq").algebra
+    x = alg.one() + random_gamma(alg, np.random.default_rng(2))
+    counts = {"products": 0, "transforms": 0}
+    mul, spectrum = alg.mul_coeffs, alg._spectrum
+
+    def counting_mul(a, b):
+        counts["products"] += 1
+        return mul(a, b)
+
+    def counting_spectrum(c):
+        counts["transforms"] += 1
+        return spectrum(c)
+
+    monkeypatch.setattr(alg, "mul_coeffs", counting_mul)
+    monkeypatch.setattr(alg, "_spectrum", counting_spectrum)
+    inv = alg.invert(x)
+    assert counts == {"products": 11, "transforms": 13}
     monkeypatch.undo()
     assert x * inv == alg.one()
 

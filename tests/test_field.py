@@ -185,6 +185,39 @@ def test_vectorized_ops_match_scalar(f7, f49, rng):
             assert vm[i] == fld.mul(int(a[i]), int(b[i]))
 
 
+@pytest.mark.parametrize("p", [7, 31, 61, 197])
+def test_division_free_reduction_matches_remainder(p, monkeypatch):
+    # past _DIVISION_FREE_ENTRIES the f = 1 ops reduce as x - (x // p) p, in
+    # chunks of _REDUCE_CHUNK entries, and below it by `%=`; on either side of
+    # both gates they give `%`'s results, negative entries and kp - 1, kp,
+    # kp + 1 included
+    from cqunits import field as field_mod
+    fld = make_field(p)
+    gate = field_mod._DIVISION_FREE_ENTRIES
+    monkeypatch.setattr(field_mod, "_REDUCE_CHUNK", 4 * gate)  # chunked at 4 gate + 1
+    rng = np.random.default_rng(p)
+    k = rng.integers(-3 * p, 3 * p, 64)
+    edges = np.concatenate([k * p - 1, k * p, k * p + 1])
+    for size in (gate - 1, gate, gate + 1, 4 * gate + 1, 3 * 4 * gate + 7):
+        a = np.concatenate([edges, rng.integers(-p * p, p * p, size)])[:size]
+        b = rng.permutation(a)
+        assert a.min() < 0 < a.max()
+        for got, want in ((fld.vadd(a, b), (a + b) % p), (fld.vsub(a, b), (a - b) % p),
+                          (fld.vneg(a), (-a) % p), (fld.vmul(a, b), (a * b) % p),
+                          (fld.mod_p(a.copy()), a % p)):
+            assert got.shape == want.shape and np.array_equal(got, want)
+        M = np.stack([a, b, -a])
+        for axis in (0, 1):
+            assert np.array_equal(fld.vsum(M, axis), M.sum(axis=axis) % p)
+        for M2 in (np.stack([a, b]).T, np.asfortranarray(np.stack([a, b, b]).T)):
+            assert np.array_equal(fld.mod_p(M2.copy(order="K")), M2 % p)
+        scratch = np.empty_like(a)
+        assert np.array_equal(fld.mod_p(a.copy(), scratch=scratch), a % p)
+        x = a.copy()
+        assert fld.mod_p(x) is x  # in place on either side of the gate
+    assert fld.add(p - 1, 2) == 1 and fld.neg(3) == p - 3 and fld.mul(p - 1, p - 1) == 1
+
+
 def test_irreducibility_high_degree():
     # full test path (degree > 3)
     f = make_field(3, 5)

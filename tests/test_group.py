@@ -190,7 +190,7 @@ def algebra_of(name, config_instance):
 
 @pytest.mark.parametrize("name", ["c7", "c19", "f11c5", "c31sq", "gf49", "c49x7"])
 def test_char_gather_is_the_spectrum_of_sigma_t(name, config_instance):
-    # the algebra's gather at [i, s], read off [spectra of y_j | their conjugates],
+    # the algebra's gather at [s, i], read off [spectra of the y_j; their conjugates],
     # against rfftn of y_(s - i)[sigma_pows[i]]; c49x7 mixes the coordinates
     alg = algebra_of(name, config_instance)
     G, q = alg.group, alg.q
@@ -199,11 +199,11 @@ def test_char_gather_is_the_spectrum_of_sigma_t(name, config_instance):
     FY = np.stack([np.fft.rfftn(y.reshape(shape)).ravel() for y in ys])
     gather = alg._dft[1]
     assert gather.shape == (q, q, FY.shape[1])
-    spectra = np.concatenate([FY, FY.conj()], axis=1).ravel()
+    spectra = np.concatenate([FY, FY.conj()]).ravel()
     for i in range(q):
         for s in range(q):
             expect = np.fft.rfftn(ys[(s - i) % q][G.sigma_pows[i]].reshape(shape)).ravel()
-            assert np.abs(spectra[gather[i, s]] - expect).max() <= 1e-9 * np.abs(expect).max()
+            assert np.abs(spectra[gather[s, i]] - expect).max() <= 1e-9 * np.abs(expect).max()
 
 
 @pytest.mark.parametrize("name", ["c7", "c31sq", "gf49_c7cube", "c49x7"])

@@ -191,6 +191,28 @@ def test_cayley_round_trip_takes_24_products(config_instance, monkeypatch):
     assert len(calls) == 24
 
 
+def test_cayley_round_trip_takes_30_forward_transforms(config_instance, monkeypatch):
+    # each inverse transforms 13 operands for its 11 products (every g^(2^i)
+    # once), and each u u* = 1 check transforms its two factors
+    alg = config_instance("c31sq").algebra
+    l = random_skew(alg, np.random.default_rng(1))
+    counts = {"products": 0, "transforms": 0}
+    mul, spectrum = alg.mul_coeffs, alg._spectrum
+
+    def counting_mul(x, y):
+        counts["products"] += 1
+        return mul(x, y)
+
+    def counting_spectrum(c):
+        counts["transforms"] += 1
+        return spectrum(c)
+
+    monkeypatch.setattr(alg, "mul_coeffs", counting_mul)
+    monkeypatch.setattr(alg, "_spectrum", counting_spectrum)
+    assert cayley_inv(cayley(l)) == l
+    assert counts == {"products": 24, "transforms": 30}
+
+
 def test_unitary_count_equals_skew_space(alg21):
     # |(1+gamma)_*| = |S2| = p^(f * dim S2) = 7^9; spot-verify the bijection:
     # random 1 + g is unitary iff its Cayley preimage path applies, and every
