@@ -8,11 +8,13 @@ plane products with the field's structure tensor (for f = 1 the plane
 stack is the matrix itself).  Products are computed in float32/float64
 only when every intermediate value is exactly representable
 ((p-1)^2 * inner < 2^24 or 2^53); above that the inner dimension is
-chunked.  The row reduction is batched: each block of rows is reduced
-against the established echelon rows with one such product, eliminated per
-pivot in field ops (`_rref_generic`), and the echelon rows are reduced
-against its new rows with another, which keeps the n^3 work inside
-matmuls.
+chunked.  The row reduction is batched: the first batch with a pivot is
+eliminated per pivot in field ops (`_rref_generic`) and seeds the echelon
+rows, already in pivot order, so a matrix of at most `_RREF_BATCH` rows needs
+no merge; each later batch is reduced against the echelon rows with one such
+product, eliminated the same way, and the echelon rows are reduced against
+its new rows with another and merged in pivot order, which keeps the n^3
+work inside matmuls.
 
 rref pivots on the leftmost column, lowest row index first, independent of
 row batching.  `right_echelon`, the one rref on mirrored columns, is its
@@ -69,19 +71,16 @@ def matmul_mod(ctx, A, B) -> np.ndarray:
 
 
 def _rref_batched(ctx, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    m, n = M.shape
-    R = np.zeros((0, n), dtype=np.int64)
-    pivots: list[int] = []
-    for lo in range(0, m, _RREF_BATCH):
+    R, pivots = np.zeros((0, M.shape[1]), dtype=np.int64), []
+    for lo in range(0, M.shape[0], _RREF_BATCH):
         U = M[lo:lo + _RREF_BATCH] % ctx.size
-        if pivots:
-            U = reduce_against(ctx, U, R, pivots)
-        Ur, Upiv = _rref_generic(ctx, U)
+        if not pivots:  # the first batch with a pivot is already in pivot order
+            R, pivots = _rref_generic(ctx, U)
+            continue
+        Ur, Upiv = _rref_generic(ctx, reduce_against(ctx, U, R, pivots))
         if not Upiv:
             continue
-        if pivots:
-            R = reduce_against(ctx, R, Ur, Upiv)
-        R = np.vstack([R, Ur])
+        R = np.vstack([reduce_against(ctx, R, Ur, Upiv), Ur])
         pivots += Upiv
         order = np.argsort(pivots, kind="stable")
         R = R[order]
@@ -147,7 +146,9 @@ def right_kernel(ctx, M) -> np.ndarray:
     pivots of rref(M) left of fc_i: already reduced, rows in descending fc_i.
     """
     R, piv = rref(ctx, M)  # R keeps all n columns, even with no rows
-    free = np.delete(np.arange(R.shape[1]), piv)[::-1]
+    is_free = np.ones(R.shape[1], dtype=bool)
+    is_free[piv] = False
+    free = np.flatnonzero(is_free)[::-1]
     K = np.zeros((free.size, R.shape[1]), dtype=np.int64)
     K[np.arange(free.size), free] = 1
     K[:, piv] = ctx.vneg(R[:, free].T)

@@ -90,7 +90,10 @@ def _canonical_blocks(alg: GroupAlgebra, star: np.ndarray, label: np.ndarray,
     which[t].  (As supp x generates H, these are the blocks whose index
     patterns local[s C] and local[C s] agree for every s in supp x.)"""
     n, H = alg.order, np.flatnonzero(label == 0)
-    least, block_of = np.unique(label, return_inverse=True)
+    least = np.flatnonzero(label == np.arange(n))  # each block's least element, ascending
+    number = np.empty(n, dtype=np.int64)
+    number[least] = np.arange(least.size)
+    block_of = number[label]
     sizes = np.bincount(block_of)
     order = np.lexsort((least, sizes))
     rank = np.empty_like(order)
@@ -147,7 +150,8 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: n
         alg, x, cols[starts[t]:starts[t] + sizes[t]], local))
         for t in np.unique(which, return_index=True)[1].tolist()]  # each pattern's first
     by_size = {m: (T, cols[starts[T[0]]:starts[T[-1]] + m].reshape(-1, m))  # a view
-               for m in np.unique(sizes).tolist() for T in [np.flatnonzero(sizes == m)]}
+               for m in sizes[np.diff(sizes, prepend=0) > 0].tolist()  # sizes ascend
+               for T in [np.flatnonzero(sizes == m)]}
     sym, skew, stable, images = [], [], [], []  # per distinct pair: (count * dim, rho of it)
     for m, (T, C) in by_size.items():
         P = partner[T]

@@ -229,20 +229,42 @@ def test_dft_matrices_give_rfftn_and_back(name, config_instance):
     assert np.abs(back.ravel() - y).max() <= 1e-12 * G.abelian.order
 
 
+def exponent_row_product(G, x, y):
+    """Index of x y from whole exponent rows of A, the reference for `mul_idx`,
+    which sums one axis of A at a time."""
+    q = G.q
+    a1, i, a2, j = x // q, x % q, y // q, y % q
+    c = G.sigma_pows[(q - i) % q, a2]
+    return G._encode_a(G.a_exps[a1] + G.a_exps[c]) * q + (i + j) % q
+
+
 @pytest.mark.parametrize("name", ["c7", "c19", "f11c5", "c197"])
 def test_row_block_table_matches_the_broadcast_table(name, config_instance):
     # the table, one mul_idx broadcast, is the one whole broadcast of exponent
     # rows built, entry for entry, and the algebra reads it where it takes the
-    # table route (not on c197); mul_idx sums one axis of A at a time, the
-    # reference whole exponent rows
+    # table route (not on c197)
     alg = config_instance(name).algebra
     G = alg.group
-    q = G.q
     g = np.arange(G.order)
     x, y = np.meshgrid(g, g, indexing="ij")
-    a1, i, a2, j = x // q, x % q, y // q, y % q
-    c = G.sigma_pows[(q - i) % q, a2]
-    expect = G._encode_a(G.a_exps[a1] + G.a_exps[c]) * q + (i + j) % q
-    assert np.array_equal(G.mul_table, expect)
+    assert np.array_equal(G.mul_table, exponent_row_product(G, x, y))
     if alg._mul_flat is not None:
         assert np.shares_memory(alg._mul_flat, G.mul_table)
+
+
+@pytest.mark.parametrize("name", ["c31sq", "c43cube", "gf81_c3e8"])
+def test_mul_idx_matches_exponent_rows_past_the_table(name, config_instance):
+    # the table test stops at |G| = 1379; here two and three axes of A and a
+    # companion action, on broadcast pairs (the first and last b-exponents and
+    # elements included), on scalar pairs, and on one element against all of G
+    G = config_instance(name).group
+    local, n, q = np.random.default_rng(13), G.order, G.q
+    x = np.concatenate([[0, 1, q - 1, n - 1], local.integers(0, n, 36)])[:, None]
+    y = np.concatenate([[0, q - 1, n - q, n - 1], local.integers(0, n, 56)])[None, :]
+    assert np.array_equal(G.mul_idx(x, y), exponent_row_product(G, x, y))
+    for g1, g2 in local.integers(0, n, (20, 2)).tolist():
+        got = G.mul_idx(g1, g2)
+        assert np.ndim(got) == 0 and got == exponent_row_product(G, np.array(g1), np.array(g2))
+    h, g = np.arange(n), int(local.integers(n))
+    assert np.array_equal(G.mul_idx(g, h), exponent_row_product(G, np.array(g), h))
+    assert np.array_equal(G.mul_idx(h, g), exponent_row_product(G, h, np.array(g)))

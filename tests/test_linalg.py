@@ -44,10 +44,18 @@ def test_rref_batch_boundaries(rng):
     fld = make_field(7)
     # taller than one batch, rank deficient
     A = rng.integers(0, 7, (50, 300)).astype(np.int64)
-    M = np.vstack([A, (3 * A) % 7, rng.integers(0, 7, (300, 300))])
-    R1, p1 = L.rref(fld, M)
-    R2, p2 = naive_rref(7, M)
-    assert p1 == p2 and np.array_equal(R1, R2)
+    cases = [np.vstack([A, (3 * A) % 7, rng.integers(0, 7, (300, 300))])]
+    # the first batch seeds the echelon rows and only later batches are merged:
+    # an all-zero first batch, exactly one batch, one row past it, and a second
+    # batch that the first one's rows reduce to zero
+    local, B = np.random.default_rng(11), L._RREF_BATCH
+    cases += [np.vstack([np.zeros((B, 40), dtype=np.int64), local.integers(0, 7, (30, 40))]),
+              local.integers(0, 7, (B, 200)), local.integers(0, 7, (B + 1, 200)),
+              local.integers(0, 7, (B + 1, 60))]
+    for M in cases:
+        R1, p1 = L.rref(fld, M)
+        R2, p2 = naive_rref(7, M)
+        assert p1 == p2 and np.array_equal(R1, R2)
 
 
 def test_right_kernel(rng):
@@ -61,6 +69,12 @@ def test_right_kernel(rng):
     assert L.right_kernel(fld, Z).shape[0] == 18
     # kernel of the identity is nothing
     assert L.right_kernel(fld, np.eye(18, dtype=np.int64)).shape[0] == 0
+    # canonically: of a wide zero matrix, the unit rows in descending free column;
+    # of a tall matrix of full column rank, no row over all of its columns
+    assert np.array_equal(L.right_kernel(fld, np.zeros((5, 9), dtype=np.int64)),
+                          np.eye(9, dtype=np.int64)[::-1])
+    T = np.vstack([np.eye(7, dtype=np.int64), np.random.default_rng(12).integers(0, 31, (5, 7))])
+    assert L.right_kernel(fld, T).shape == (0, 7)
 
 
 def reversed_rref(fld, rows):
