@@ -9,9 +9,11 @@ stack is the matrix itself).  Products are computed in float32/float64
 only when every intermediate value is exactly representable
 ((p-1)^2 * inner < 2^24 or 2^53); above that the inner dimension is
 chunked.  The row reduction is batched: the first batch with a pivot is
-eliminated per pivot in field ops (`_rref_generic`) and seeds the echelon
-rows, already in pivot order, so a matrix of at most `_RREF_BATCH` rows needs
-no merge; each later batch is reduced against the echelon rows with one such
+eliminated per pivot (`_rref_generic`; over GF(p) in place on the codes,
+each pivot's live rows updated as one slab and reduced by `mod_p`, for
+f > 1 in the field's vector ops) and seeds the echelon rows, already in
+pivot order, so a matrix of at most `_RREF_BATCH` rows needs no merge;
+each later batch is reduced against the echelon rows with one such
 product, eliminated the same way, and the echelon rows are reduced against
 its new rows with another and merged in pivot order, which keeps the n^3
 work inside matmuls.
@@ -89,24 +91,39 @@ def _rref_batched(ctx, M: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
 
 def _rref_generic(ctx, U: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Per-pivot reduced row echelon form of U, in place, in field ops."""
+    """Per-pivot reduced row echelon form of U, in place.
+
+    Over GF(p) the codes are eliminated in place: the pivot row is scaled
+    once, and the live rows (nonzero in the pivot column) are updated as one
+    slab from column c on, reduced by `mod_p`.  For f > 1 each pivot takes
+    the field's vector ops."""
     m, n = U.shape
+    p, prime = ctx.p, ctx.f == 1
     piv: list[int] = []
     r = 0
     for c in range(n):
         if r == m:
             break
-        nz = np.nonzero(U[r:, c])[0]
+        nz = U[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         k = r + int(nz[0])
         if k != r:
             U[[r, k]] = U[[k, r]]
-        U[r, c:] = ctx.vmul(U[r, c:], ctx.inv(int(U[r, c])))  # U[r, :c] is 0
-        rows = np.nonzero(U[:, c])[0]
+        row = U[r, c:]  # a view; U[r, :c] is 0
+        rows = U[:, c].nonzero()[0]
         rows = rows[rows != r]
-        if rows.size:
-            U[rows, c:] = ctx.vsub(U[rows, c:], ctx.vmul(U[rows, c][:, None], U[r, c:][None, :]))
+        if prime:
+            row *= pow(int(row[0]), -1, p)
+            row %= p
+            if rows.size:
+                slab = U[rows, c:]
+                slab -= slab[:, :1] * row
+                U[rows, c:] = ctx.mod_p(slab)
+        else:
+            row[:] = ctx.vmul(row, ctx.inv(int(row[0])))
+            if rows.size:
+                U[rows, c:] = ctx.vsub(U[rows, c:], ctx.vmul(U[rows, c][:, None], row[None, :]))
         piv.append(c)
         r += 1
     return U[:r], piv

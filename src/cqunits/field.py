@@ -374,8 +374,9 @@ class FieldCtx:
         reduced as x - (x // p) p, the quotients held in `scratch` (an int64
         array of x's shape) or else in one block of whole rows of x, about
         `_REDUCE_CHUNK` entries, reused along x.  The f = 1 vector ops test
-        the size themselves, so smaller results (every one of a c31sq
-        certificate's, such as its 25-wide rref rows) take `%` with no call."""
+        the size themselves, so their smaller results take `%` with no call;
+        the GF(p) rref reduces every pivot's slab of live rows here, small
+        or large."""
         p = self.p
         if not isinstance(x, np.ndarray):
             return x % p

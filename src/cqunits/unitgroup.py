@@ -171,8 +171,11 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: n
             once, key_of = distinct_rows(keys)
             for key, c in zip(keys[once], np.bincount(key_of, minlength=once.size).tolist()):
                 ks = [kernels[u] for u in key[:1 + (w > m)]]
-                K = np.vstack([np.pad(k, ((0, 0), (i * m, (len(ks) - 1 - i) * m)))
-                               for i, k in enumerate(ks)])  # block-diagonal over the pair
+                K = np.zeros((sum(map(len, ks)), w), dtype=np.int64)  # block-diagonal over the pair
+                top = 0
+                for i, k in enumerate(ks):
+                    K[top:top + len(k), i * m:(i + 1) * m] = k
+                    top += len(k)
                 R, starred = rho_images(fld, q, K, key[2:] % q), K[:, key[2:] // q]
                 for out, A in ((sym, lambda: fld.vsub(starred, K)),
                                (skew, lambda: fld.vadd(starred, K)),

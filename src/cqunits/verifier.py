@@ -9,8 +9,9 @@ so it has no complement; see `cqstruct`), and m = 1 with s + 1 >= q and
 
 whose two sides are carried as factored prime powers.  They share
 p^(f s2 - n), so L > R is decided as (q-1) p^n > inner in small integers.
-Each side is also built once as an exact Decimal: it prints the report's
-decimal, and its comparison must agree with the factored decision.
+Each side is also built as an exact Decimal, L's from R's power times p^n,
+so one libmpdec power serves both: it prints the report's decimal, and
+its comparison must agree with the factored decision.
 Dimensions entering the certificate are exact, not formula shortcuts:
 kernel dimensions from the unitgroup layer's solve over the double cosets
 of <supp b> = B, and dim S2 from S2 in block form over the pairs of the
@@ -144,9 +145,12 @@ class FactoredInt:
     libmpdec multiplies large Decimals by number-theoretic transforms and
     prints them in linear time, where CPython's str() of an int is
     quadratic.  The Decimal is never converted back to int (that is
-    quadratic too).  `residues_agree` checks it against modular powers in
-    int arithmetic, which shares no code with libmpdec.  `value` and
-    `recompute_slow` are the int routes, read only by tests.
+    quadratic too).  `power`, the Decimal p^exp, is kept: `shift` builds
+    cofactor * p^(exp + k) from it with one product instead of a second
+    power, as the certificate builds L from R's.  `residues_agree` checks
+    the Decimal against modular powers in int arithmetic, which shares no
+    code with libmpdec.  `value` and `recompute_slow` are the int routes,
+    read only by tests.
     """
 
     def __init__(self, p: int, exp: int, cofactor: int):
@@ -157,8 +161,18 @@ class FactoredInt:
         self.cofactor = cofactor
 
     @cached_property
+    def power(self) -> decimal.Decimal:
+        return _EXACT.power(self.p, self.exp)
+
+    @cached_property
     def decimal(self) -> decimal.Decimal:
-        return _EXACT.multiply(_EXACT.power(self.p, self.exp), self.cofactor)
+        return _EXACT.multiply(self.power, self.cofactor)
+
+    def shift(self, k: int, cofactor: int) -> "FactoredInt":
+        """cofactor * p^(exp + k) for k >= 0, its power this one's times p^k."""
+        out = FactoredInt(self.p, self.exp + k, cofactor)
+        out.power = _EXACT.multiply(self.power, self.p ** k)
+        return out
 
     @cached_property
     def value(self) -> int:
@@ -272,12 +286,12 @@ def counting_certificate(inst: Instance) -> Certificate:
     cl_exp = f * (gamma_dim - rep.dim)
     cl_star_exp = f * (s2_dim - rep.skew_dim)
 
-    L = FactoredInt(p, f * s2_dim, q - 1)
     power = (s * q) ** ((q - 1) // 2)
     if power % q:
         raise MathDomainError("(sq)^((q-1)/2) should be divisible by q")
     inner = power // q - 1
     R = FactoredInt(p, f * s2_dim - n, inner)
+    L = R.shift(n, q - 1)  # (q-1) p^(f s2), its Decimal from R's power
     checks = {
         "centralizer_dim_formula": rep.dim == p ** n - 1,
         "b_kernel_star_closed": rep.star_closed,

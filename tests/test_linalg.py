@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from cqunits import _linalg as L
-from cqunits import make_field
+from cqunits import make_field, unitgroup
 from cqunits.algebra import Subspace
+from cqunits.cli import parse_element
+from cqunits.field import _DIVISION_FREE_ENTRIES
 
 from oracles import in_rowspace
 
@@ -29,15 +31,55 @@ def naive_rref(p, M):
     return M[:r], piv
 
 
-@pytest.mark.parametrize("p", [7, 31])
-def test_rref_matches_naive(p, rng):
+def structured(p, rng):
+    """A matrix that takes every branch of the per-pivot elimination: row swaps,
+    all-zero and duplicate columns, and rows that vanish mid-elimination."""
+    M = rng.integers(0, p, (30, 40)).astype(np.int64)
+    M[:4, :3] = 0  # the first rows lack the first pivots: swaps
+    M[:, [7, 21]] = 0
+    M[:, 9], M[:, 30] = M[:, 8], M[:, 2]
+    M[10:20] = (3 * M[:10] + M[20:30]) % p  # zero once rows 0-9 and 20-29 are pivots
+    return M
+
+
+@pytest.mark.parametrize("p", [7, 31, 197])
+def test_rref_matches_naive(p, rng, monkeypatch):
+    # over GF(p) the elimination updates the live rows as one slab, reduced by
+    # mod_p: by % up to _DIVISION_FREE_ENTRIES entries, by quotients past it
     fld = make_field(p)
-    for shape in [(5, 8), (20, 13), (400, 150), (37, 37)]:
-        M = rng.integers(0, p, shape).astype(np.int64)
+    slabs, mod_p = [], fld.mod_p
+
+    def record(x, scratch=None):
+        slabs.append(x.size)
+        return mod_p(x, scratch)
+
+    monkeypatch.setattr(fld, "mod_p", record)
+    cases = [rng.integers(0, p, shape).astype(np.int64)
+             for shape in [(5, 8), (20, 13), (400, 150), (37, 37)]]
+    for M in cases + [structured(p, rng)]:
         R1, p1 = L.rref(fld, M)
         R2, p2 = naive_rref(p, M)
         assert p1 == p2
         assert np.array_equal(R1, R2)
+    assert min(slabs) <= _DIVISION_FREE_ENTRIES < max(slabs)
+
+
+@pytest.mark.parametrize("expr", ["b", "b + a1"])
+def test_rref_of_commutator_blocks(expr, config_instance):
+    # the blocks c31sq's centralizers solve (5 and 25 wide for b, 155 and 775
+    # for b + a1), and their transposes
+    inst = config_instance("c31sq")
+    alg, x = inst.algebra, parse_element(expr, inst)
+    star = np.concatenate([alg.fb.star_perm, alg.gamma_star_pairs()[0] + alg.q])
+    cols, starts, local, _, _, which = unitgroup._canonical_blocks(
+        alg, star, *unitgroup._double_cosets(alg, x))
+    ends = np.append(starts[1:], alg.order)
+    for t in np.unique(which, return_index=True)[1]:
+        B = unitgroup._commutator_block(alg, x, cols[starts[t]:ends[t]], local)
+        for M in (B, B.T):
+            R1, p1 = L.rref(inst.field, M)
+            R2, p2 = naive_rref(31, M)
+            assert p1 == p2 and np.array_equal(R1, R2)
 
 
 def test_rref_batch_boundaries(rng):

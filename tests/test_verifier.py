@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from cqunits import verifier
 from cqunits.algebra import Subspace
 from cqunits.cqstruct import complement_search_B_in_VstarFB
 from cqunits.errors import (BranchMismatch, MathDomainError, NotFixedPointFree,
@@ -254,6 +255,40 @@ def test_certificate_json_is_pinned(config_instance):
     doc = json.dumps(counting_certificate(config_instance("c43cube")).as_dict(), sort_keys=True)
     assert hashlib.sha256(doc.encode()).hexdigest() == (
         "3579e985b31325a458d973cfd04cfd876d3111148f18f54a83e7c2b2c0a68e30")
+
+
+@pytest.mark.parametrize("name", ["c31sq", "c43cube"])
+def test_certificate_L_from_R_power(name, config_instance):
+    # L's Decimal is R's power times p^n times q - 1: equal to L built alone
+    cert = counting_certificate(config_instance(name))
+    L, R = cert.L, cert.R
+    assert (L.p, L.exp, L.cofactor) == (R.p, R.exp + cert.n, cert.q - 1)
+    assert L.decimal == FactoredInt(L.p, L.exp, L.cofactor).decimal
+
+
+class _OffByOnePower:
+    """verifier._EXACT with every power one too large, its calls counted."""
+
+    def __init__(self, exact):
+        self.exact, self.calls = exact, 0
+
+    def power(self, a, b):
+        self.calls += 1
+        return self.exact.add(self.exact.power(a, b), 1)
+
+    def __getattr__(self, name):
+        return getattr(self.exact, name)
+
+
+@pytest.mark.parametrize("name", ["c31sq", "c43cube"])
+def test_certificate_shared_power_is_checked(name, config_instance, monkeypatch):
+    # one power serves both sides, so a wrong one is seen by both int routes
+    wrong = _OffByOnePower(verifier._EXACT)
+    monkeypatch.setattr(verifier, "_EXACT", wrong)
+    cert = counting_certificate(config_instance(name))
+    assert wrong.calls == 1
+    assert not cert.checks["L_recompute"] and not cert.checks["R_recompute"]
+    assert cert.counting_ok and cert.verdict == "Inconclusive"
 
 
 def _misreport(**change):
