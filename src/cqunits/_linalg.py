@@ -7,16 +7,16 @@ plane pairs with one exact float matmul (`_mm_prime`), then contracts the
 plane products with the field's structure tensor (for f = 1 the plane
 stack is the matrix itself).  Products are computed in float32/float64
 only when every intermediate value is exactly representable
-((p-1)^2 * inner < 2^24 or 2^53); above that the inner dimension is
-chunked.  The row reduction is batched: the first batch with a pivot is
-eliminated per pivot (`_rref_generic`; over GF(p) in place on the codes,
-each pivot's live rows updated as one slab and reduced by `mod_p`, for
-f > 1 in the field's vector ops) and seeds the echelon rows, already in
-pivot order, so a matrix of at most `_RREF_BATCH` rows needs no merge;
-each later batch is reduced against the echelon rows with one such
-product, eliminated the same way, and the echelon rows are reduced against
-its new rows with another and merged in pivot order, which keeps the n^3
-work inside matmuls.
+((p-1)^2 * inner < 2^24 or 2^53), past that with the inner dimension
+chunked, and are refused once (p-1)^2 >= 2^53.  The row reduction is
+batched: the first batch with a pivot is eliminated per pivot
+(`_rref_generic`; over GF(p) in place on the codes, for f > 1 in the
+field's vector ops) and seeds the echelon rows, already in pivot order, so
+a matrix of at most `_RREF_BATCH` rows needs no merge; each later batch is
+reduced against the echelon rows with one such product, eliminated the
+same way, and the echelon rows are reduced against its new rows with
+another and merged in pivot order, which keeps the n^3 work inside
+matmuls.  Every GF(p) result is reduced by the field's `mod_p`.
 
 rref pivots on the leftmost column, lowest row index first, independent of
 row batching.  `right_echelon`, the one rref on mirrored columns, is its
@@ -26,30 +26,35 @@ mirror image, with pivots taken from the right: the canonical form of
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .errors import BudgetExceeded
 
 _F32_LIMIT = 2 ** 24
 _F64_LIMIT = 2 ** 53
 _RREF_BATCH = 160  # rows reduced per BLAS update in _rref_batched
 
 
-def _mm_prime(p: int, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A @ B mod p with exact float matmuls, entries of A, B in [0, p)."""
-    inner = A.shape[1]
-    if inner == 0 or A.shape[0] == 0 or B.shape[1] == 0:
-        return np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+def _mm_prime(ctx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A @ B mod p with exact float matmuls, entries of A, B in [0, p); refused
+    (BudgetExceeded) past p - 1 = floor(sqrt(2^53)) = 94906265."""
+    p, inner = ctx.p, A.shape[1]
+    if (p - 1) ** 2 >= _F64_LIMIT:
+        raise BudgetExceeded(f"GF({p}) products are not exact in float64 past "
+                             f"p - 1 = {math.isqrt(_F64_LIMIT - 1)}")
     bound = (p - 1) * (p - 1) * inner
     if bound < _F64_LIMIT:
         dtype = np.float32 if bound < _F32_LIMIT else np.float64
         C = A.astype(dtype) @ B.astype(dtype)
-        out = np.rint(C, out=C).astype(np.int64)  # rounded and reduced in place
-        out %= p
-        return out
+        return ctx.mod_p(np.rint(C, out=C).astype(np.int64))
     step = max(1, _F64_LIMIT // ((p - 1) * (p - 1)) - 1)
     acc = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for lo in range(0, inner, step):
         C = A[:, lo:lo + step].astype(np.float64) @ B[lo:lo + step].astype(np.float64)
-        acc = (acc + np.rint(C).astype(np.int64)) % p
+        acc += np.rint(C, out=C).astype(np.int64)
+        ctx.mod_p(acc)
     return acc
 
 
@@ -62,11 +67,11 @@ def matmul_mod(ctx, A, B) -> np.ndarray:
     """
     A = np.ascontiguousarray(A, dtype=np.int64)
     B = np.ascontiguousarray(B, dtype=np.int64)
-    p, f = ctx.p, ctx.f
+    f = ctx.f
     if f == 1:  # the plane stack is the matrix itself
-        return _mm_prime(p, A, B)
+        return _mm_prime(ctx, A, B)
     (m, k), n = A.shape, B.shape[1]
-    planes = _mm_prime(p, np.moveaxis(ctx.decode(A), 2, 0).reshape(f * m, k),
+    planes = _mm_prime(ctx, np.moveaxis(ctx.decode(A), 2, 0).reshape(f * m, k),
                        ctx.decode(B).reshape(k, n * f))
     digits = np.tensordot(planes.reshape(f, m, n, f), ctx._tensor, axes=([0, 3], [0, 1]))
     return ctx.encode(digits)
@@ -95,8 +100,8 @@ def _rref_generic(ctx, U: np.ndarray) -> tuple[np.ndarray, list[int]]:
 
     Over GF(p) the codes are eliminated in place: the pivot row is scaled
     once, and the live rows (nonzero in the pivot column) are updated as one
-    slab from column c on, reduced by `mod_p`.  For f > 1 each pivot takes
-    the field's vector ops."""
+    slab from column c on, both reduced by `mod_p`.  For f > 1 each pivot
+    takes the field's vector ops."""
     m, n = U.shape
     p, prime = ctx.p, ctx.f == 1
     piv: list[int] = []
@@ -115,7 +120,7 @@ def _rref_generic(ctx, U: np.ndarray) -> tuple[np.ndarray, list[int]]:
         rows = rows[rows != r]
         if prime:
             row *= pow(int(row[0]), -1, p)
-            row %= p
+            ctx.mod_p(row)
             if rows.size:
                 slab = U[rows, c:]
                 slab -= slab[:, :1] * row
@@ -138,8 +143,6 @@ def rref(ctx, M) -> tuple[np.ndarray, list[int]]:
     M = np.ascontiguousarray(M, dtype=np.int64)
     if M.ndim != 2:
         raise ValueError("rref expects a 2-d array")
-    if M.shape[0] == 0:
-        return M.copy(), []
     return _rref_batched(ctx, M)
 
 
@@ -163,9 +166,7 @@ def right_kernel(ctx, M) -> np.ndarray:
     pivots of rref(M) left of fc_i: already reduced, rows in descending fc_i.
     """
     R, piv = rref(ctx, M)  # R keeps all n columns, even with no rows
-    is_free = np.ones(R.shape[1], dtype=bool)
-    is_free[piv] = False
-    free = np.flatnonzero(is_free)[::-1]
+    free = np.delete(np.arange(R.shape[1]), piv)[::-1]
     K = np.zeros((free.size, R.shape[1]), dtype=np.int64)
     K[np.arange(free.size), free] = 1
     K[:, piv] = ctx.vneg(R[:, free].T)
@@ -187,12 +188,10 @@ def solve_right(ctx, A, b):
     """One solution x of A @ x = b, or None if the system is inconsistent."""
     A = np.ascontiguousarray(A, dtype=np.int64)
     b = np.ascontiguousarray(b, dtype=np.int64).reshape(-1, 1)
-    aug = np.hstack([A, b])
-    R, piv = rref(ctx, aug)
+    R, piv = rref(ctx, np.hstack([A, b]))
     n = A.shape[1]
     if n in piv:
         return None
     x = np.zeros(n, dtype=np.int64)
-    for i, pc in enumerate(piv):
-        x[pc] = R[i, n]
+    x[piv] = R[:, n]
     return x

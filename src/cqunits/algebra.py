@@ -30,53 +30,17 @@ by repeated squaring and the Cayley transform work.
 from __future__ import annotations
 
 import math
-import os
-import resource
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import _linalg
+from ._memory import refuse_past_memory
 from .cqstruct import CoeffElem, CoeffRing, FBCtx
 from .errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
 from .field import FieldCtx
 from .group import GroupElem, GroupSpec
-
-
-def _physical_memory_bytes() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-def _mapped_bytes() -> int:
-    with open("/proc/self/statm", encoding="ascii") as fh:
-        return int(fh.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-
-
-_BLAS_BUFFER = 32 << 20  # the address space OpenBLAS maps at its first gemm
-
-
-def refuse_past_memory(need: int, what: str) -> None:
-    """BudgetExceeded when `need` bytes for `what` exceed physical memory, or the
-    soft RLIMIT_AS less the address space mapped so far (/proc/self/statm).
-
-    Under such a limit the buffer OpenBLAS maps at its first gemm is counted too:
-    where it fits, a 2 x 2 complex gemm maps it (if no gemm has yet) before statm
-    is read; where it does not, it is taken off what is left.
-    """
-    have, where = _physical_memory_bytes(), "physical memory"
-    soft = resource.getrlimit(resource.RLIMIT_AS)[0]
-    if soft != resource.RLIM_INFINITY and os.path.exists("/proc/self/statm"):
-        left = soft - _mapped_bytes()
-        if left > _BLAS_BUFFER:
-            np.ones((2, 2), dtype=np.complex128) @ np.ones((2, 2), dtype=np.complex128)
-            left = soft - _mapped_bytes()
-        else:
-            left -= _BLAS_BUFFER
-        have, where = min((have, where), (left, "address space left under RLIMIT_AS"))
-    if need > have:
-        raise BudgetExceeded(f"{what} need about {need} bytes, more than the {have} bytes "
-                             f"of {where}")
 
 
 def rho_images(field: FieldCtx, q: int, K: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -474,7 +438,7 @@ class GroupAlgebra(CoeffRing):
         so they are exact."""
         sums = np.bincount(self._mul_flat, weights=np.outer(x, y).ravel().astype(np.float64),
                            minlength=self.order)
-        return np.rint(sums).astype(np.int64) % self.field.p
+        return self.field.mod_p(np.rint(sums).astype(np.int64))
 
     def _along_lead(self, S, mats, out=None):
         """The DFT mats[a] along lead axis a of S, of shape (f q, *lead, ...); the

@@ -15,9 +15,11 @@ division.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .errors import (CtxMismatch, MathDomainError, NotPrime, QDoesNotDivide,
+from .errors import (BudgetExceeded, CtxMismatch, MathDomainError, NotPrime, QDoesNotDivide,
                      ReducibleModulus, ZeroInverse)
 
 
@@ -126,7 +128,7 @@ def _is_irreducible(poly, p):
 
 # f > 1 fields up to this size multiply through log tables (5 int64 per element)
 _LOG_TABLE_LIMIT = 2 ** 20
-# f = 1 results of more entries than this are reduced as x - (x // p) p: numpy
+# `mod_p` reduces arrays of more entries than this as x - (x // p) p: numpy
 # divides by a scalar with a multiply and shift (libdivide) for `//` but not for
 # `%`.  Timed on (a * b) % p with a, b < p = 31 (medians of 41 interleaved
 # runs, 2-vCPU x86-64 host), `%` is faster up to about 640 entries (4.7 against
@@ -231,8 +233,9 @@ class FieldCtx:
     """
 
     def __init__(self, p: int, f: int = 1, modulus=None):
-        """Refuses a non-prime or even p, f < 1 and a modulus that is not a
-        monic irreducible of degree f (ReducibleModulus).
+        """Refuses a non-prime or even p, f < 1, then p - 1 > 3037000499
+        (BudgetExceeded) and a modulus that is not a monic irreducible of
+        degree f (ReducibleModulus).
 
         Without a modulus the smallest monic irreducible of degree f
         (coefficient lists enumerated as base-p integers) is taken, so
@@ -244,6 +247,9 @@ class FieldCtx:
             raise NotPrime("p = 2 is rejected: odd characteristic is assumed throughout")
         if f < 1:
             raise MathDomainError(f"degree f must be >= 1, got {f}")
+        limit = math.isqrt(np.iinfo(np.int64).max)  # (p-1)^2 must not overflow int64
+        if p - 1 > limit:
+            raise BudgetExceeded(f"GF({p}) digit products overflow int64 past p - 1 = {limit}")
         if modulus is None:
             monics = ([(c // p ** j) % p for j in range(f)] + [1] for c in range(p ** f))
             modulus = next((m for m in monics if _is_irreducible(m, p)), None)
@@ -368,15 +374,15 @@ class FieldCtx:
 
     def mod_p(self, x, scratch=None):
         """x mod p, reduced in place, for an int64 array x that the caller
-        owns; an integer is returned reduced.
+        owns; an integer or numpy scalar is returned reduced.
 
-        Up to `_DIVISION_FREE_ENTRIES` entries this is `x %= p`; larger x are
-        reduced as x - (x // p) p, the quotients held in `scratch` (an int64
-        array of x's shape) or else in one block of whole rows of x, about
-        `_REDUCE_CHUNK` entries, reused along x.  The f = 1 vector ops test
-        the size themselves, so their smaller results take `%` with no call;
-        the GF(p) rref reduces every pivot's slab of live rows here, small
-        or large."""
+        Every GF(p) reduction of a computed array goes through here: the
+        f = 1 vector ops, `_linalg`'s products and its rref's pivot rows and
+        slabs, and both FG products.  Up to `_DIVISION_FREE_ENTRIES` entries
+        this is `x %= p`; larger x are reduced as x - (x // p) p, the
+        quotients held in `scratch` (an int64 array of x's shape) or else in
+        one block of whole rows of x, about `_REDUCE_CHUNK` entries, reused
+        along x."""
         p = self.p
         if not isinstance(x, np.ndarray):
             return x % p
@@ -394,31 +400,18 @@ class FieldCtx:
         return x
 
     def vadd(self, a, b):
-        if self.f == 1:
-            x = a + b
-            return self.mod_p(x) if getattr(x, "size", 1) > _DIVISION_FREE_ENTRIES else x % self.p
-        return self.encode(self.decode(a) + self.decode(b))
+        return self.mod_p(a + b) if self.f == 1 else self.encode(self.decode(a) + self.decode(b))
 
     def vsub(self, a, b):
-        if self.f == 1:
-            out = a - b  # reduced in place: no second array while b is alive
-            if getattr(out, "size", 1) > _DIVISION_FREE_ENTRIES:
-                return self.mod_p(out)
-            out %= self.p
-            return out
-        return self.encode(self.decode(a) - self.decode(b))
+        return self.mod_p(a - b) if self.f == 1 else self.encode(self.decode(a) - self.decode(b))
 
     def vneg(self, a):
-        if self.f == 1:
-            x = -np.asarray(a)
-            return self.mod_p(x) if x.size > _DIVISION_FREE_ENTRIES else x % self.p
-        return self.encode(-self.decode(a))
+        return self.mod_p(-np.asarray(a)) if self.f == 1 else self.encode(-self.decode(a))
 
     def vmul(self, a, b):
         a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
         if self.f == 1:
-            x = a * b
-            return self.mod_p(x) if x.size > _DIVISION_FREE_ENTRIES else x % self.p
+            return self.mod_p(a * b)
         if self.size > _LOG_TABLE_LIMIT:
             return self._vmul_tensor(a, b)
         log, antilog = self._log_tables()
@@ -451,8 +444,7 @@ class FieldCtx:
 
     def vsum(self, a, axis):
         if self.f == 1:
-            x = np.asarray(a).sum(axis=axis)
-            return self.mod_p(x) if x.size > _DIVISION_FREE_ENTRIES else x % self.p
+            return self.mod_p(np.asarray(a).sum(axis=axis))
         return self.encode(self.decode(a).sum(axis=axis))
 
     # --- construction helpers ------------------------------------------------

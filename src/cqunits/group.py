@@ -17,6 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._memory import refuse_past_room
 from .errors import (ActionOrderWrong, CtxMismatch, MathDomainError, NotAutomorphism,
                      NotFixedPointFree, NotPrime)
 from .field import FieldCtx, is_prime, power
@@ -53,7 +54,7 @@ class AbelianSpec:
                 raise NotPrime(f"invariant factor {m} is not a positive power of p = {p}")
             n += k
         self.n = n
-        self.order = int(np.prod(self.factors))
+        self.order = math.prod(self.factors)
 
     def __repr__(self):
         return f"AbelianSpec({' x '.join(f'C{m}' for m in self.factors)})"
@@ -167,7 +168,8 @@ class GroupSpec:
     twice the factor and one conditional subtraction reduces it, where int64
     `%` would divide every entry.  The |G| x |G| `mul_table` is
     built only when `algebra.GroupAlgebra` takes its table route; the DFT
-    matrices and the slot gather of FG are the algebra's own.
+    matrices and the slot gather of FG are the algebra's own.  A group whose
+    index arrays would not fit in memory is refused first (BudgetExceeded).
     """
 
     def __init__(self, abelian: AbelianSpec, q: int, action: ActionSpec):
@@ -179,7 +181,11 @@ class GroupSpec:
         self.order = q * abelian.order
 
         facs = np.asarray(abelian.factors, dtype=np.int64)
-        num_a = abelian.order
+        num_a, r = abelian.order, len(abelian.factors)
+        # kept: a_exps, sigma_pows and inv, r + 2q arrays of |A| int64; the peak is at
+        # building a_inv (q + 3r of them) or filling inv (2q + r + 1), plus 4 and 8 KB
+        refuse_past_room(8 * num_a * (max(q + 3 * r, 2 * q + r + 1) + 4) + 8192,
+                         f"the index arrays of |G| = {self.order}")
         a_idx = np.arange(num_a, dtype=np.int64)
         # column-major: each invariant factor's exponents are one contiguous column
         self.a_exps = np.array(np.unravel_index(a_idx, abelian.factors)).T

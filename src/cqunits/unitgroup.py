@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from .algebra import (AlgElem, GroupAlgebra, Subspace, distinct_rows, refuse_past_memory,
-                      rho_images)
+from ._memory import refuse_past_memory
+from .algebra import AlgElem, GroupAlgebra, Subspace, distinct_rows, rho_images
 from .cqstruct import ProjVec, from_projections, mirror_exps, zeta_powers
 from .errors import (BadCentralizerElement, MathDomainError, NotAUnit,
                      NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
@@ -214,16 +214,16 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
 
     1 + g commutes with x iff g does, so this also describes
     C_(1+gamma)(x).  The operator is linear in x and needs no inverse; x
-    must still be a unit (NotAUnit otherwise).  The involution is read once,
-    through the checked `gamma_star_pairs`, as g -> g^-1 on G.  The slices
+    must still be a unit (NotAUnit otherwise).  The involution g -> g^-1 on G
+    (`alg.star_perm`) is checked once, through `gamma_star_pairs`.  The slices
     C ^ S1 and C ^ S2 sum to dim iff C is star-closed, which is
     cross-checked by another route.
     """
     if not x.is_unit():
         raise NotAUnit("rho(x) is not invertible in FB")
-    star = np.concatenate([alg.fb.star_perm, alg.gamma_star_pairs()[0] + alg.q])
+    alg.gamma_star_pairs()
     kernel, sym_dim, skew_dim, star_closed = _block_centralizer(
-        alg, x, star, *_double_cosets(alg, x))
+        alg, x, alg.star_perm, *_double_cosets(alg, x))
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,
                              sym_dim=sym_dim, skew_dim=skew_dim)
 

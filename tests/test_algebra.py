@@ -5,7 +5,7 @@ import pytest
 
 from cqunits import GroupAlgebra, Subspace, make_field, make_group
 from cqunits import _linalg as L
-from cqunits import algebra
+from cqunits import _memory, algebra
 from cqunits.errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
 from cqunits.field import FieldCtx
 from cqunits.unitgroup import random_gamma
@@ -323,7 +323,7 @@ def test_dft_memory_is_refused_up_front(f7, monkeypatch):
     group = make_group(f7, 3, [7, 7], [[2, 0], [0, 4]])
     alg = GroupAlgebra(f7, group)
     one = alg.one().coeffs
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: 1000)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: 1000)
     with pytest.raises(BudgetExceeded, match="DFT matrices"):
         alg._mul_fft(one, one)
     assert "_dft" not in alg.__dict__
@@ -352,10 +352,10 @@ def test_dft_refusal_counts_the_work_arrays(name, slots, config_instance, monkey
     need = (32 * sum(m * m for m in lead) + 64 * n * h + 8 * q * q * H + arrays
             + 8 * 16 * f * q * H)
     assert alg._gather_slots() == slots
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(BudgetExceeded, match="work arrays"):
         alg._dft
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need)
     if na > 10 ** 4:  # c43cube: the refusal and the work arrays, no product
         assert sum(a.nbytes for a in alg._work.values()) == arrays
         return

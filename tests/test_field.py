@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from cqunits import cli, make_field, q_decompose
-from cqunits.errors import (MathDomainError, NotPrime, QDoesNotDivide,
+from cqunits.cqstruct import FBCtx, idempotents
+from cqunits.errors import (BudgetExceeded, MathDomainError, NotPrime, QDoesNotDivide,
                             ReducibleModulus, ZeroInverse)
 from cqunits.field import (FieldCtx, _is_irreducible, _poly_divmod, _poly_mul, _poly_powmod,
                            is_prime, power, prime_factors)
@@ -216,6 +217,34 @@ def test_division_free_reduction_matches_remainder(p, monkeypatch):
         x = a.copy()
         assert fld.mod_p(x) is x  # in place on either side of the gate
     assert fld.add(p - 1, 2) == 1 and fld.neg(3) == p - 3 and fld.mul(p - 1, p - 1) == 1
+    # integers, numpy scalars and 0-d arrays reach mod_p as non-arrays (so does
+    # the vsum of a 1-d array): reduced, and of the type `%` would give
+    a = np.asarray(edges[:9])
+    for x, y in ((p - 1, 2 * p + 3), (np.int64(-p - 1), np.int64(3 * p - 1)),
+                 (np.asarray(-2 * p + 1), np.asarray(p * p + 4))):
+        for got, want in ((fld.vadd(x, y), (x + y) % p), (fld.vsub(x, y), (x - y) % p),
+                          (fld.vneg(x), (-np.asarray(x)) % p),
+                          (fld.vmul(x, y), (np.int64(x) * np.int64(y)) % p),
+                          (fld.mod_p(np.int64(x)), np.int64(x) % p),
+                          (fld.vsum(a, 0), a.sum() % p)):
+            assert type(got) is type(want) and not isinstance(got, np.ndarray)
+            assert got == want and 0 <= got < p
+
+
+def test_field_refuses_p_whose_products_overflow_int64():
+    # (p-1)^2 must fit in int64: over GF(4294967311) an int64 vmul(p-1, p-1)
+    # wrapped to 4294967087 and the FB idempotents read as not idempotent
+    for p in (3037000507, 4294967311):  # p - 1 past 3037000499
+        with pytest.raises(BudgetExceeded, match="3037000499"):
+            FieldCtx(p)
+    for p in (4000000000, 4294967313):  # past the bound, but the input is wrong first
+        with pytest.raises(NotPrime):
+            FieldCtx(p)
+    fld = make_field(3037000493)  # the largest prime admitted
+    x = np.full(3, fld.p - 1)
+    assert np.array_equal(fld.vmul(x, x), [1, 1, 1]) and fld.vmul(fld.p - 1, fld.p - 2) == 2
+    fld = make_field(3037000391)  # the largest admitted with 5 | p - 1
+    assert all(idempotents(FBCtx(fld, 5)).verify().values())
 
 
 def test_irreducibility_high_degree():

@@ -1,12 +1,14 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cqunits import GroupAlgebra, make_field, make_group, orbits
-from cqunits.errors import (ActionOrderWrong, CtxMismatch, NotAutomorphism,
+from cqunits import GroupAlgebra, _memory, cli, group, make_field, make_group, orbits, verifier
+from cqunits.errors import (ActionOrderWrong, BudgetExceeded, CtxMismatch, NotAutomorphism,
                             NotFixedPointFree, NotPrime)
 from cqunits.verifier import make_instance
+from conftest import CONFIGS
 
 
 def test_make_group_c7_c3(f7, g21):
@@ -268,3 +270,43 @@ def test_mul_idx_matches_exponent_rows_past_the_table(name, config_instance):
     h, g = np.arange(n), int(local.integers(n))
     assert np.array_equal(G.mul_idx(g, h), exponent_row_product(G, np.array(g), h))
     assert np.array_equal(G.mul_idx(h, g), exponent_row_product(G, h, np.array(g)))
+
+
+@pytest.mark.parametrize("name", sorted(c.stem for c in CONFIGS.glob("*.cfg")))
+def test_group_estimate_covers_its_build(name, monkeypatch):
+    # the refusal's estimate covers the tracemalloc peak of building each
+    # config's group, with at most 30 % and 8 KB to spare: 1.03x on gf49_c7cube
+    # and gf81_c3e8, 1.04x on c31four and c43cube, 1.09x on c31sq
+    needs, peaks = [], []
+
+    def build(*args):
+        tracemalloc.start()
+        try:
+            spec = make_group(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return spec
+
+    monkeypatch.setattr(verifier, "make_group", build)
+    monkeypatch.setattr(group, "refuse_past_room", lambda need, what: needs.append(need))
+    cli.parse_config((CONFIGS / f"{name}.cfg").read_text())
+    (need,), (peak,) = needs, peaks
+    assert peak <= need <= 1.3 * peak + 8192
+
+
+def test_oversized_group_is_refused_before_its_arrays(f31, monkeypatch):
+    # A = C_31^5, q = 5 (|G| = 143 145 755): a_exps alone is 1.07 GiB, and
+    # under a 1.5 GB cap numpy's MemoryError ended the run with exit 5
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: 1_500_000_000)
+    action = np.diag([16, 16, 16, 16, 8]).tolist()
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=r"\|G\| = 143145755 need about 5496805184 "):
+            make_group(f31, 5, [31] * 5, action)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+    # |A| = 31^13 is past int64: the order is exact (np.prod wrapped it to 5.97e18)
+    with pytest.raises(BudgetExceeded, match=rf"\|G\| = {5 * 31 ** 13} need"):
+        make_group(f31, 5, [31] * 13, np.diag([16] * 12 + [8]).tolist())

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from cqunits import _linalg as L
 from cqunits import make_field, unitgroup
 from cqunits.algebra import Subspace
 from cqunits.cli import parse_element
+from cqunits.errors import BudgetExceeded
 from cqunits.field import _DIVISION_FREE_ENTRIES
 
 from oracles import in_rowspace
@@ -45,15 +48,23 @@ def structured(p, rng):
 @pytest.mark.parametrize("p", [7, 31, 197])
 def test_rref_matches_naive(p, rng, monkeypatch):
     # over GF(p) the elimination updates the live rows as one slab, reduced by
-    # mod_p: by % up to _DIVISION_FREE_ENTRIES entries, by quotients past it
+    # mod_p: by % up to _DIVISION_FREE_ENTRIES entries, by quotients past it;
+    # so are the batch products (the 400 rows take three batches)
     fld = make_field(p)
-    slabs, mod_p = [], fld.mod_p
+    slabs, reduced, products = [], [], []
+    mod_p, matmul = fld.mod_p, L.matmul_mod
 
     def record(x, scratch=None):
         slabs.append(x.size)
+        reduced.append(weakref.ref(x))
         return mod_p(x, scratch)
 
+    def product(ctx, A, B):
+        products.append(matmul(ctx, A, B))
+        return products[-1]
+
     monkeypatch.setattr(fld, "mod_p", record)
+    monkeypatch.setattr(L, "matmul_mod", product)
     cases = [rng.integers(0, p, shape).astype(np.int64)
              for shape in [(5, 8), (20, 13), (400, 150), (37, 37)]]
     for M in cases + [structured(p, rng)]:
@@ -62,6 +73,8 @@ def test_rref_matches_naive(p, rng, monkeypatch):
         assert p1 == p2
         assert np.array_equal(R1, R2)
     assert min(slabs) <= _DIVISION_FREE_ENTRIES < max(slabs)
+    big = [P for P in products if P.size > _DIVISION_FREE_ENTRIES]
+    assert big and all(any(r() is P for r in reduced) for P in big)
 
 
 @pytest.mark.parametrize("expr", ["b", "b + a1"])
@@ -179,16 +192,35 @@ def test_rank_nullity(rng):
 
 
 def test_matmul_mod_int_chunking(rng):
-    # force the chunked path with a big "prime" bound
-    fld = make_field(999983)
-    A = rng.integers(0, fld.p, (8, 2000)).astype(np.int64)
-    B = rng.integers(0, fld.p, (2000, 8)).astype(np.int64)
-    C = L.matmul_mod(fld, A, B)
-    # exact big-int oracle on a few entries
-    for i in range(3):
-        for j in range(3):
-            expect = sum(int(A[i, k]) * int(B[k, j]) for k in range(2000)) % fld.p
-            assert C[i, j] == expect
+    # an inner dimension of 9100 at p = 999983 takes the bound (p-1)^2 * inner
+    # past 2^53 (from 9008 on), so the product is summed in chunks
+    fld, inner = make_field(999983), 9100
+    assert (fld.p - 1) ** 2 * inner >= L._F64_LIMIT
+    A = rng.integers(fld.p - 50, fld.p, (4, inner)).astype(np.int64)
+    B = rng.integers(0, fld.p, (inner, 4)).astype(np.int64)
+    expect = (A.astype(object) @ B.astype(object)) % fld.p  # exact big-int oracle
+    assert np.array_equal(L.matmul_mod(fld, A, B), expect.astype(np.int64))
+
+
+def test_products_refuse_primes_past_exact_float64(rng):
+    # a product of two entries is exact in float64 up to p - 1 = 94906265;
+    # past it GF(100000007) read a rank-10 matrix as rank 23 and got about half
+    # of a 50 x 4 by 4 x 50 product wrong, so such a p is refused, not answered
+    for p in (94906297, 100000007):  # the first prime past the bound, and a larger one
+        fld = make_field(p)
+        M = rng.integers(0, p, (200, 10)) @ rng.integers(0, p, (10, 40)) % p
+        for solve in (lambda: L.rank(fld, M), lambda: Subspace(fld, M).dim,
+                      lambda: L.matmul_mod(fld, M[:50, :4], M[:4, :50])):
+            with pytest.raises(BudgetExceeded, match="94906265"):
+                solve()
+    fld = make_field(94906249)  # the largest prime admitted
+    A = rng.integers(fld.p - 9, fld.p, (50, 4))
+    B = rng.integers(fld.p - 9, fld.p, (4, 50))
+    expect = (A.astype(object) @ B.astype(object)) % fld.p
+    assert np.array_equal(L.matmul_mod(fld, A, B), expect.astype(np.int64))
+    U, V = rng.integers(0, fld.p, (200, 10)), rng.integers(0, fld.p, (10, 40))
+    M = (U.astype(object) @ V.astype(object) % fld.p).astype(np.int64)
+    assert L.rank(fld, M) == Subspace(fld, M).dim == 10
 
 
 def test_solve_right(rng):

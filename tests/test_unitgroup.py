@@ -10,7 +10,7 @@ import pytest
 
 from conftest import CONFIGS
 
-from cqunits import GroupAlgebra, _linalg, algebra, cli, make_field, make_group, unitgroup
+from cqunits import GroupAlgebra, _linalg, _memory, algebra, cli, make_field, make_group, unitgroup
 from cqunits.cqstruct import FBCtx, ProjVec, from_projections
 from cqunits.errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotAUnit,
                             NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
@@ -396,29 +396,29 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
     # and its rref.  b z is one block of G (m = 21); b has the block B
     # (m = q = 3) and the orbit(a) B of width q^2 = 9
     need, need_fb = 8 * (11 * 21 + 5 * 21 ** 2), 8 * (11 * 21 + 5 * 9 ** 2)
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need - 1)
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
     with pytest.raises(BudgetExceeded, match=f"about {need} bytes") as err:
         centralizer_in_gamma(alg21, b21 * z)
     assert err.value.exit_code == 4
     assert centralizer_in_gamma(alg21, b21).dim == 6  # the double cosets of B still fit
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need)
     assert centralizer_in_gamma(alg21, b21 * z).dim <= 6
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need_fb - 1)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need_fb - 1)
     with pytest.raises(BudgetExceeded, match=f"about {need_fb} bytes"):
         centralizer_in_gamma(alg21, b21)
     # over GF(7^2) the batch update's f^2 = 4 digit-plane products, held
     # twice, and their f = 2 digits add 8 (2 f^2 + f) m^2 bytes: one block of
     # G (m = 147) on gf49, and its tracemalloc peak stays inside that
     need = 8 * (11 * 147 + (5 + 2 * 4 + 2) * 147 ** 2)
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need)
     alg = config_instance("gf49").algebra
     b = alg.basis(alg.group.b())
     x = b * (alg.one() + alg.elem(centralizer_in_gamma(alg, b).kernel.basis[0]))
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need - 1)
     with pytest.raises(BudgetExceeded, match=f"about {need} bytes"):
         centralizer_in_gamma(alg, x)
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need)
     tracemalloc.start()
     try:
         dim = centralizer_in_gamma(alg, x).dim
@@ -439,7 +439,7 @@ def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
     # and 8 KiB of array headers.  The blocks themselves need
     # 8 (11 * 147 + 15 * 9^2)
     need = 8 * ((48 + 3) * (147 + 11 * 3 + 3 + 4) + 147 + 3 * 3 + 4 * 3 * 9) + 8192
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need - 1)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need - 1)
     alg = config_instance("gf49").algebra
     rep = centralizer_in_gamma(alg, alg.basis(alg.group.b()))
     assert (rep.dim, rep.skew_dim, rep.star_closed) == (48, 24, True)
@@ -448,7 +448,7 @@ def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
     assert err.value.exit_code == 4
     assert cli.main(["sample-disjoint", "--config", str(CONFIGS / "gf49.cfg"),
                      "--trials", "1"]) == 4
-    monkeypatch.setattr(algebra, "_physical_memory_bytes", lambda: need)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need)
     assert rep.kernel.basis.shape == (48, 147)
 
 
@@ -474,6 +474,16 @@ def test_address_space_limit_is_refused_up_front():
     assert run.returncode == 4, run.stderr + run.stdout
     assert f"about {need} bytes" in run.stdout + run.stderr
     assert "RLIMIT_AS" in run.stdout + run.stderr
+
+
+def test_room_under_address_space_limit_is_never_negative(monkeypatch):
+    # with less left under RLIMIT_AS than the 32 MB OpenBLAS maps at its first
+    # gemm, work that runs gemms is charged that buffer down to 0 bytes; a
+    # group build runs none and is not charged
+    monkeypatch.setattr(_memory, "_left_under_rlimit", lambda: 12 << 20)
+    _memory.refuse_past_room(12 << 20, "the index arrays")
+    with pytest.raises(BudgetExceeded, match="more than the 0 bytes of address space left"):
+        _memory.refuse_past_memory(1, "the commutator blocks")
 
 
 @pytest.mark.parametrize("cap_kib", [240000, 250000])
