@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _linalg
-from ._memory import refuse_past_memory
+from ._memory import refuse_past_memory, refuse_past_room
 from .cqstruct import CoeffElem, CoeffRing, FBCtx
 from .errors import BudgetExceeded, CtxMismatch, MathDomainError, NotAUnit
 from .field import FieldCtx
@@ -70,24 +70,25 @@ class Subspace:
     at its rightmost nonzero column, rows in descending pivot order.
 
     A subspace of gamma may come in block form, rows None and blocks =
-    (ambient, q, cols, starts, kernels, which, rank): ker rho (of that rank)
-    from FG (|G| = ambient) onto FB (q = |B|) on the kernels
-    kernels[which[t]] at the group indices cols[starts[t]:...], in
-    whatever column order the blocks were solved in (for a centralizer, the
-    canonical coordinates of its double cosets); `dim` is read off the kernel
-    shapes.  `basis` and `pivots` are built on first read (`_echelon`); the
-    block form stays as it was built.  It holds only those two integers of
-    its algebra, not the algebra itself: an algebra caching its own
-    subspaces (`sym_skew_subspaces`) then makes no reference cycle, and is
-    freed as soon as it is dropped.
+    (ambient, q, groups, kernels, rank): ker rho (of that rank) from FG
+    (|G| = ambient) onto FB (q = |B|) on the block kernels.  groups maps a
+    width m to (C, which): block t is kernels[which[t]] at the group indices
+    C[t], in the column order it was solved in (for a centralizer, the
+    canonical coordinates of its double cosets); blocks need not cover G.
+    `dim` is read off the kernel shapes.  `basis` and `pivots` are built on
+    first read (`_echelon`); the block form stays as it was built.  It holds
+    only those two integers of its algebra, not the algebra itself: an
+    algebra caching its own subspaces (`sym_skew_subspaces`) then makes no
+    reference cycle, and is freed as soon as it is dropped.
     """
 
     def __init__(self, field: FieldCtx, rows, blocks=None):
         self.field = field
         self.blocks = blocks
         if blocks is not None:
-            self.ambient, _, _, _, kernels, which, rank = blocks
-            self.dim = int(np.array([k.shape[0] for k in kernels])[which].sum()) - rank
+            self.ambient, _, groups, kernels, rank = blocks
+            heights = np.array([k.shape[0] for k in kernels])
+            self.dim = sum(int(heights[which].sum()) for _, which in groups.values()) - rank
             return
         self._echelon = _linalg.right_echelon(field, rows)
         self.ambient = self.basis.shape[1]
@@ -103,8 +104,8 @@ class Subspace:
 
     @cached_property
     def _echelon(self):
-        """The block form's canonical basis and pivots, in one pass over the
-        distinct (kernel, ascending column order) pairs: each kernel is
+        """The block form's canonical basis and pivots, in one pass over each
+        width's distinct (kernel, ascending column order) pairs: each kernel is
         re-echeloned in that order once (not at all where the order already
         ascends).  With the block rows in ascending pivot order and
         E = rref(rho(rows)^T), the basis (the canonical kernel of
@@ -118,18 +119,15 @@ class Subspace:
         rows, bound ones included; the correction (c = 3, or 1 + f + 2 f^2 for
         f > 1); E and four row numberings; the blocks' ascending columns; the
         e entries of the kernels placed; and the small arrays' headers."""
-        n, q, cols, starts, kernels, which, rank = self.blocks
+        n, q, groups, kernels, rank = self.blocks
         fld, f = self.field, self.field.f
-        width = np.diff(starts, append=n)
         parts = []  # (kernel, its blocks' columns in ascending order)
-        for m in np.unique(width).tolist():
-            T = np.flatnonzero(width == m)
-            C = cols[starts[T][:, None] + np.arange(m)]
+        for m, (C, which) in groups.items():
             order = np.argsort(C, axis=1)
             C = np.take_along_axis(C, order, axis=1)
-            first, number = distinct_rows(np.column_stack([which[T], order]))
+            first, number = distinct_rows(np.column_stack([which, order]))
             for j, r in enumerate(first.tolist()):
-                k = kernels[which[T[r]]]
+                k = kernels[which[r]]
                 if np.any(order[r] != np.arange(m)):
                     k = _linalg.right_echelon(fld, k[:, order[r]])[0]
                 parts.append((k, C[number == j]))
@@ -602,8 +600,12 @@ class GroupAlgebra(CoeffRing):
     def gamma_star_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """(pi, hi): pi = gamma_star_perm(), checked to be a fixed-point-free
         involution (else MathDomainError), and the larger ends hi of its
-        2-cycles (hi, pi[hi]), descending.  Every reader of pi goes through here."""
+        2-cycles (hi, pi[hi]), descending.  Every reader of pi goes through here.
+        Refused (BudgetExceeded) before pi is built past 25 (|G| - q) + 4096
+        bytes: three int64 arrays over gamma (pi, the coordinates and pi[pi])
+        and a mask, the tracemalloc peak on c31four."""
         if self._star_pairs is None:
+            refuse_past_room(25 * self.gamma_dim() + 4096, "the involution's pairs")
             pi = self.gamma_star_perm()
             k = np.arange(self.gamma_dim())
             if not np.array_equal(pi[pi], k) or np.any(pi == k):
@@ -612,21 +614,24 @@ class GroupAlgebra(CoeffRing):
         return self._star_pairs
 
     def sym_skew_subspaces(self) -> tuple[Subspace, Subspace]:
-        """The symmetric and skew slices S1, S2 of gamma, in block form: B,
-        with the symmetric or skew part of FB, and the pairs {g^-1, g} off B
-        (g = hi + q, hi of gamma_star_pairs()) with g^-1 + g or g - g^-1.
-        rho maps them into B's rows' span, so dim S2 is the pair count."""
+        """S1 and S2 of gamma in block form, with no solve, on the involution's
+        pairs {g^-1, g}: B's (b^j, b^(q-j)), 0 < j < q/2, then those off B (g =
+        hi + q, hi of gamma_star_pairs()).  S1 is e and g^-1 + g (rho of rank
+        (q + 1)/2), S2 is g - g^-1 (rank (q - 1)/2), so dim S2 is the pairs off B.
+        Refused (BudgetExceeded) before the pairs are built past 12 |G| + 8192
+        bytes: the pairs and pi[hi], the tracemalloc peak."""
         if self._sym_skew is None:
             pi, hi = self.gamma_star_pairs()
-            q, fld, eye = self.q, self.field, np.eye(self.q, dtype=np.int64)
-            blocks = (self.order, q,
-                      np.concatenate([np.arange(q), np.stack([pi[hi], hi], 1).ravel() + q]),
-                      np.concatenate([[0], q + 2 * np.arange(hi.size)]))
-            which = np.minimum(np.arange(hi.size + 1), 1)
-            self._sym_skew = tuple(
-                Subspace(fld, None, blocks=(*blocks, [fb, np.array([[sign, 1]])], which, len(fb)))
-                for sign in (1, fld.neg(1))
-                for fb in [_linalg.right_kernel(fld, fld.vsub(eye[self.fb.star_perm], sign * eye))])
+            refuse_past_room(12 * self.order + 8192, "the pairs of S1 and S2")
+            q, fld, j = self.q, self.field, np.arange(1, (self.q + 1) // 2)
+            pairs = np.empty((j.size + hi.size, 2), dtype=np.int64)  # g^-1 < g in each row
+            pairs[:j.size, 0], pairs[:j.size, 1] = j, q - j
+            pairs[j.size:, 0], pairs[j.size:, 1] = pi[hi], hi
+            pairs[j.size:] += q
+            e, pair = np.zeros((1, 1), dtype=np.int64), {2: (pairs, np.broadcast_to(0, len(pairs)))}
+            self._sym_skew = tuple(Subspace(fld, None, blocks=(self.order, q, *form)) for form in (
+                ({1: (e, e[0] + 1), **pair}, [np.array([[1, 1]]), e + 1], j.size + 1),
+                (pair, [np.array([[fld.neg(1), 1]])], j.size)))
         return self._sym_skew
 
     def nilpotency_index(self) -> int:

@@ -441,12 +441,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with open(args.config, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as e:
-        print(f"error: cannot read config: {e}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ParseError(f"cannot read config: {e}") from None
         inst = parse_config(text)
         if args.budget is not None:
             inst.budget = args.budget

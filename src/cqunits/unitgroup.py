@@ -18,8 +18,8 @@ block whatever |A| is.  gamma is the kernel of rho: a b^j -> b^j, so
 dim C_gamma(x) is the sum of the block kernel dims less the rank of rho on
 them, and the symmetric/skew slices are counted over each pair (D, D^-1)
 with the same correction.  The kernel stays in block form
-(`algebra.Subspace`); blocks, or a dense basis, that would not fit in
-memory are refused up front.  All sampling is seeded.
+(`algebra.Subspace`); index arrays, blocks, or a dense basis that would
+not fit in memory are refused up front.  All sampling is seeded.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _linalg
-from ._memory import refuse_past_memory
+from ._memory import refuse_past_memory, refuse_past_room
 from .algebra import AlgElem, GroupAlgebra, Subspace, distinct_rows, rho_images
 from .cqstruct import ProjVec, from_projections, mirror_exps, zeta_powers
 from .errors import (BadCentralizerElement, MathDomainError, NotAUnit,
@@ -185,7 +185,8 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: n
                     out.append((c * N.shape[0], _linalg.matmul_mod(fld, N, R)))
                 images.append(R)
     rank = _linalg.rank(fld, np.vstack(images))
-    kernel = Subspace(fld, None, blocks=(alg.order, q, cols, starts, kernels, which, rank))
+    groups = {m: (C, which[T]) for m, (T, C) in by_size.items()}  # by_size's views of cols
+    kernel = Subspace(fld, None, blocks=(alg.order, q, groups, kernels, rank))
     sym_dim, skew_dim = (sum(d for d, _ in out) - _linalg.rank(fld, np.vstack([i for _, i in out]))
                          for out in (sym, skew))
     star_closed = kernel.dim == (sum(d for d, _ in stable)
@@ -218,10 +219,21 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
     (`alg.star_perm`) is checked once, through `gamma_star_pairs`.  The slices
     C ^ S1 and C ^ S2 sum to dim iff C is star-closed, which is
     cross-checked by another route.
+
+    The index arrays are refused (BudgetExceeded) before `_double_cosets`
+    builds them, past 8 |G| max(6 + 3 k, 13) bytes, for k the support of x
+    off e, at most n + 1 (each generator outside H multiplies |H| by a factor
+    of |G| = q p^n).  By their tracemalloc peaks `_double_cosets` holds
+    5 + 3 k arrays of |G| (label and its last value, the 2 k multipliers, the
+    k right ones unsquared and three temporaries of a round; one more is
+    spare), and `_canonical_blocks` at most 13 with the two it is given
+    (12.45 for the one block of all of G on c197).
     """
     if not x.is_unit():
         raise NotAUnit("rho(x) is not invertible in FB")
     alg.gamma_star_pairs()
+    k = min(np.count_nonzero(x.coeffs[1:]), alg.group.n + 1)
+    refuse_past_room(8 * alg.order * max(6 + 3 * k, 13), "the double cosets' index arrays")
     kernel, sym_dim, skew_dim, star_closed = _block_centralizer(
         alg, x, alg.star_perm, *_double_cosets(alg, x))
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,

@@ -14,9 +14,9 @@ so one libmpdec power serves both: it prints the report's decimal, and
 its comparison must agree with the factored decision.
 Dimensions entering the certificate are exact, not formula shortcuts:
 kernel dimensions from the unitgroup layer's solve over the double cosets
-of <supp b> = B, and dim S2 from S2 in block form over the pairs of the
-checked involution.  Both are read off their blocks; no dense row of
-either subspace is built.
+of <supp b> = B, and dim S2 from S2 in block form: g - g^-1 on each pair
+{g^-1, g} of the checked involution, in B and off it, with no solve.  Both
+are read off their blocks; no dense row of either subspace is built.
 
 A report carries only checks that could read False, each against a route
 of its own; what a definition or an earlier raise guarantees is no check.
@@ -63,9 +63,9 @@ class Instance:
 
     @cached_property
     def s2_dim(self) -> int:
-        # S2's block form reads dim as the pair count of gamma_star_pairs()
-        # and builds no rows; the read stays on sym_skew_subspaces because
-        # perfbench's traced smoke checks reach that span only through it
+        # S2 is g - g^-1 on the involution's pairs, with no solve; the read
+        # stays on sym_skew_subspaces because perfbench's traced smoke checks
+        # reach that span only through it
         return self.algebra.sym_skew_subspaces()[1].dim
 
     @cached_property

@@ -75,6 +75,23 @@ def test_malformed_group_exits_1(tmp_path, capsys, deadline, A, action, slug):
     assert json.loads(capsys.readouterr().err)["error"]["code"] == slug
 
 
+@pytest.mark.parametrize("kind", ["not-utf8", "missing", "directory"])
+def test_unreadable_config_is_a_parse_error(tmp_path, capsys, kind):
+    # reported through main's error path like any parse error: exit 2 and the
+    # JSON error object, not a traceback with exit 1 (the hypothesis code)
+    path = tmp_path / "c7.cfg"
+    if kind == "not-utf8":
+        path.write_bytes(C7_CFG.encode() + b"# \xff\n")
+    elif kind == "directory":
+        path = tmp_path
+    assert main(["verify", "--config", str(path), "--json"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    error = json.loads(err)["error"]
+    assert (error["code"], error["exit"]) == ("parse-error", 2)
+    assert error["message"].startswith("cannot read config: ")
+
+
 # --- element expressions --------------------------------------------------------
 
 

@@ -70,16 +70,16 @@ def eager_rows(alg, sub: Subspace) -> Subspace:
     by another route: the block kernels placed one block at a time (their sum W
     must be direct), then the meet of W with gamma (`intersect`) instead of the
     rho correction."""
-    n, q, cols, starts, kernels, which, rank = sub.blocks
+    n, q, groups, kernels, rank = sub.blocks
     assert (n, q) == (alg.order, alg.q)
-    ends = np.append(starts[1:], alg.order)
     rows = []
-    for t, u in enumerate(which.tolist()):
-        W = np.zeros((kernels[u].shape[0], alg.order), dtype=np.int64)
-        W[:, cols[starts[t]:ends[t]]] = kernels[u]
-        rows.append(W)
+    for C, which in groups.values():
+        for D, u in zip(C, np.asarray(which).tolist()):
+            W = np.zeros((kernels[u].shape[0], alg.order), dtype=np.int64)
+            W[:, D] = kernels[u]
+            rows.append(W)
     W = Subspace(alg.field, np.vstack(rows))
-    assert W.dim == sum(kernels[u].shape[0] for u in which.tolist())
+    assert W.dim == sum(r.shape[0] for r in rows)
     meet = intersect(W, gamma_basis(alg))
     assert meet.dim == W.dim - rank
     return meet

@@ -452,6 +452,92 @@ def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
     assert rep.kernel.basis.shape == (48, 147)
 
 
+def test_index_and_pair_arrays_are_refused_before_they_are_built(config_instance,
+                                                                 monkeypatch):
+    # on c31sq (|G| = 4805, q = 5): the involution's pairs need 25 (|G| - q)
+    # + 4096 bytes, the pairs of S1 and S2 12 |G| + 8192, and the double
+    # cosets of b (one generator) 8 * 13 |G|; each refusal comes before its
+    # arrays, and at its estimate the work runs
+    inst = config_instance("c31sq")
+    alg, n = inst.algebra, inst.algebra.order
+    b = alg.basis(alg.group.b())
+    index_need = 8 * 13 * n
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: index_need - 1)
+    solve = unitgroup._double_cosets
+
+    def refuse(alg, x):
+        raise AssertionError("the double cosets were built")
+
+    monkeypatch.setattr(unitgroup, "_double_cosets", refuse)
+    with pytest.raises(BudgetExceeded, match=f"index arrays need about {index_need} bytes"):
+        centralizer_in_gamma(alg, b)
+    monkeypatch.setattr(unitgroup, "_double_cosets", solve)
+    monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: index_need)
+    assert centralizer_in_gamma(alg, b).dim == 31 ** 2 - 1
+    inst = config_instance("c31sq")
+    alg = inst.algebra
+    for need, cache in ((25 * (n - 5) + 4096, "_star_pairs"), (12 * n + 8192, "_sym_skew")):
+        monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need - 1)
+        with pytest.raises(BudgetExceeded, match=f"pairs.* need about {need} bytes"):
+            inst.s2_dim
+        assert getattr(alg, cache) is None
+        monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need)
+        alg.gamma_star_pairs()
+    assert inst.s2_dim == (n - 5) // 2
+
+
+@pytest.mark.parametrize("name", sorted(c.stem for c in CONFIGS.glob("*.cfg")))
+def test_pair_estimates_cover_their_builds(name, config_instance, monkeypatch):
+    # the refusals' estimates cover the tracemalloc peaks of the involution's
+    # pairs and of S1 and S2, with at most 30 % and 8 KB to spare: both are
+    # within 0.1 % on c31four
+    needs, peaks = [], []
+    refuse = algebra.refuse_past_room
+    monkeypatch.setattr(algebra, "refuse_past_room",
+                        lambda need, what: needs.append(need) or refuse(need, what))
+    alg = config_instance(name).algebra
+    for build in (alg.gamma_star_pairs, alg.sym_skew_subspaces):
+        tracemalloc.start()
+        try:
+            build()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert len(needs) == 2
+    for need, peak in zip(needs, peaks):
+        assert peak <= need <= 1.3 * peak + 8192
+
+
+@pytest.mark.parametrize("name, expr", [("c31sq", "b"), ("c31sq", "b + a1"),
+                                        ("c31sq", "b + a1 + a2"), ("c197", "b + a1")])
+def test_double_coset_estimate_covers_the_index_arrays(name, expr, config_instance,
+                                                       monkeypatch):
+    # the estimate covers the tracemalloc peak of the double cosets and their
+    # canonical blocks with at most 40 % to spare: 1.33x for b on c31sq, where
+    # the 13 arrays of the canonical blocks count, 1.07x for its three
+    # generators b, a1 and a2, and 1.04x for c197's one block of all of G
+    inst = config_instance(name)
+    alg, x = inst.algebra, parse_element(expr, inst)
+    alg.gamma_star_pairs()
+    needs = []
+
+    def record(need, what):
+        needs.append(need)
+        raise BudgetExceeded("recorded")
+
+    monkeypatch.setattr(unitgroup, "refuse_past_room", record)
+    with pytest.raises(BudgetExceeded, match="recorded"):
+        centralizer_in_gamma(alg, x)
+    tracemalloc.start()
+    try:
+        unitgroup._canonical_blocks(alg, alg.star_perm, *unitgroup._double_cosets(alg, x))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (need,) = needs
+    assert peak <= need <= 1.4 * peak
+
+
 def test_address_space_limit_is_refused_up_front():
     # a soft RLIMIT_AS a little above what the process has mapped leaves too
     # little for the c31sq blocks of b + a1 (one of 155, six of 775, built

@@ -7,6 +7,7 @@ import sys
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -15,6 +16,7 @@ from cqunits.algebra import Subspace
 from cqunits.cqstruct import complement_search_B_in_VstarFB
 from cqunits.errors import (BranchMismatch, MathDomainError, NotFixedPointFree,
                             ParseError, QDoesNotDivide)
+from cqunits.field import is_prime
 from cqunits.verifier import (FactoredInt, Instance, analyze, counting_certificate,
                               m_gt_1_no_complement, make_instance)
 
@@ -39,6 +41,40 @@ def test_analyze_silent():
     a = analyze(inst)
     assert a.branch == "silent"
     assert not a.conditions["s_plus_1_ge_q"]
+
+
+def test_analyze_counting_branch_is_where_both_inequalities_hold():
+    # the arithmetic grid: odd primes p < 200 and q < 30 with q | p^f - 1
+    # (f <= 4), m = 1 and s + 1 >= q, and n < 40 with ord_q(p) | n, the
+    # degree a fixed-point-free sigma of order q on C_p^n needs.  analyze
+    # reads only p, f, q, n, s and m, so it is given stand-ins, not fields.
+    # Where 2n >= f(q-1), counting is picked and p^n > (sq)^((q-1)/2)/q - 1
+    # (intermediate_ok) holds; everywhere else that inequality fails, so
+    # (q-1) p^n > inner (counting_ok) alone is no certificate
+    inside = outside = counting_alone = 0
+    for p in filter(is_prime, range(3, 200)):
+        for q in filter(is_prime, range(3, 30)):
+            if q == p:
+                continue
+            d = next(k for k in range(1, q) if pow(p, k, q) == 1)
+            for f in range(1, 5):
+                order = p ** f - 1
+                s = order // q
+                if order % q or s % q == 0 or s + 1 < q:
+                    continue
+                inner = (s * q) ** ((q - 1) // 2) // q - 1
+                for n in range(d, 40, d):
+                    stand_in = SimpleNamespace(q=q, n=n, field=SimpleNamespace(p=p, f=f),
+                                               qdecomp=SimpleNamespace(s=s, m=1))
+                    counting = 2 * n >= f * (q - 1)
+                    assert (analyze(stand_in).branch == "counting") == counting, (p, f, q, n)
+                    assert (p ** n > inner) == counting, (p, f, q, n)
+                    if counting:
+                        inside += 1
+                    else:
+                        outside += 1
+                        counting_alone += (q - 1) * p ** n > inner
+    assert (inside, outside, counting_alone) == (5674, 1761, 41)
 
 
 def test_instance_hypothesis_gate():
