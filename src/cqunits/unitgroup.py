@@ -13,7 +13,8 @@ Methods of Representation Theory I, 1981, section 10).  Each double coset
 D = H g H is written in canonical coordinates (i, j) -> h_i g h_j, with g^-1
 for D^-1, and the commutator's matrix on D depends only on how H acts on
 those coordinates, so one block is built and solved per such pattern: with
-C_A(b) = e, every B a B is a regular B x B-set, and C(b) is B and one q^2
+C_A(b) = e, every B a B is O(a) x B for the sigma-orbit O(a), a regular
+B x B-set read off the orbit table with no search, and C(b) is B and one q^2
 block whatever |A| is.  gamma is the kernel of rho: a b^j -> b^j, so
 dim C_gamma(x) is the sum of the block kernel dims less the rank of rho on
 them, and the symmetric/skew slices are counted over each pair (D, D^-1)
@@ -62,13 +63,28 @@ def _least_in_orbits(label: np.ndarray, steps: list) -> np.ndarray:
 def _double_cosets(alg: GroupAlgebra, x: AlgElem) -> tuple[np.ndarray, np.ndarray]:
     """(least index of H g H, least index of g H) for every g, H = <supp x>, reached
     by products with generators from supp x; a support element outside the block of
-    e, H itself, is the next generator."""
-    label, steps, right, supp = np.arange(alg.order), [], [], np.flatnonzero(x.coeffs)
+    e, H itself, is the next generator.
+
+    The first is b^j when supp x meets B \\ {e} (indices 1..q-1 come first), and
+    then its round is read off the orbit table: b^j generates B (q is prime), and
+    with C_A(b) = e the double coset of g = a b^k is O(a) x B, O(a) the sigma-orbit
+    of a, so label[g] = q min_i sigma^i(a) and, when H = B, g's left coset is a B
+    with least index q a.  Later rounds start from that label with b^j's two
+    multipliers among the steps.  The right cosets' pass reuses the squared right
+    multipliers, which keep their cycles as |G| is odd."""
+    q, n = alg.q, alg.order
+    label, steps, supp = np.arange(n), [], np.flatnonzero(x.coeffs)
+    if (first := supp[(supp > 0) & (supp < q)]).size:
+        label = np.repeat(q * alg.group.sigma_pows.min(axis=0), q)
+        if not label[supp].any():
+            return label, np.repeat(np.arange(0, n, q), q)
+        steps += _multipliers(alg, int(first[0]))
     while (outside := supp[label[supp] != 0]).size:
         steps += _multipliers(alg, int(outside[0]))
-        right.append(steps[-1])
         label = _least_in_orbits(label, steps)
-    return label, _least_in_orbits(np.arange(alg.order), right)
+    right = steps[1::2]
+    del steps  # frees the left multipliers before the right cosets' pass
+    return label, _least_in_orbits(np.arange(n), right)
 
 
 def _canonical_blocks(alg: GroupAlgebra, star: np.ndarray, label: np.ndarray,
@@ -134,9 +150,11 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: n
     """Kernel, slice dims and star closure of g -> x g - g x on gamma over the
     blocks of label, H g H with supp x in H, in canonical coordinates
     (`_canonical_blocks`).  One block per pattern is built and solved, one at a
-    time, so this is refused (BudgetExceeded) past 8 (11 |G| + (5 + planes) m^2)
-    bytes for the index arrays, the largest block (width m) and its rref (planes
-    = 2 f^2 + f for f > 1).  C_gamma = ker rho on the sum W of the block kernels;
+    time, so this is refused (BudgetExceeded) past 8 (7 (|G| + 2 t) + (5 + planes)
+    m^2) bytes for what is built after the index arrays: the pair keys of the t
+    blocks (|G| + 2 t entries) with their sorts and temporaries, at most 6.3 of
+    them by tracemalloc peaks, the largest block (width m) and its rref (planes =
+    2 f^2 + f for f > 1).  C_gamma = ker rho on the sum W of the block kernels;
     on a pair (D, D^-1) with kernel K, C ^ Sym = N K for N the left kernel of
     K* - K, and C* = C iff C lies in the sum of the C_P ^ C_P*."""
     fld, q, n, f = alg.field, alg.q, alg.order, alg.field.f
@@ -144,7 +162,8 @@ def _block_centralizer(alg: GroupAlgebra, x: AlgElem, star: np.ndarray, label: n
         raise MathDomainError("a commutator term leaves its double coset")
     cols, starts, local, block_of, partner, which = _canonical_blocks(alg, star, label, cosets)
     sizes = np.diff(starts, append=n)
-    refuse_past_memory(8 * (11 * n + (5 + (2 * f * f + f) * (f > 1)) * int(sizes[-1]) ** 2),
+    refuse_past_memory(8 * (7 * (n + 2 * sizes.size)
+                            + (5 + (2 * f * f + f) * (f > 1)) * int(sizes[-1]) ** 2),
                        "the commutator blocks")
     kernels = [_linalg.right_kernel(fld, _commutator_block(
         alg, x, cols[starts[t]:starts[t] + sizes[t]], local))
@@ -221,19 +240,20 @@ def centralizer_in_gamma(alg: GroupAlgebra, x: AlgElem) -> CentralizerReport:
     cross-checked by another route.
 
     The index arrays are refused (BudgetExceeded) before `_double_cosets`
-    builds them, past 8 |G| max(6 + 3 k, 13) bytes, for k the support of x
+    builds them, past 8 |G| max(7 + 2 k, 13) bytes, for k the support of x
     off e, at most n + 1 (each generator outside H multiplies |H| by a factor
     of |G| = q p^n).  By their tracemalloc peaks `_double_cosets` holds
-    5 + 3 k arrays of |G| (label and its last value, the 2 k multipliers, the
-    k right ones unsquared and three temporaries of a round; one more is
-    spare), and `_canonical_blocks` at most 13 with the two it is given
-    (12.45 for the one block of all of G on c197).
+    6 + 2 k arrays of |G| (label and its last value, the 2 k multipliers and
+    four temporaries of a round: 8.05, 10.06 and 12.06 on c31sq for a1,
+    b + a1 and b + a1 + a2; one more is spare), 2.2 when supp x lies in B,
+    and `_canonical_blocks` at most 13 with the two it is given (12.43 for
+    the one block of all of G on c197).
     """
     if not x.is_unit():
         raise NotAUnit("rho(x) is not invertible in FB")
     alg.gamma_star_pairs()
     k = min(np.count_nonzero(x.coeffs[1:]), alg.group.n + 1)
-    refuse_past_room(8 * alg.order * max(6 + 3 * k, 13), "the double cosets' index arrays")
+    refuse_past_room(8 * alg.order * max(7 + 2 * k, 13), "the double cosets' index arrays")
     kernel, sym_dim, skew_dim, star_closed = _block_centralizer(
         alg, x, alg.star_perm, *_double_cosets(alg, x))
     return CentralizerReport(x=x, kernel=kernel, dim=kernel.dim, star_closed=star_closed,

@@ -499,3 +499,33 @@ class ReferenceCentralizer:
         for r, (t, i) in enumerate(zip(rows.tolist(), within.tolist())):
             K[r, coords[t]] = kernels[t][i]
         return written_down(alg.field, gamma_expand(alg, K))
+
+
+# --- the generic double-coset search --------------------------------------------
+
+
+def reference_double_cosets(alg: GroupAlgebra, x: AlgElem) -> tuple[np.ndarray, np.ndarray]:
+    """(least index of H g H, least index of g H) for every g, H = <supp x>, by
+    orbit squaring over all of G with no closed form: each round adds the first
+    support element outside H as a generator, as multipliers h -> s h and
+    h -> h s, and lowers the label along every multiplier, squaring each, until
+    it is constant on their cycles (|G| is odd, so squaring keeps the cycles)."""
+    G, n = alg.group, alg.order
+
+    def least(label, steps):
+        steps, old = list(steps), None
+        while not np.array_equal(label, old):
+            old = label
+            for i, P in enumerate(steps):
+                label, steps[i] = np.minimum(label, label[P]), P[P]
+            label = label[label]
+        return label
+
+    h, supp = np.arange(n), np.flatnonzero(x.coeffs)
+    label, left, right = h, [], []
+    while (outside := supp[label[supp] != 0]).size:
+        s = int(outside[0])
+        left.append(G.mul_idx(s, h))
+        right.append(G.mul_idx(h, s))
+        label = least(label, left + right)
+    return label, least(h, right)

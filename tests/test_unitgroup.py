@@ -11,7 +11,7 @@ import pytest
 from conftest import CONFIGS
 
 from cqunits import GroupAlgebra, _linalg, _memory, algebra, cli, make_field, make_group, unitgroup
-from cqunits.cqstruct import FBCtx, ProjVec, from_projections
+from cqunits.cqstruct import FBCtx, ProjVec, from_projections, projections, zeta_powers
 from cqunits.errors import (BadCentralizerElement, BudgetExceeded, MathDomainError, NotAUnit,
                             NotInGamma, NotInOnePlusGamma, NotSkew, NotUnitary)
 from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma, class_length,
@@ -21,7 +21,7 @@ from cqunits.unitgroup import (cayley, cayley_inv, centralizer_in_gamma, class_l
 from cqunits.cli import parse_element
 from cqunits.verifier import Instance, analyze
 from oracles import (ReferenceCentralizer, centralizer_of_b_orbit_form, contains_rows,
-                     sqrt_relation_check)
+                     reference_double_cosets, sqrt_relation_check)
 
 
 @pytest.fixture(scope="module")
@@ -391,11 +391,12 @@ def test_centralizers_never_invert(alg21, b21, rep_b, monkeypatch):
 
 def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
                                             monkeypatch):
-    # one block per pattern is built at a time, so the blocks need
-    # 8 (11 |G| + 5 m^2) bytes: the index arrays, the largest block (width m)
-    # and its rref.  b z is one block of G (m = 21); b has the block B
-    # (m = q = 3) and the orbit(a) B of width q^2 = 9
-    need, need_fb = 8 * (11 * 21 + 5 * 21 ** 2), 8 * (11 * 21 + 5 * 9 ** 2)
+    # one block per pattern is built at a time, after the index arrays, so
+    # the blocks need 8 (7 (|G| + 2 t) + 5 m^2) bytes: the pair keys of the t
+    # blocks, the largest block (width m) and its rref.  b z is one block of
+    # G (t = 1, m = 21); b has the block B (m = q = 3) and the two orbit(a) B
+    # of width q^2 = 9
+    need, need_fb = 8 * (7 * (21 + 2) + 5 * 21 ** 2), 8 * (7 * (21 + 6) + 5 * 9 ** 2)
     monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need - 1)
     z = alg21.one() + alg21.elem(rep_b.kernel.basis[0])
     with pytest.raises(BudgetExceeded, match=f"about {need} bytes") as err:
@@ -410,7 +411,7 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
     # over GF(7^2) the batch update's f^2 = 4 digit-plane products, held
     # twice, and their f = 2 digits add 8 (2 f^2 + f) m^2 bytes: one block of
     # G (m = 147) on gf49, and its tracemalloc peak stays inside that
-    need = 8 * (11 * 147 + (5 + 2 * 4 + 2) * 147 ** 2)
+    need = 8 * (7 * (147 + 2) + (5 + 2 * 4 + 2) * 147 ** 2)
     monkeypatch.setattr(_memory, "_physical_memory_bytes", lambda: need)
     alg = config_instance("gf49").algebra
     b = alg.basis(alg.group.b())
@@ -426,6 +427,39 @@ def test_oversized_dense_operator_is_refused(alg21, b21, rep_b, config_instance,
     finally:
         tracemalloc.stop()
     assert 0 < dim <= 48 and peak <= need
+
+
+@pytest.mark.parametrize("name, expr", [("c31sq", "b"), ("c31sq", "a1"), ("c31sq", "1"),
+                                        ("c31sq", "b + a1"), ("c61sq", "b"),
+                                        ("gf81_c3e8", "b")])
+def test_block_estimate_covers_what_is_built_after_it(name, expr, config_instance,
+                                                      monkeypatch):
+    # the blocks refusal comes after the index arrays, so it counts only what
+    # is built from there on; that stays inside the estimate by tracemalloc
+    # (most tightly for a1, whose pair keys are all distinct: 6.7 of its 7.5
+    # |G| int64).  Groups of a few hundred elements are left out: there a
+    # few KB of array headers and lists outweigh the arrays
+    inst = config_instance(name)
+    alg, x = inst.algebra, parse_element(expr, inst)
+    alg.gamma_star_pairs()
+    centralizer_in_gamma(alg, x)  # first-use caches out of the measured peak
+    seen = []
+    refuse = unitgroup.refuse_past_memory
+
+    def mark(need, what):
+        refuse(need, what)
+        seen.append((need, tracemalloc.get_traced_memory()[0]))
+        tracemalloc.reset_peak()
+
+    monkeypatch.setattr(unitgroup, "refuse_past_memory", mark)
+    tracemalloc.start()
+    try:
+        centralizer_in_gamma(alg, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ((need, before),) = seen
+    assert peak - before <= need
 
 
 def test_oversized_lazy_basis_is_refused(config_instance, monkeypatch):
@@ -543,7 +577,7 @@ def test_address_space_limit_is_refused_up_front():
     # little for the c31sq blocks of b + a1 (one of 155, six of 775, built
     # one at a time): exit 4 with the estimate, not a MemoryError deep in
     # the solver
-    need = 8 * (11 * 4805 + 5 * 775 ** 2)
+    need = 8 * (7 * (4805 + 2 * 7) + 5 * 775 ** 2)
     child = textwrap.dedent(f"""
         import resource, sys
         from cqunits import cli
@@ -706,3 +740,58 @@ def test_units_off_fb_match_the_gamma_coordinate_solver(name, expr, config_insta
     # rho correction couples the blocks
     inst = config_instance(name)
     assert_matches_reference(inst.algebra, parse_element(expr, inst))
+
+
+def fb_units(alg, rng):
+    """Drawn FB units, two for each pattern of equal projections: all distinct,
+    one equal pair, and all but two equal (u_0 = 1 and two others, distinct)."""
+    q, N = alg.q, alg.field.order
+    for _ in range(2):
+        distinct = rng.choice(np.arange(1, N), q - 1, replace=False)
+        pair = distinct.copy()
+        pair[-1] = pair[0]
+        for exps in (distinct, pair, np.concatenate([np.zeros(q - 3, dtype=np.int64),
+                                                     distinct[:2]])):
+            yield from_projections(ProjVec(alg.fb, zeta_powers(alg.field, exps)))
+
+
+@pytest.mark.parametrize("name", sorted(c.stem for c in CONFIGS.glob("*.cfg")
+                                        if c.stem != "c31four"))
+def test_double_cosets_match_the_orbit_search(name, config_instance):
+    # the closed form of B's double cosets (orbit minima from sigma_pows, left
+    # cosets a B) against the generic orbit squaring over all of G, for b, b^2,
+    # a distinct-projection unit and a repeated-projection one; b + a1 starts
+    # from the closed form and then runs the generic rounds
+    inst = config_instance(name)
+    alg = inst.algebra
+    units = list(fb_units(alg, np.random.default_rng(7)))
+    xs = [alg.basis(alg.group.b()), alg.basis(alg.group.b(2)), units[0].lift(alg),
+          units[1].lift(alg), parse_element("b + a1", inst)]
+    assert projections(units[0]).has_distinct_projections()
+    assert not projections(units[1]).has_distinct_projections()
+    for x in xs:
+        label, cosets = unitgroup._double_cosets(alg, x)
+        ref_label, ref_cosets = reference_double_cosets(alg, x)
+        assert np.array_equal(label, ref_label)
+        assert np.array_equal(cosets, ref_cosets)
+
+
+@pytest.mark.parametrize("name", ["c7", "c19", "f11c5", "c31sq", "gf49", "c197",
+                                  "gf25_c5sq", "gf49_c7cube"])
+def test_fb_centralizer_dims_count_equal_projections(name, config_instance):
+    # on each orbit block F[O(a) x B] = F^(q x q) through the projections the
+    # commutator with u acts as u_i - u_j, so dim C_gamma(u) is
+    # ((p^n - 1) / q) sum_lambda c_lambda^2 for c_lambda the number of
+    # projections equal to lambda; O(a)^-1 != O(a), so a star-closed kernel
+    # is half skew
+    alg = config_instance(name).algebra
+    orbits = (alg.field.p ** alg.group.n - 1) // alg.q
+    patterns = set()
+    for u in fb_units(alg, np.random.default_rng(11)):
+        counts = np.unique(projections(u).values, return_counts=True)[1]
+        patterns.add(tuple(sorted(counts.tolist())))
+        rep = centralizer_in_gamma(alg, u.lift(alg))
+        assert rep.dim == orbits * int(np.sum(counts ** 2))
+        if rep.star_closed:
+            assert 2 * rep.skew_dim == rep.dim
+    assert len(patterns) == (2 if alg.q == 3 else 3)
